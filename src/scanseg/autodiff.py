@@ -135,9 +135,9 @@ class Tensor:
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + g
+                # Gradients are never updated in place, so the first
+                # contribution can be shared rather than copied.
+                parent.grad = g if parent.grad is None else parent.grad + g
             node._backward_fn = None
             node._parents = ()
 
@@ -376,7 +376,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 def depthwise_conv2d(x: Tensor, k: Tensor) -> Tensor:
     """Per-channel 2D correlation with zero 'same' padding.
 
-    ``x`` is (..., C, H, W) and ``k`` is (C, kh, kw) with odd extents; there
+    ``x`` is (..., H, W, C) and ``k`` is (C, kh, kw) with odd extents; there
     is no cross-channel mixing.
     """
     x, k = Tensor._ensure(x), Tensor._ensure(k)
@@ -386,30 +386,28 @@ def depthwise_conv2d(x: Tensor, k: Tensor) -> Tensor:
     c, kh, kw = k.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"depthwise kernel extents must be odd, got {kh}x{kw}")
-    if x.ndim < 3 or x.shape[-3] != c:
+    if x.ndim < 3 or x.shape[-1] != c:
         raise DimensionError(
             f"input {x.shape} does not carry {c} channels for kernel {k.shape}")
     ph, pw = kh // 2, kw // 2
-    h, w = x.shape[-2], x.shape[-1]
-    pad = [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)]
+    h, w = x.shape[-3], x.shape[-2]
+    pad = [(0, 0)] * (x.ndim - 3) + [(ph, ph), (pw, pw), (0, 0)]
     xp = np.pad(x.data, pad)
     out = np.zeros_like(x.data)
     for dy in range(kh):
         for dx in range(kw):
-            out += (k.data[:, dy, dx][..., None, None]
-                    * xp[..., dy:dy + h, dx:dx + w])
+            out += k.data[:, dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
 
     def backward(g):
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(k.data)
-        lead = tuple(range(g.ndim - 3))
+        spatial = tuple(range(g.ndim - 1))
         for dy in range(kh):
             for dx in range(kw):
-                gxp[..., dy:dy + h, dx:dx + w] += (
-                    k.data[:, dy, dx][..., None, None] * g)
+                gxp[..., dy:dy + h, dx:dx + w, :] += k.data[:, dy, dx] * g
                 gk[:, dy, dx] = np.sum(
-                    g * xp[..., dy:dy + h, dx:dx + w], axis=lead + (-2, -1))
-        return gxp[..., ph:ph + h, pw:pw + w].copy(), gk
+                    g * xp[..., dy:dy + h, dx:dx + w, :], axis=spatial)
+        return gxp[..., ph:ph + h, pw:pw + w, :].copy(), gk
 
     return Tensor._from_op(out, (x, k), backward)
 

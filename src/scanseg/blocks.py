@@ -1,6 +1,11 @@
 """Encoder-side blocks: patch embedding, the scan encoder block, stage
 downsampling, and the weight-shared dual-stream encoder.
 
+Images enter as ``(..., 3, H, W)``; the patch embedding turns them into
+channels-last feature maps ``(..., H, W, C)``, the only feature layout from
+there on, so every Linear, LayerNorm and depthwise convolution acts on the
+trailing channel axis without conversion.
+
 Both modality streams run through the *same* modules, so shared parameters
 accumulate gradient contributions from both passes.  Stage downsampling is
 2x2 patch merging: the four spatial phases are gathered channel-wise (4C)
@@ -16,13 +21,10 @@ from .autodiff import Tensor, concat, silu
 from .errors import ConfigError, DimensionError
 from .nn import DepthwiseConv2d, LayerNorm, Linear, Module, ModuleList
 from .rng import SplitMix64
-from .ss2d import SS2DBlock, _grid_to_rowmajor_seq, _seq_to_grid, ss2d_forward
+from .ss2d import SS2DBlock, ss2d_forward
 
 __all__ = ["StageConfig", "PatchEmbed", "EncoderBlock", "Downsample",
-           "DualStreamEncoder", "grid_to_seq", "seq_to_grid"]
-
-grid_to_seq = _grid_to_rowmajor_seq
-seq_to_grid = _seq_to_grid
+           "DualStreamEncoder"]
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,10 @@ class StageConfig:
     def num_stages(self) -> int:
         return len(self.depths)
 
-    def level_shapes(self, h: int, w: int) -> list[tuple[int, int, int]]:
-        shapes = []
-        ph, pw = h // self.patch, w // self.patch
-        for i, c in enumerate(self.channels):
-            shapes.append((c, ph >> i, pw >> i))
-        return shapes
-
 
 class PatchEmbed(Module):
-    """Non-overlapping p x p patches, linearly projected to out_ch."""
+    """Non-overlapping p x p patches of a (..., C, H, W) image, linearly
+    projected to a (..., H/p, W/p, out_ch) feature map."""
 
     def __init__(self, in_ch: int, out_ch: int, patch: int, rng: SplitMix64):
         super().__init__()
@@ -81,8 +77,8 @@ class PatchEmbed(Module):
         # (..., c, hp, p, wp, p) -> (..., hp, wp, c, p, p)
         axes = tuple(range(nl)) + (nl + 1, nl + 3, nl, nl + 2, nl + 4)
         x = x.transpose(axes)
-        x = x.reshape(lead + (hp * wp, c * p * p))
-        return seq_to_grid(self.proj(x), hp, wp)
+        x = x.reshape(lead + (hp, wp, c * p * p))
+        return self.proj(x)
 
 
 class EncoderBlock(Module):
@@ -99,15 +95,11 @@ class EncoderBlock(Module):
         self.lin_out = Linear(channels, channels, rng)
 
     def __call__(self, f: Tensor) -> Tensor:
-        if f.shape[-3] != self.channels:
+        if f.shape[-1] != self.channels:
             raise DimensionError(
                 f"block expects {self.channels} channels, got {f.shape}")
-        h, w = f.shape[-2], f.shape[-1]
-        x = self.lin_in(self.norm(grid_to_seq(f)))
-        x = silu(self.conv(seq_to_grid(x, h, w)))
-        x = ss2d_forward(x, self.ss2d)
-        x = self.lin_out(grid_to_seq(x))
-        return f + seq_to_grid(x, h, w)
+        x = silu(self.conv(self.lin_in(self.norm(f))))
+        return f + self.lin_out(ss2d_forward(x, self.ss2d))
 
 
 class Downsample(Module):
@@ -120,22 +112,20 @@ class Downsample(Module):
 
     @staticmethod
     def gather_phases(f: Tensor) -> Tensor:
-        """(..., C, H, W) -> (..., 4C, H/2, W/2), phase-major channels."""
-        c, h, w = f.shape[-3], f.shape[-2], f.shape[-1]
+        """(..., H, W, C) -> (..., H/2, W/2, 4C), phase-major channels."""
+        h, w, c = f.shape[-3], f.shape[-2], f.shape[-1]
         if h % 2 or w % 2:
             raise ConfigError(f"downsample needs even extents, got {h}x{w}")
         lead = f.shape[:-3]
-        x = f.reshape(lead + (c, h // 2, 2, w // 2, 2))
+        x = f.reshape(lead + (h // 2, 2, w // 2, 2, c))
         nl = len(lead)
-        # (..., c, h2, dy, w2, dx) -> (..., dy, dx, c, h2, w2)
-        axes = tuple(range(nl)) + (nl + 2, nl + 4, nl, nl + 1, nl + 3)
+        # (..., h2, dy, w2, dx, c) -> (..., h2, w2, dy, dx, c)
+        axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
         x = x.transpose(axes)
-        return x.reshape(lead + (4 * c, h // 2, w // 2))
+        return x.reshape(lead + (h // 2, w // 2, 4 * c))
 
     def __call__(self, f: Tensor) -> Tensor:
-        x = self.gather_phases(f)
-        h, w = x.shape[-2], x.shape[-1]
-        return seq_to_grid(self.proj(grid_to_seq(x)), h, w)
+        return self.proj(self.gather_phases(f))
 
 
 class DualStreamEncoder(Module):

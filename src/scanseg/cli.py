@@ -3,7 +3,8 @@
 Every run writes exactly one JSON manifest next to its outputs recording
 the subcommand, the resolved configuration, the seed, the artifact paths,
 the wall time, and the package version.  Exit codes: 0 success,
-1 validation failure, 2 I/O error, 3 numerical failure.
+1 validation failure (usage errors included), 2 I/O error, 3 numerical
+failure.
 
 Heavy imports happen inside the command handlers so that ``--threads`` can
 cap BLAS pools before numpy loads.
@@ -21,6 +22,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+
+class _UsageError(Exception):
+    """A command-line usage error; reported as a validation failure."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _clean_config(config: dict) -> dict:
@@ -248,7 +258,7 @@ def cmd_scan_bench(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scanseg",
         description="selective-scan multimodal segmentation toolkit")
     parser.add_argument("--threads", type=int, default=None,
@@ -332,7 +342,11 @@ def main(argv=None) -> int:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 os.environ[var] = argv[idx + 1]
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     from .errors import (CheckpointError, ConfigError, DimensionError,
                          DomainError, GraphError, NetpbmError, NumericalError)

@@ -7,16 +7,20 @@ A dataset root holds three subdirectories with aligned stems:
     <root>/mask/<stem>.pgm    binary ground truth (0 / max)
 
 Loading returns the aligned triples in stem order plus a report of stems
-with missing counterparts; nothing is dropped silently.
+with missing counterparts; nothing is dropped silently.  Every image of a
+stem, and every stem, must share one resolution; a dataset that breaks this
+is rejected with a ``DimensionError`` naming the offending stems.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DimensionError
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from .synth import ModalityPair
 
@@ -61,7 +65,28 @@ def load_dataset(root: str) -> tuple[list[ModalityPair], LoadReport]:
         mask = read_pgm(os.path.join(mask_dir, f"{stem}.pgm"))
         pairs.append(ModalityPair(rgb=rgb, xmod=xmod[None],
                                   mask=mask > 0.5, id=stem))
+    _check_resolutions(pairs)
     return pairs, report
+
+
+def _hw(a: np.ndarray) -> str:
+    return f"{a.shape[-2]}x{a.shape[-1]}"
+
+
+def _check_resolutions(pairs: list[ModalityPair]) -> None:
+    torn = [f"{p.id} (rgb {_hw(p.rgb)}, x {_hw(p.xmod)}, mask {_hw(p.mask)})"
+            for p in pairs
+            if not p.rgb.shape[-2:] == p.xmod.shape[-2:] == p.mask.shape]
+    if torn:
+        raise DimensionError(
+            f"images of a stem differ in size: {'; '.join(torn)}")
+    sizes = Counter(_hw(p.rgb) for p in pairs)
+    if len(sizes) > 1:
+        common, count = sizes.most_common(1)[0]
+        odd = [f"{p.id} ({_hw(p.rgb)})" for p in pairs if _hw(p.rgb) != common]
+        raise DimensionError(
+            f"mixed resolutions: {count} stems at {common}, but "
+            f"{', '.join(odd)}")
 
 
 def save_pair(root: str, pair: ModalityPair, depth_16bit: bool = False) -> None:

@@ -18,26 +18,24 @@ from .errors import ConfigError, DimensionError
 from .nn import Linear, Module, ModuleList
 from .rng import SplitMix64
 from .ss2d import SS2DBlock, ss2d_forward
-from .ss2d import _grid_to_rowmajor_seq as grid_to_seq
-from .ss2d import _seq_to_grid as seq_to_grid
 
 __all__ = ["shuffle_upsample_rearrange", "UpsampleShuffle", "DecoderStage",
            "SegHead", "Decoder"]
 
 
 def shuffle_upsample_rearrange(f: Tensor) -> Tensor:
-    """(..., C, H, W) -> (..., C/4, 2H, 2W); group g of 4 channels fills the
+    """(..., H, W, C) -> (..., 2H, 2W, C/4); group g of 4 channels fills the
     2x2 block in row-major order."""
-    c, h, w = f.shape[-3], f.shape[-2], f.shape[-1]
+    h, w, c = f.shape[-3], f.shape[-2], f.shape[-1]
     if c % 4:
         raise ConfigError(f"channel count {c} not divisible by 4")
     lead = f.shape[:-3]
     nl = len(lead)
-    x = f.reshape(lead + (c // 4, 2, 2, h, w))
-    # (..., c4, dy, dx, h, w) -> (..., c4, h, dy, w, dx)
+    x = f.reshape(lead + (h, w, c // 4, 2, 2))
+    # (..., h, w, c4, dy, dx) -> (..., h, dy, w, dx, c4)
     axes = tuple(range(nl)) + (nl, nl + 3, nl + 1, nl + 4, nl + 2)
     x = x.transpose(axes)
-    return x.reshape(lead + (c // 4, 2 * h, 2 * w))
+    return x.reshape(lead + (2 * h, 2 * w, c // 4))
 
 
 class UpsampleShuffle(Module):
@@ -51,9 +49,7 @@ class UpsampleShuffle(Module):
         self.proj = Linear(channels // 4, channels // 2, rng)
 
     def __call__(self, f: Tensor) -> Tensor:
-        x = shuffle_upsample_rearrange(f)
-        h, w = x.shape[-2], x.shape[-1]
-        return seq_to_grid(self.proj(grid_to_seq(x)), h, w)
+        return self.proj(shuffle_upsample_rearrange(f))
 
 
 class DecoderStage(Module):
@@ -84,20 +80,22 @@ class DecoderStage(Module):
             x = ss2d_forward(u, self.ss2d, c_source=f_high) + f_high
         else:
             x = ss2d_forward(u, self.ss2d) + u
-        h, w = x.shape[-2], x.shape[-1]
-        return seq_to_grid(self.proj(grid_to_seq(x)), h, w)
+        return self.proj(x)
 
 
 class SegHead(Module):
-    """1x1 projection to logits, bilinearly upsampled to the target size."""
+    """1x1 projection of a (..., H, W, C) feature map to (..., K, H, W)
+    logits, bilinearly upsampled to the target size."""
 
     def __init__(self, channels: int, num_classes: int, rng: SplitMix64):
         super().__init__()
         self.proj = Linear(channels, num_classes, rng)
 
     def __call__(self, f: Tensor, out_hw: tuple[int, int]) -> Tensor:
-        h, w = f.shape[-2], f.shape[-1]
-        logits = seq_to_grid(self.proj(grid_to_seq(f)), h, w)
+        h, w = f.shape[-3], f.shape[-2]
+        nl = f.ndim - 3
+        logits = self.proj(f).transpose(
+            tuple(range(nl)) + (nl + 2, nl, nl + 1))
         if (h, w) == tuple(out_hw):
             return logits
         return bilinear_resize(logits, tuple(out_hw))

@@ -28,8 +28,6 @@ from .nn import DepthwiseConv2d, Linear, Module, ModuleList, param
 from .rng import SplitMix64
 from .scan import (DiscretizedParams, SSMParams, discretize_zoh,
                    make_input_params, selective_scan)
-from .ss2d import _grid_to_rowmajor_seq as grid_to_seq
-from .ss2d import _seq_to_grid as seq_to_grid
 
 import numpy as np
 
@@ -57,10 +55,9 @@ class MMFFBlock(Module):
         self._scan_fn = selective_scan  # swappable for stub-scan tests
 
     def _preprocess(self, f: Tensor, lin: Linear, conv: DepthwiseConv2d) -> Tensor:
-        h, w = f.shape[-2], f.shape[-1]
-        x = lin(grid_to_seq(f))
-        x = conv(seq_to_grid(x, h, w))
-        return grid_to_seq(x)
+        """(..., H, W, C) -> row-major sequence (..., L, C)."""
+        x = conv(lin(f))
+        return x.reshape(f.shape[:-3] + (-1, self.channels))
 
     def __call__(self, f_a: Tensor, f_b: Tensor | None = None) -> Tensor:
         return mmff_forward(f_a, f_b, self)
@@ -97,11 +94,10 @@ def mmff_forward(f_a: Tensor, f_b: Tensor | None, blk: MMFFBlock) -> Tensor:
     if f_a.shape != f_b.shape:
         raise DimensionError(
             f"fusion inputs must match, got {f_a.shape} vs {f_b.shape}")
-    if f_a.shape[-3] != blk.channels:
+    if f_a.shape[-1] != blk.channels:
         raise DimensionError(
             f"fusion block expects {blk.channels} channels, got {f_a.shape}")
-    h, w = f_a.shape[-2], f_a.shape[-1]
-    length = h * w
+    length = f_a.shape[-3] * f_a.shape[-2]
 
     seq_a = blk._preprocess(f_a, blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(f_b, blk.lin_b, blk.conv_b)
@@ -111,7 +107,7 @@ def mmff_forward(f_a: Tensor, f_b: Tensor | None, blk: MMFFBlock) -> Tensor:
     half_a, half_b = split(y, [length, length], axis=y.ndim - 2)
     fused = concat([half_a * blk.scale_a, half_b * blk.scale_b],
                    axis=y.ndim - 1)
-    return seq_to_grid(blk.proj(fused), h, w)
+    return blk.proj(fused).reshape(f_a.shape)
 
 
 def fuse_pyramids(pyr_a: list[Tensor], pyr_b: list[Tensor],

@@ -177,8 +177,8 @@ def suite_ops() -> list[CheckResult]:
                                   * Tensor(_rand((3, 6), 18))).sum(),
         [_rand((3, 6), 19), _rand((6,), 20, 0.5, 1.5), _rand((6,), 21)])
     add("depthwise_conv", lambda ts: (depthwise_conv2d(ts[0], ts[1])
-                                      * Tensor(_rand((2, 4, 5), 22))).sum(),
-        [_rand((2, 4, 5), 23), _rand((2, 3, 3), 24, -0.5, 0.5)])
+                                      * Tensor(_rand((4, 5, 2), 22))).sum(),
+        [_rand((4, 5, 2), 23), _rand((2, 3, 3), 24, -0.5, 0.5)])
     add("sum", lambda ts: (ts[0].sum(axis=0, keepdims=True) * ts[0]).sum(),
         [_rand((3, 4), 25)])
     add("mean", lambda ts: (ts[0].mean(axis=1) * ts[0].mean()).sum(),
@@ -272,10 +272,10 @@ def suite_blocks() -> list[CheckResult]:
     stage = DecoderStage(low_channels=8, state=2, rng=SplitMix64(52))
     return [
         _module_check("ss2d", lambda f: ss2d_forward(f, ss2d_blk), ss2d_blk,
-                      [(2, 2, 3)], seed=90),
+                      [(2, 3, 2)], seed=90),
         _module_check("encoder-block", enc, enc, [(2, 2, 2)], seed=60),
         _module_check("mmff", mmff, mmff, [(2, 2, 2), (2, 2, 2)], seed=70),
-        _module_check("decoder-stage", stage, stage, [(8, 1, 1), (4, 2, 2)],
+        _module_check("decoder-stage", stage, stage, [(1, 1, 8), (2, 2, 4)],
                       seed=80),
     ]
 

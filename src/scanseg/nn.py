@@ -110,5 +110,5 @@ class DepthwiseConv2d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         y = depthwise_conv2d(x, self.weight)
         if self.bias is not None:
-            y = y + self.bias.reshape(-1, 1, 1)
+            y = y + self.bias
         return y

@@ -1,11 +1,12 @@
 """2D selective scan: cross-scan, four directional scans, cross-merge.
 
-A feature map is flattened into four directional sequences — row-major from
-the top-left, its reversal, column-major from the top-left, and its
-reversal — each scanned by its own parameter set, then the four outputs are
-restored to grid order and summed.  The two diagonal corner orders named in
-the usual cross-scan formulation are realized as the row-/column-major pair
-with reversals.
+Feature maps are channels-last, ``(..., H, W, C)``, here and in every block
+between the patch embedding and the segmentation head.  A map is flattened
+into four directional sequences — row-major from the top-left, its
+reversal, column-major from the top-left, and its reversal — each scanned
+by its own parameter set, then the four outputs are restored to grid order
+and summed.  The two diagonal corner orders named in the usual cross-scan
+formulation are realized as the row-/column-major pair with reversals.
 
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
@@ -14,114 +15,40 @@ features steer how the hidden state is read out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .autodiff import Tensor, matmul, softplus, stack, take_perm
-from .errors import ConfigError, DimensionError
+from .autodiff import Tensor, concat, matmul, softplus, split, stack
+from .errors import DimensionError
 from .nn import LayerNorm, Module, ModuleList
 from .rng import SplitMix64
 from .scan import SSMParams, DiscretizedParams, selective_scan
 
-__all__ = ["ScanLayout", "make_layout", "cross_scan", "cross_merge",
-           "SS2DBlock", "ss2d_forward"]
+__all__ = ["cross_scan", "cross_merge", "SS2DBlock", "ss2d_forward"]
 
 
-@dataclass(frozen=True)
-class ScanLayout:
-    """Four traversal orders of an H x W grid and their inverses.
-
-    ``perms[i][t]`` is the row-major flat index visited at step t of
-    direction i; ``invs[i]`` is the inverse permutation.
-    """
-    h: int
-    w: int
-    perms: tuple
-    invs: tuple
+def _swap_hw(x: Tensor) -> Tensor:
+    """(..., H, W, C) -> (..., W, H, C)."""
+    nl = x.ndim - 3
+    return x.transpose(tuple(range(nl)) + (nl + 1, nl, nl + 2))
 
 
-_layout_cache: dict[tuple[int, int], ScanLayout] = {}
+def cross_scan(f: Tensor) -> Tensor:
+    """(..., H, W, C) -> (..., 4, L, C): row-major, its reversal,
+    column-major, its reversal."""
+    seq_shape = f.shape[:-3] + (1, f.shape[-3] * f.shape[-2], f.shape[-1])
+    rows = f.reshape(seq_shape)
+    cols = _swap_hw(f).reshape(seq_shape)
+    axis_l = f.ndim - 2
+    return concat([rows, rows.flip(axis_l), cols, cols.flip(axis_l)],
+                  axis=f.ndim - 3)
 
 
-def make_layout(h: int, w: int) -> ScanLayout:
-    if h < 1 or w < 1:
-        raise ConfigError(f"grid extents must be positive, got {h}x{w}")
-    key = (h, w)
-    if key not in _layout_cache:
-        length = h * w
-        d1 = np.arange(length)
-        d2 = d1[::-1].copy()
-        d3 = np.arange(length).reshape(h, w).T.ravel().copy()
-        d4 = d3[::-1].copy()
-        perms = (d1, d2, d3, d4)
-        invs = tuple(np.argsort(p) for p in perms)
-        _layout_cache[key] = ScanLayout(h=h, w=w, perms=perms, invs=invs)
-    return _layout_cache[key]
-
-
-def _grid_to_rowmajor_seq(f: Tensor) -> Tensor:
-    """(..., C, H, W) -> (..., L, C)."""
-    c = f.shape[-3]
-    length = f.shape[-2] * f.shape[-1]
-    flat = f.reshape(f.shape[:-3] + (c, length))
-    axes = tuple(range(flat.ndim - 2)) + (flat.ndim - 1, flat.ndim - 2)
-    return flat.transpose(axes)
-
-
-def _seq_to_grid(x: Tensor, h: int, w: int) -> Tensor:
-    """(..., L, C) -> (..., C, H, W)."""
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    flat = x.transpose(axes)
-    return flat.reshape(flat.shape[:-1] + (h, w))
-
-
-def cross_scan_stacked(f: Tensor, layout: ScanLayout) -> Tensor:
-    """(..., C, H, W) -> (..., 4, L, C), all four directions at once."""
-    seq = _grid_to_rowmajor_seq(f)
-    dirs = [take_perm(seq, p, axis=-2) for p in layout.perms]
-    return stack(dirs, axis=seq.ndim - 2)
-
-
-def cross_merge_stacked(y: Tensor, layout: ScanLayout) -> Tensor:
-    """(..., 4, L, C) -> (..., C, H, W): inverse-reorder each, then sum."""
-    parts = [take_perm(d, inv, axis=-2)
-             for d, inv in zip(_split_dirs(y), layout.invs)]
-    total = (parts[0] + parts[1]) + (parts[2] + parts[3])
-    return _seq_to_grid(total, layout.h, layout.w)
-
-
-def _split_dirs(y: Tensor) -> list[Tensor]:
-    from .autodiff import split
-    axis = y.ndim - 3
-    outs = split(y, [1, 1, 1, 1], axis=axis)
-    return [o.reshape(o.shape[:axis] + o.shape[axis + 1:]) for o in outs]
-
-
-def cross_scan(f: Tensor, layout: ScanLayout):
-    """Four directional (L, C) sequences of a (C, H, W) feature map."""
-    if f.ndim != 3:
-        raise DimensionError(f"cross_scan expects (C, H, W), got {f.shape}")
-    if f.shape[-2:] != (layout.h, layout.w):
-        raise DimensionError(
-            f"feature map {f.shape} does not match layout {layout.h}x{layout.w}")
-    return tuple(_split_dirs(cross_scan_stacked(f, layout)))
-
-
-def cross_merge(ys, layout: ScanLayout) -> Tensor:
-    """Sum four directional (L, C) sequences back onto the grid."""
-    ys = [Tensor._ensure(y) for y in ys]
-    if len(ys) != 4:
-        raise DimensionError(f"cross_merge expects 4 sequences, got {len(ys)}")
-    length = layout.h * layout.w
-    for y in ys:
-        if y.shape[-2] != length:
-            raise DimensionError(
-                f"sequence length {y.shape} inconsistent with grid "
-                f"{layout.h}x{layout.w}")
-    parts = [take_perm(y, inv, axis=-2) for y, inv in zip(ys, layout.invs)]
-    total = (parts[0] + parts[1]) + (parts[2] + parts[3])
-    return _seq_to_grid(total, layout.h, layout.w)
+def cross_merge(y: Tensor, h: int, w: int) -> Tensor:
+    """(..., 4, L, C) -> (..., H, W, C): undo each direction's order, sum."""
+    axis_l = y.ndim - 2
+    y0, y1, y2, y3 = split(y, [1, 1, 1, 1], axis=y.ndim - 3)
+    lead, c = y.shape[:-3], y.shape[-1]
+    rows = (y0 + y1.flip(axis_l)).reshape(lead + (h, w, c))
+    cols = (y2 + y3.flip(axis_l)).reshape(lead + (w, h, c))
+    return rows + _swap_hw(cols)
 
 
 class SS2DBlock(Module):
@@ -155,17 +82,15 @@ def ss2d_forward(f: Tensor, block: SS2DBlock, c_source: Tensor | None = None,
     ``c_source``'s sequences when given (same traversal orders), else from
     ``f``'s own.
     """
-    if f.shape[-3] != block.channels:
+    if f.ndim < 3 or f.shape[-1] != block.channels:
         raise DimensionError(
             f"feature channels {f.shape} do not match block C={block.channels}")
     if c_source is not None and c_source.shape != f.shape:
         raise DimensionError(
             f"c_source shape {c_source.shape} must equal f shape {f.shape}")
-    h, w = f.shape[-2], f.shape[-1]
-    layout = make_layout(h, w)
 
-    seqs = cross_scan_stacked(f, layout)                   # (..., 4, L, C)
-    cseqs = seqs if c_source is None else cross_scan_stacked(c_source, layout)
+    seqs = cross_scan(f)                                   # (..., 4, L, C)
+    cseqs = seqs if c_source is None else cross_scan(c_source)
 
     w_b = block._stacked("w_B")                            # (4, C, N)
     w_c = block._stacked("w_C")
@@ -188,6 +113,4 @@ def ss2d_forward(f: Tensor, block: SS2DBlock, c_source: Tensor | None = None,
         d_skip = block._stacked("d_skip").reshape(4, 1, block.channels)
 
     y = selective_scan(seqs, dp, c, d_skip=d_skip, chunk=chunk)
-    merged = cross_merge_stacked(y, layout)
-    normed = block.out_norm(_grid_to_rowmajor_seq(merged))
-    return _seq_to_grid(normed, h, w)
+    return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))

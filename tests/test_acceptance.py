@@ -96,15 +96,19 @@ def test_criterion_3_discretization_identities():
 
 def test_criterion_4_permutation_roundtrip():
     from scanseg.autodiff import Tensor
-    from scanseg.ss2d import cross_merge, cross_scan, make_layout
+    from scanseg.ss2d import cross_merge, cross_scan
     for h in range(1, 7):
         for w in range(1, 7):
-            lay = make_layout(h, w)
-            for perm, inv in zip(lay.perms, lay.invs):
+            # Each direction's traversal order, read off the scan of a map
+            # whose pixels hold their row-major flat index.
+            grid = np.arange(float(h * w)).reshape(h, w, 1)
+            perms = cross_scan(Tensor(grid)).data[..., 0].astype(np.int64)
+            for perm in perms:
+                inv = np.argsort(perm)
                 assert np.array_equal(inv[perm], np.arange(h * w))
                 assert np.array_equal(perm[inv], np.arange(h * w))
-            f = SplitMix64(4000 + h * 7 + w).uniform_array((3, h, w))
-            out = cross_merge(cross_scan(Tensor(f), lay), lay)
+            f = SplitMix64(4000 + h * 7 + w).uniform_array((h, w, 3))
+            out = cross_merge(cross_scan(Tensor(f)), h, w)
             assert np.array_equal(out.data, 4.0 * f)
     report("criterion 4 (permutation round-trip)",
            "all four directions invert exactly for (H,W) in [1,6]^2; "

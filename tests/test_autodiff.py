@@ -61,7 +61,7 @@ def test_matmul_broadcast_batched():
 # ---------------------------------------------------------------- depthwise conv
 
 def test_depthwise_identity_kernel():
-    x = rand((2, 5, 5), seed=7)
+    x = rand((5, 5, 2), seed=7)
     k = np.zeros((2, 3, 3))
     k[:, 1, 1] = 1.0
     out = depthwise_conv2d(Tensor(x), Tensor(k))
@@ -75,24 +75,24 @@ def test_depthwise_ones_on_single_pixel():
 
 
 def test_depthwise_tap_counts():
-    out = depthwise_conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 3, 3))))
-    assert out.data[0, 1, 1] == 9.0
+    out = depthwise_conv2d(Tensor(np.ones((3, 3, 1))), Tensor(np.ones((1, 3, 3))))
+    assert out.data[1, 1, 0] == 9.0
     assert out.data[0, 0, 0] == 4.0
-    assert out.data[0, 0, 2] == 4.0
     assert out.data[0, 2, 0] == 4.0
-    assert out.data[0, 2, 2] == 4.0
-    assert out.data[0, 0, 1] == 6.0
+    assert out.data[2, 0, 0] == 4.0
+    assert out.data[2, 2, 0] == 4.0
+    assert out.data[0, 1, 0] == 6.0
 
 
 def test_depthwise_even_kernel_rejected():
     with pytest.raises(ConfigError):
-        depthwise_conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 2, 2))))
+        depthwise_conv2d(Tensor(np.ones((4, 4, 1))), Tensor(np.ones((1, 2, 2))))
 
 
 def test_depthwise_gradients():
-    x = rand((2, 4, 5), seed=8)
+    x = rand((4, 5, 2), seed=8)
     k = rand((2, 3, 3), seed=9, lo=-0.5, hi=0.5)
-    r = rand((2, 4, 5), seed=10)
+    r = rand((4, 5, 2), seed=10)
     res = check("dwconv",
                 lambda ts: (depthwise_conv2d(ts[0], ts[1]) * Tensor(r)).sum(),
                 [x, k])

@@ -25,20 +25,14 @@ def test_stage_config_validation():
     assert cfg.num_stages == 4
 
 
-def test_level_shapes_schedule():
-    cfg = StageConfig(patch=4, depths=(1, 1, 1, 1), channels=(16, 32, 64, 128))
-    shapes = cfg.level_shapes(64, 64)
-    assert shapes == [(16, 16, 16), (32, 8, 8), (64, 4, 4), (128, 2, 2)]
-
-
 # ---------------------------------------------------------------- patch embed
 
 def test_patch_embed_pointwise_case():
     pe = PatchEmbed(3, 5, patch=1, rng=SplitMix64(1))
     img = rand((3, 4, 4), seed=2)
     out = pe(Tensor(img))
-    assert out.shape == (5, 4, 4)
-    expect = np.einsum("chw,co->ohw", img, pe.proj.weight.data)
+    assert out.shape == (4, 4, 5)
+    expect = np.einsum("chw,co->hwo", img, pe.proj.weight.data)
     assert np.allclose(out.data, expect, atol=1e-12)
 
 
@@ -46,7 +40,7 @@ def test_patch_embed_constant_image_zero_bias():
     pe = PatchEmbed(3, 4, patch=2, rng=SplitMix64(3))
     out = pe(Tensor(np.full((3, 4, 4), 0.5))).data
     for c in range(4):
-        assert np.allclose(out[c], out[c, 0, 0])
+        assert np.allclose(out[..., c], out[0, 0, c])
 
 
 def test_patch_embed_hand_projection():
@@ -56,10 +50,10 @@ def test_patch_embed_hand_projection():
     # Patch vector layout is channel-major then row-major within the patch.
     patch00 = img[:, 0:2, 0:2].reshape(-1)
     expect = patch00 @ pe.proj.weight.data + pe.proj.bias.data
-    assert np.allclose(out[:, 0, 0], expect, atol=1e-12)
+    assert np.allclose(out[0, 0, :], expect, atol=1e-12)
     patch01 = img[:, 0:2, 2:4].reshape(-1)
     expect = patch01 @ pe.proj.weight.data + pe.proj.bias.data
-    assert np.allclose(out[:, 0, 1], expect, atol=1e-12)
+    assert np.allclose(out[0, 1, :], expect, atol=1e-12)
 
 
 def test_patch_embed_rejects_indivisible():
@@ -79,15 +73,15 @@ def test_encoder_block_zero_preserving():
 def test_encoder_block_shape_contract():
     for c, h, w in [(4, 4, 4), (8, 2, 6), (2, 3, 5)]:
         blk = EncoderBlock(channels=c, state=2, rng=SplitMix64(8))
-        f = rand((c, h, w), seed=9)
-        assert blk(Tensor(f)).shape == (c, h, w)
+        f = rand((h, w, c), seed=9)
+        assert blk(Tensor(f)).shape == (h, w, c)
 
 
 def test_encoder_block_residual_identity():
     blk = EncoderBlock(channels=3, state=2, rng=SplitMix64(10))
     blk.lin_out.weight.data[:] = 0.0
     blk.lin_out.bias.data[:] = 0.0
-    f = rand((3, 4, 4), seed=11)
+    f = rand((4, 4, 3), seed=11)
     out = blk(Tensor(f))
     assert np.array_equal(out.data, f)
 
@@ -108,10 +102,10 @@ def test_encoder_block_gradients():
 # ---------------------------------------------------------------- downsample
 
 def test_downsample_phase_gather_order():
-    f = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    f = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
     phases = Downsample.gather_phases(f)
-    assert phases.shape == (4, 1, 1)
-    assert phases.data[:, 0, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert phases.shape == (1, 1, 4)
+    assert phases.data[0, 0, :].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_downsample_projection_selects_phase():
@@ -119,21 +113,21 @@ def test_downsample_projection_selects_phase():
     ds.proj.weight.data[:] = 0.0
     ds.proj.bias.data[:] = 0.0
     ds.proj.weight.data[0, 0] = 1.0  # output ch 0 <- phase (0, 0)
-    f = rand((1, 4, 4), seed=16)
+    f = rand((4, 4, 1), seed=16)
     out = ds(Tensor(f))
-    assert np.array_equal(out.data[0], f[0, ::2, ::2])
+    assert np.array_equal(out.data[..., 0], f[::2, ::2, 0])
 
 
 def test_downsample_shape_contract():
     ds = Downsample(channels=8, rng=SplitMix64(17))
-    out = ds(Tensor(rand((8, 16, 16), seed=18)))
-    assert out.shape == (16, 8, 8)
+    out = ds(Tensor(rand((16, 16, 8), seed=18)))
+    assert out.shape == (8, 8, 16)
 
 
 def test_downsample_rejects_odd():
     ds = Downsample(channels=2, rng=SplitMix64(19))
     with pytest.raises(ConfigError):
-        ds(Tensor(np.zeros((2, 3, 4))))
+        ds(Tensor(np.zeros((3, 4, 2))))
 
 
 # ---------------------------------------------------------------- dual stream
@@ -152,8 +146,8 @@ def test_dual_stream_pyramid_shapes():
     enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(22))
     img = rand((3, 64, 64), seed=23)
     pyr, _ = enc(Tensor(img), Tensor(img))
-    assert [p.shape for p in pyr] == [(16, 16, 16), (32, 8, 8), (64, 4, 4),
-                                      (128, 2, 2)]
+    assert [p.shape for p in pyr] == [(16, 16, 16), (8, 8, 32), (4, 4, 64),
+                                      (2, 2, 128)]
 
 
 def test_dual_stream_single_channel_replication():
@@ -179,7 +173,7 @@ def test_dual_stream_shared_weights_accumulate_both_streams():
     enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(28))
     rgb = rand((3, 4, 4), seed=29)
     xm = rand((3, 4, 4), seed=30)
-    r = [rand((2, 2, 2), seed=31), rand((4, 1, 1), seed=32)]
+    r = [rand((2, 2, 2), seed=31), rand((1, 1, 4), seed=32)]
 
     def loss_fn():
         pa, pb = enc(Tensor(rgb), Tensor(xm))

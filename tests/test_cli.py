@@ -115,6 +115,44 @@ def test_validation_errors_exit_1(tmp_path):
                 "--out-dir", tmp_path]) == 1
 
 
+def test_usage_error_exit_1_with_one_line(tmp_path, capsys):
+    assert run(["train", "--data", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "usage error" in err and "--out" in err
+    with pytest.raises(SystemExit) as e:
+        run(["train", "--help"])
+    assert e.value.code == 0
+
+
+def test_train_mixed_resolution_dataset_exit_1(tmp_path, capsys):
+    from scanseg.data import save_pair
+    from scanseg.synth import SceneConfig, generate_scene
+    ds = tmp_path / "mixed"
+    for i, res in enumerate([(32, 32), (32, 32), (64, 64)]):
+        save_pair(str(ds), generate_scene(SceneConfig(resolution=res, seed=4), i))
+    assert run(["train", "--data", ds, "--steps", 1, "--out",
+                tmp_path / "m.ckpt"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "2 stems at 32x32" in err and "00002 (64x64)" in err
+    assert not os.path.exists(tmp_path / "m.ckpt")
+
+
+def test_eval_stem_size_mismatch_exit_1(workspace, tmp_path, capsys):
+    from scanseg.data import save_pair
+    from scanseg.netpbm import write_pgm
+    from scanseg.synth import SceneConfig, generate_scene
+    ds = tmp_path / "torn"
+    save_pair(str(ds), generate_scene(SceneConfig(resolution=(32, 32)), 0))
+    write_pgm(str(ds / "mask" / "00000.pgm"), np.zeros((16, 16)))
+    assert run(["eval", "--ckpt", workspace["ckpt"], "--data", ds,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "00000 (rgb 32x32, x 32x32, mask 16x16)" in err
+
+
 def test_gradcheck_scope_runs_only_that_suite(tmp_path):
     assert run(["gradcheck", "--scope", "ssm-scan", "--out-dir", tmp_path]) == 0
     report = open(tmp_path / "gradcheck_report.txt").read()

@@ -17,27 +17,27 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
 # ---------------------------------------------------------------- rearrange
 
 def test_rearrange_fills_2x2_blocks():
-    f = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
+    f = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 4))
     out = shuffle_upsample_rearrange(f)
-    assert out.shape == (1, 2, 2)
-    assert np.array_equal(out.data[0], [[1.0, 2.0], [3.0, 4.0]])
+    assert out.shape == (2, 2, 1)
+    assert np.array_equal(out.data[..., 0], [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_rearrange_is_permutation():
-    f = rand((8, 3, 5), seed=1)
+    f = rand((3, 5, 8), seed=1)
     out = shuffle_upsample_rearrange(Tensor(f)).data
-    assert out.shape == (2, 6, 10)
+    assert out.shape == (6, 10, 2)
     assert np.array_equal(np.sort(out.ravel()), np.sort(f.ravel()))
 
 
 def test_rearrange_rejects_indivisible_channels():
     with pytest.raises(ConfigError):
-        shuffle_upsample_rearrange(Tensor(np.zeros((6, 2, 2))))
+        shuffle_upsample_rearrange(Tensor(np.zeros((2, 2, 6))))
 
 
 def test_upsample_shuffle_shape_contract():
     up = UpsampleShuffle(16, rng=SplitMix64(2))
-    out = up(Tensor(rand((16, 4, 4), seed=3)))
+    out = up(Tensor(rand((4, 4, 16), seed=3)))
     assert out.shape == (8, 8, 8)
 
 
@@ -49,24 +49,24 @@ def test_stage_zero_higher_level_reduces_to_projection_bias():
     # projection of the residual 0 + 0, i.e. the projection bias.
     stage = DecoderStage(low_channels=8, state=2, rng=SplitMix64(4))
     stage.proj.bias.data[:] = 0.125
-    f_low = rand((8, 2, 2), seed=5)
+    f_low = rand((2, 2, 8), seed=5)
     out = stage(Tensor(f_low), Tensor(np.zeros((4, 4, 4))))
     assert np.allclose(out.data, 0.125, atol=1e-15)
 
 
 def test_stage_shape_contract_and_alignment_error():
     stage = DecoderStage(low_channels=8, state=2, rng=SplitMix64(6))
-    out = stage(Tensor(rand((8, 2, 2), seed=7)), Tensor(rand((4, 4, 4), seed=8)))
+    out = stage(Tensor(rand((2, 2, 8), seed=7)), Tensor(rand((4, 4, 4), seed=8)))
     assert out.shape == (4, 4, 4)
     with pytest.raises(DimensionError):
-        stage(Tensor(rand((8, 2, 2), seed=9)), Tensor(rand((4, 8, 8), seed=10)))
+        stage(Tensor(rand((2, 2, 8), seed=9)), Tensor(rand((8, 8, 4), seed=10)))
 
 
 def test_stage_gradients():
     stage = DecoderStage(low_channels=8, state=2, rng=SplitMix64(11))
-    f_low = Tensor(rand((8, 1, 1), seed=12), requires_grad=True)
-    f_high = Tensor(rand((4, 2, 2), seed=13), requires_grad=True)
-    r = rand((4, 2, 2), seed=14)
+    f_low = Tensor(rand((1, 1, 8), seed=12), requires_grad=True)
+    f_high = Tensor(rand((2, 2, 4), seed=13), requires_grad=True)
+    r = rand((2, 2, 4), seed=14)
 
     def loss_fn():
         return (stage(f_low, f_high) * Tensor(r)).sum()
@@ -80,9 +80,9 @@ def test_stage_gradients():
 
 def test_head_single_class_and_constant_feature():
     head = SegHead(channels=3, num_classes=1, rng=SplitMix64(15))
-    out = head(Tensor(rand((3, 2, 2), seed=16)), (8, 8))
+    out = head(Tensor(rand((2, 2, 3), seed=16)), (8, 8))
     assert out.shape == (1, 8, 8)
-    const = head(Tensor(np.full((3, 2, 2), 0.5)), (4, 4))
+    const = head(Tensor(np.full((2, 2, 3), 0.5)), (4, 4))
     assert np.allclose(const.data, const.data[0, 0, 0])
 
 
@@ -90,7 +90,8 @@ def test_head_bilinear_matches_hand_interpolation():
     head = SegHead(channels=1, num_classes=1, rng=SplitMix64(17))
     head.proj.weight.data[:] = [[1.0]]
     head.proj.bias.data[:] = 0.0
-    out = head(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), (4, 4)).data[0]
+    out = head(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)),
+               (4, 4)).data[0]
     row = np.array([1.0, 1.25, 1.75, 2.0])
     expect = np.stack([row, row + 0.5, row + 1.5, row + 2.0])
     assert np.allclose(out, expect, atol=1e-12)
@@ -110,12 +111,12 @@ def test_decoder_cascade_touches_every_level_once():
     DecoderStage.__call__ = spy
     try:
         out = dec([Tensor(rand((4, 4, 4), seed=19)),
-                   Tensor(rand((8, 2, 2), seed=20))], (16, 16))
+                   Tensor(rand((2, 2, 8), seed=20))], (16, 16))
     finally:
         DecoderStage.__call__ = orig
     assert out.shape == (1, 16, 16)
     # one merging stage per level pair, then the final non-merging stage
-    assert calls == [((8, 2, 2), (4, 4, 4)), ((4, 4, 4), None)]
+    assert calls == [((2, 2, 8), (4, 4, 4)), ((4, 4, 4), None)]
 
 
 def test_decoder_level_count_mismatch():
@@ -127,13 +128,13 @@ def test_decoder_level_count_mismatch():
 def test_decoder_four_levels_resolution_doubles_per_stage():
     dec = Decoder(channels=(4, 8, 16, 32), state=2, num_classes=2,
                   rng=SplitMix64(22))
-    pyr = [Tensor(rand((4, 8, 8), seed=23)), Tensor(rand((8, 4, 4), seed=24)),
-           Tensor(rand((16, 2, 2), seed=25)), Tensor(rand((32, 1, 1), seed=26))]
+    pyr = [Tensor(rand((8, 8, 4), seed=23)), Tensor(rand((4, 4, 8), seed=24)),
+           Tensor(rand((2, 2, 16), seed=25)), Tensor(rand((1, 1, 32), seed=26))]
     out = dec(pyr, (32, 32))
     assert out.shape == (2, 32, 32)
 
 
 def test_final_stage_without_higher_level():
     stage = DecoderStage(low_channels=8, state=2, rng=SplitMix64(27))
-    out = stage(Tensor(rand((8, 2, 2), seed=28)))
+    out = stage(Tensor(rand((2, 2, 8), seed=28)))
     assert out.shape == (4, 4, 4)

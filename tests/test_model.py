@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,42 @@ def test_full_scale_config_validates():
     div = FULL_CONFIG.stages.patch * 8
     assert FULL_CONFIG.resolution[0] % div == 0
     assert FULL_CONFIG.resolution[1] % div == 0
+
+
+# Pinned outputs: logits of TOY_CONFIG (seed 0) on a fixed seeded 32x32 batch
+# and the per-parameter gradient norms of the saliency loss on that batch,
+# recorded once (``python tests/test_model.py --record``) before the
+# channels-last refactor.  Layout refactors must reproduce them.
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "toy_pinned.npz")
+
+
+def _toy_forward_backward():
+    from scanseg.losses import loss_saliency
+    model = Model(TOY_CONFIG, seed=0)
+    rgb = rand((2, 3, 32, 32), seed=40)
+    xm = rand((2, 1, 32, 32), seed=41)
+    mask = (rand((2, 1, 32, 32), seed=42) > 0.5).astype(np.float64)
+    logits = model(Tensor(rgb), Tensor(xm))
+    loss_saliency(logits, Tensor(mask))[0].backward()
+    named = list(model.named_parameters())
+    return (logits.data, np.array([n for n, _ in named]),
+            np.array([np.linalg.norm(p.grad) for _, p in named]))
+
+
+def test_toy_outputs_match_pinned_values():
+    pinned = np.load(PINNED)
+    logits, names, norms = _toy_forward_backward()
+    assert names.tolist() == pinned["names"].tolist()
+    assert np.max(np.abs(logits - pinned["logits"])) <= 1e-12
+    rel = np.abs(norms - pinned["grad_norms"]) / np.abs(pinned["grad_norms"])
+    worst = int(np.argmax(rel))
+    assert rel[worst] <= 1e-8, (names[worst], rel[worst])
+
+
+if __name__ == "__main__":
+    import sys
+    if sys.argv[1:] == ["--record"]:
+        logits, names, norms = _toy_forward_backward()
+        os.makedirs(os.path.dirname(PINNED), exist_ok=True)
+        np.savez_compressed(PINNED, logits=logits, names=names, grad_norms=norms)

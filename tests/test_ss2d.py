@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from scanseg.autodiff import Tensor
-from scanseg.errors import ConfigError, DimensionError
+from scanseg.errors import DimensionError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
-from scanseg.ss2d import (SS2DBlock, cross_merge, cross_scan,
-                          cross_merge_stacked, cross_scan_stacked,
-                          make_layout, ss2d_forward)
+from scanseg.ss2d import SS2DBlock, cross_merge, cross_scan, ss2d_forward
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -15,115 +13,115 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
     return lo + (hi - lo) * r.uniform_array(shape)
 
 
+def oracle_perms(h, w):
+    """Row-major flat index of the pixel visited at each step of the four
+    directions: row-major, its reversal, column-major, its reversal."""
+    rows = np.arange(h * w)
+    cols = rows.reshape(h, w).T.ravel()
+    return [rows, rows[::-1], cols, cols[::-1]]
+
+
+def index_grid(h, w):
+    """(H, W, 1) map whose pixels hold their row-major flat index."""
+    return np.arange(float(h * w)).reshape(h, w, 1)
+
+
 # ---------------------------------------------------------------- layout
 
 def test_layout_roundtrip_exhaustive():
     for h in range(1, 7):
         for w in range(1, 7):
-            lay = make_layout(h, w)
-            for perm, inv in zip(lay.perms, lay.invs):
+            seqs = cross_scan(Tensor(index_grid(h, w))).data[..., 0]
+            for d, perm in enumerate(oracle_perms(h, w)):
                 assert np.array_equal(np.sort(perm), np.arange(h * w))
-                assert np.array_equal(perm[inv], np.arange(h * w))
-                assert np.array_equal(inv[perm], np.arange(h * w))
+                assert np.array_equal(seqs[d], perm)
+                # merging direction d alone puts step t back on pixel perm[t]
+                y = np.zeros((4, h * w, 1))
+                y[d, :, 0] = perm
+                out = cross_merge(Tensor(y), h, w).data
+                assert np.array_equal(out, index_grid(h, w))
 
 
 def test_layout_reversal_pairs():
-    lay = make_layout(3, 5)
-    assert np.array_equal(lay.perms[1], lay.perms[0][::-1])
-    assert np.array_equal(lay.perms[3], lay.perms[2][::-1])
+    seqs = cross_scan(Tensor(rand((3, 5, 2), seed=1))).data
+    assert np.array_equal(seqs[1], seqs[0][::-1])
+    assert np.array_equal(seqs[3], seqs[2][::-1])
 
 
 def test_layout_2x2_convention():
-    lay = make_layout(2, 2)
-    assert lay.perms[0].tolist() == [0, 1, 2, 3]
-    assert lay.perms[1].tolist() == [3, 2, 1, 0]
-    assert lay.perms[2].tolist() == [0, 2, 1, 3]
-    assert lay.perms[3].tolist() == [3, 1, 2, 0]
-
-
-def test_layout_rejects_empty():
-    with pytest.raises(ConfigError):
-        make_layout(0, 3)
+    perms = oracle_perms(2, 2)
+    assert perms[0].tolist() == [0, 1, 2, 3]
+    assert perms[1].tolist() == [3, 2, 1, 0]
+    assert perms[2].tolist() == [0, 2, 1, 3]
+    assert perms[3].tolist() == [3, 1, 2, 0]
+    y = np.stack([p.astype(float) for p in perms])[..., None]
+    out = cross_merge(Tensor(y), 2, 2).data
+    assert np.array_equal(out, 4.0 * index_grid(2, 2))
 
 
 # ---------------------------------------------------------------- cross scan
 
 def test_cross_scan_single_pixel():
-    f = Tensor(rand((3, 1, 1), seed=1))
-    seqs = cross_scan(f, make_layout(1, 1))
-    for s in seqs:
-        assert s.shape == (1, 3)
-        assert np.array_equal(s.data[0], f.data[:, 0, 0])
+    f = Tensor(rand((1, 1, 3), seed=1))
+    seqs = cross_scan(f)
+    assert seqs.shape == (4, 1, 3)
+    for s in seqs.data:
+        assert np.array_equal(s[0], f.data[0, 0, :])
 
 
 def test_cross_scan_constant_map():
-    f = Tensor(np.full((2, 3, 4), 0.7))
-    seqs = cross_scan(f, make_layout(3, 4))
-    for s in seqs:
-        assert np.allclose(s.data, 0.7)
-    assert np.array_equal(seqs[0].data, seqs[2].data)
+    f = Tensor(np.full((3, 4, 2), 0.7))
+    seqs = cross_scan(f).data
+    assert np.allclose(seqs, 0.7)
+    assert np.array_equal(seqs[0], seqs[2])
 
 
 def test_cross_scan_orders_pixels():
     # H=2, W=2 with pixel values equal to their row-major flat index.
-    f = Tensor(np.arange(4.0).reshape(1, 2, 2))
-    seqs = cross_scan(f, make_layout(2, 2))
-    assert seqs[0].data[:, 0].tolist() == [0, 1, 2, 3]
-    assert seqs[1].data[:, 0].tolist() == [3, 2, 1, 0]
-    assert seqs[2].data[:, 0].tolist() == [0, 2, 1, 3]
-    assert seqs[3].data[:, 0].tolist() == [3, 1, 2, 0]
+    seqs = cross_scan(Tensor(index_grid(2, 2))).data
+    assert seqs[0, :, 0].tolist() == [0, 1, 2, 3]
+    assert seqs[1, :, 0].tolist() == [3, 2, 1, 0]
+    assert seqs[2, :, 0].tolist() == [0, 2, 1, 3]
+    assert seqs[3, :, 0].tolist() == [3, 1, 2, 0]
 
 
 def test_merge_of_scan_is_four_times_input_bitwise():
-    f = rand((3, 4, 5), seed=2)
-    lay = make_layout(4, 5)
-    out = cross_merge(cross_scan(Tensor(f), lay), lay)
+    f = rand((4, 5, 3), seed=2)
+    out = cross_merge(cross_scan(Tensor(f)), 4, 5)
     assert np.array_equal(out.data, 4.0 * f)
 
 
 def test_merge_single_nonzero_sequence():
-    lay = make_layout(2, 3)
     y = rand((6, 2), seed=3)
-    zeros = Tensor(np.zeros((6, 2)))
-    out = cross_merge([zeros, zeros, Tensor(y), zeros], lay)
-    expect = np.zeros((2, 2, 3))
-    inv = lay.invs[2]
-    grid = y[inv]  # back to row-major order
-    expect = grid.T.reshape(2, 2, 3)
+    stacked = np.zeros((4, 6, 2))
+    stacked[2] = y
+    out = cross_merge(Tensor(stacked), 2, 3)
+    inv = np.argsort(oracle_perms(2, 3)[2])
+    expect = y[inv].reshape(2, 3, 2)  # back to row-major order
     assert np.array_equal(out.data, expect)
 
 
 def test_merge_matches_gather_add_oracle():
-    lay = make_layout(3, 3)
-    ys = [rand((9, 2), seed=10 + i) for i in range(4)]
-    out = cross_merge([Tensor(y) for y in ys], lay).data
-    oracle = np.zeros((2, 3, 3))
+    perms = oracle_perms(3, 3)
+    ys = np.stack([rand((9, 2), seed=10 + i) for i in range(4)])
+    out = cross_merge(Tensor(ys), 3, 3).data
+    oracle = np.zeros((3, 3, 2))
     for d in range(4):
         for t in range(9):
-            flat = lay.perms[d][t]
-            oracle[:, flat // 3, flat % 3] += ys[d][t]
+            flat = perms[d][t]
+            oracle[flat // 3, flat % 3, :] += ys[d][t]
     assert np.allclose(out, oracle, atol=1e-12)
 
 
-def test_merge_rejects_inconsistent_lengths():
-    lay = make_layout(2, 2)
-    good = Tensor(np.zeros((4, 2)))
-    bad = Tensor(np.zeros((5, 2)))
-    with pytest.raises(DimensionError):
-        cross_merge([good, good, good, bad], lay)
-
-
 def test_cross_scan_gradients():
-    f = rand((2, 3, 3), seed=4)
-    lay = make_layout(3, 3)
+    f = rand((3, 3, 2), seed=4)
     r = rand((4, 9, 2), seed=5)
     res = check("cross-scan",
-                lambda ts: (cross_scan_stacked(ts[0], lay) * Tensor(r)).sum(),
-                [f])
+                lambda ts: (cross_scan(ts[0]) * Tensor(r)).sum(), [f])
     assert res.passed, res.line()
-    r2 = rand((2, 3, 3), seed=6)
+    r2 = rand((3, 3, 2), seed=6)
     res = check("cross-merge",
-                lambda ts: (cross_merge_stacked(ts[0], lay) * Tensor(r2)).sum(),
+                lambda ts: (cross_merge(ts[0], 3, 3) * Tensor(r2)).sum(),
                 [rand((4, 9, 2), seed=7)])
     assert res.passed, res.line()
 
@@ -132,16 +130,16 @@ def test_cross_scan_gradients():
 
 def test_ss2d_zero_input():
     blk = SS2DBlock(channels=3, state=2, rng=SplitMix64(8))
-    out = ss2d_forward(Tensor(np.zeros((3, 4, 4))), blk)
-    assert np.array_equal(out.data, np.zeros((3, 4, 4)))
+    out = ss2d_forward(Tensor(np.zeros((4, 4, 3))), blk)
+    assert np.array_equal(out.data, np.zeros((4, 4, 3)))
 
 
 def test_ss2d_single_pixel_matches_one_step_formula():
     c_dim, n = 3, 2
     blk = SS2DBlock(channels=c_dim, state=n, rng=SplitMix64(9))
-    f = rand((c_dim, 1, 1), seed=10)
-    out = ss2d_forward(Tensor(f), blk).data[:, 0, 0]
-    x = f[:, 0, 0]
+    f = rand((1, 1, c_dim), seed=10)
+    out = ss2d_forward(Tensor(f), blk).data[0, 0, :]
+    x = f[0, 0, :]
     expect = np.zeros(c_dim)
     for p in blk.directions:
         b = x @ p.w_B.data
@@ -157,7 +155,7 @@ def test_ss2d_single_pixel_matches_one_step_formula():
 
 def test_ss2d_c_source_default_equivalence():
     blk = SS2DBlock(channels=2, state=2, rng=SplitMix64(11))
-    f = Tensor(rand((2, 3, 4), seed=12))
+    f = Tensor(rand((3, 4, 2), seed=12))
     a = ss2d_forward(f, blk)
     b = ss2d_forward(f, blk, c_source=Tensor(f.data.copy()))
     assert np.array_equal(a.data, b.data)
@@ -166,21 +164,22 @@ def test_ss2d_c_source_default_equivalence():
 def test_ss2d_c_source_shape_mismatch():
     blk = SS2DBlock(channels=2, state=2, rng=SplitMix64(13))
     with pytest.raises(DimensionError):
-        ss2d_forward(Tensor(np.zeros((2, 3, 4))), blk,
-                     c_source=Tensor(np.zeros((2, 4, 3))))
+        ss2d_forward(Tensor(np.zeros((3, 4, 2))), blk,
+                     c_source=Tensor(np.zeros((4, 3, 2))))
 
 
 def test_ss2d_reversal_symmetry_with_tied_parameters():
     # With direction 2's parameters tied to direction 1's, the grid-space
     # contribution of direction 2 equals: flip direction 1's sequence, scan
     # it with the shared parameters, flip the output back, and restore grid
-    # order with direction 1's inverse permutation.
+    # order with direction 1's inverse permutation.  The permutations are
+    # the test's own oracle tables.
     from scanseg.scan import (SSMParams, discretize_zoh, make_input_params,
                               scan_sequential)
     params = SSMParams(channels=2, state=3, rng=SplitMix64(14))
-    f = rand((2, 3, 4), seed=15)
-    lay = make_layout(3, 4)
-    seqs = [s.data for s in cross_scan(Tensor(f), lay)]
+    f = rand((3, 4, 2), seed=15)
+    invs = [np.argsort(p) for p in oracle_perms(3, 4)]
+    seqs = cross_scan(Tensor(f)).data
     assert np.array_equal(seqs[1], seqs[0][::-1])
 
     def run(x):
@@ -189,25 +188,25 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
         return scan_sequential(x, dp, c.data)
 
     y2 = run(seqs[1])
-    grid_dir2 = np.take(y2, lay.invs[1], axis=0)
+    grid_dir2 = np.take(y2, invs[1], axis=0)
     via_dir1 = np.take(np.flip(run(np.flip(seqs[0], 0).copy()), 0),
-                       lay.invs[0], axis=0)
+                       invs[0], axis=0)
     assert np.array_equal(grid_dir2, via_dir1)
 
 
 def test_ss2d_finite_random_sweep():
     blk = SS2DBlock(channels=4, state=2, rng=SplitMix64(16))
     for seed in range(5):
-        f = rand((4, 5, 6), seed=100 + seed, lo=-3.0, hi=3.0)
+        f = rand((5, 6, 4), seed=100 + seed, lo=-3.0, hi=3.0)
         out = ss2d_forward(Tensor(f), blk)
-        assert out.shape == (4, 5, 6)
+        assert out.shape == (5, 6, 4)
         assert np.all(np.isfinite(out.data))
 
 
 def test_ss2d_batched_matches_single():
     blk = SS2DBlock(channels=2, state=2, rng=SplitMix64(17))
-    f0 = rand((2, 3, 3), seed=18)
-    f1 = rand((2, 3, 3), seed=19)
+    f0 = rand((3, 3, 2), seed=18)
+    f1 = rand((3, 3, 2), seed=19)
     batched = ss2d_forward(Tensor(np.stack([f0, f1])), blk).data
     single0 = ss2d_forward(Tensor(f0), blk).data
     single1 = ss2d_forward(Tensor(f1), blk).data
@@ -217,8 +216,8 @@ def test_ss2d_batched_matches_single():
 
 def test_ss2d_gradients():
     blk = SS2DBlock(channels=2, state=2, rng=SplitMix64(20))
-    f = rand((2, 2, 3), seed=21)
-    r = rand((2, 2, 3), seed=22)
+    f = rand((2, 3, 2), seed=21)
+    r = rand((2, 3, 2), seed=22)
     res = check("ss2d",
                 lambda ts: (ss2d_forward(ts[0], blk) * Tensor(r)).sum(), [f])
     assert res.passed, res.line()
