@@ -38,6 +38,8 @@ def _clean_config(config: dict) -> dict:
     for key, value in config.items():
         if key in ("func", "command"):
             continue
+        if isinstance(value, tuple):  # parsed list flags
+            value = list(value)
         out[key] = value if isinstance(
             value, (str, int, float, bool, type(None), list)) else str(value)
     return out
@@ -61,9 +63,15 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
     return path
 
 
-def _parse_resolution(text: str):
+def resolution(text: str) -> tuple[int, int]:
+    """``HxW`` flag value; argparse names this type in its error message."""
     h, _, w = text.partition("x")
     return (int(h), int(w))
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integer flag value such as ``2,2``."""
+    return tuple(int(v) for v in text.split(","))
 
 
 # ------------------------------------------------------------------ commands
@@ -72,7 +80,7 @@ def cmd_synth(args) -> int:
     from .data import save_pair
     from .synth import SceneConfig, generate_scene
     t0 = time.perf_counter()
-    cfg = SceneConfig(resolution=_parse_resolution(args.resolution),
+    cfg = SceneConfig(resolution=args.resolution,
                       kappa=args.kappa, xmod_strength=args.xmod_strength,
                       occluder_density=args.occluder_density,
                       noise_sigma=args.noise, seed=args.seed)
@@ -90,10 +98,9 @@ def cmd_synth(args) -> int:
 def _model_config_for(args, resolution):
     from .blocks import StageConfig
     from .model import ModelConfig
-    depths = tuple(int(d) for d in args.depths.split(","))
-    channels = tuple(int(c) for c in args.channels.split(","))
     return ModelConfig(
-        stages=StageConfig(patch=args.patch, depths=depths, channels=channels),
+        stages=StageConfig(patch=args.patch, depths=args.depths,
+                           channels=args.channels),
         state=args.state_dim, num_classes=args.num_classes, task=args.task,
         resolution=resolution)
 
@@ -235,11 +242,10 @@ def cmd_scan_bench(args) -> int:
     import numpy as np
     from .bench import fit_exponent, format_table, run_bench, to_csv
     t0 = time.perf_counter()
-    lengths = [int(v) for v in args.lengths.split(",")]
     impls = args.impls.split(",")
     dtype = np.float32 if args.dtype == "float32" else np.float64
-    rows = run_bench(lengths, n=args.state_dim, d=args.channels, impls=impls,
-                     chunk=args.chunk, dtype=dtype, seed=args.seed)
+    rows = run_bench(args.lengths, n=args.state_dim, d=args.channels,
+                     impls=impls, chunk=args.chunk, dtype=dtype, seed=args.seed)
     exponents = {impl: fit_exponent(rows, impl) for impl in impls}
     table = format_table(rows, exponents)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", default="64x64")
+    p.add_argument("--resolution", type=resolution, default="64x64")
     p.add_argument("--xmod-strength", type=float, default=0.4)
     p.add_argument("--occluder-density", type=float, default=0.3)
     p.add_argument("--noise", type=float, default=0.02)
@@ -291,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rgb-only", action="store_true",
                    help="self-fusion ablation: ignore the X modality")
     p.add_argument("--patch", type=int, default=4)
-    p.add_argument("--depths", default="2,2")
-    p.add_argument("--channels", default="16,32")
+    p.add_argument("--depths", type=int_list, default="2,2")
+    p.add_argument("--channels", type=int_list, default="16,32")
     p.add_argument("--state-dim", type=int, default=4)
     p.add_argument("--num-classes", type=int, default=1)
     p.set_defaults(func=cmd_train)
@@ -317,18 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="gradcheck_out")
     p.set_defaults(func=cmd_gradcheck)
 
-    for name in ("scan-bench", "bench"):
-        p = sub.add_parser(name, help="time the scan kernels")
-        p.add_argument("--lengths", default="1024,2048,4096,8192,16384")
-        p.add_argument("--state-dim", type=int, default=4)
-        p.add_argument("--channels", type=int, default=4)
-        p.add_argument("--impls", default="sequential,chunked")
-        p.add_argument("--chunk", type=int, default=64)
-        p.add_argument("--dtype", choices=("float64", "float32"),
-                       default="float64")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", default="bench_out")
-        p.set_defaults(func=cmd_scan_bench)
+    p = sub.add_parser("scan-bench", help="time the scan kernels")
+    p.add_argument("--lengths", type=int_list,
+                   default="1024,2048,4096,8192,16384")
+    p.add_argument("--state-dim", type=int, default=4)
+    p.add_argument("--channels", type=int, default=4)
+    p.add_argument("--impls", default="sequential,chunked")
+    p.add_argument("--chunk", type=int, default=64)
+    p.add_argument("--dtype", choices=("float64", "float32"),
+                   default="float64")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default="bench_out")
+    p.set_defaults(func=cmd_scan_bench)
 
     return parser
 

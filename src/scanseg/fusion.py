@@ -26,8 +26,7 @@ from .autodiff import Tensor, concat, split
 from .errors import DimensionError
 from .nn import DepthwiseConv2d, Linear, Module, ModuleList, param
 from .rng import SplitMix64
-from .scan import (DiscretizedParams, SSMParams, discretize_zoh,
-                   make_input_params, selective_scan)
+from .scan import SSMParams, make_input_params, selective_scan
 
 import numpy as np
 
@@ -64,26 +63,28 @@ class MMFFBlock(Module):
 
 
 def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
-    """Joined sequence plus its crossed discretized parameters."""
+    """Joined sequence x and its crossed A (per position), B, C, delta."""
     b_a, c_a, delta_a = make_input_params(seq_a, blk.gen_a)
     b_b, c_b, delta_b = make_input_params(seq_b, blk.gen_b)
-    dp_a = discretize_zoh(blk.gen_a.state_matrix(), b_a, delta_a)
-    dp_b = discretize_zoh(blk.gen_b.state_matrix(), b_b, delta_b)
-    x = concat([seq_a, seq_b], axis=seq_a.ndim - 2)
-    a_bar = concat([dp_a.a_bar, dp_b.a_bar], axis=seq_a.ndim - 2)
-    b_bar = concat([dp_a.b_bar, dp_b.b_bar], axis=seq_a.ndim - 2)
+    axis_l = seq_a.ndim - 2
+    ones = Tensor(np.ones((seq_a.shape[-2], 1, 1)))
+    a = concat([blk.gen_a.state_matrix() * ones,
+                blk.gen_b.state_matrix() * ones], axis=0)
+    x = concat([seq_a, seq_b], axis=axis_l)
+    b = concat([b_a, b_b], axis=axis_l)
+    delta = concat([delta_a, delta_b], axis=axis_l)
     # Crossed readout: the first half is read out through C generated from
     # the second modality, and vice versa.
-    c = concat([c_b, c_a], axis=seq_a.ndim - 2)
-    return x, DiscretizedParams(a_bar, b_bar), c
+    c = concat([c_b, c_a], axis=axis_l)
+    return x, a, b, c, delta
 
 
-def _bidirectional_scan(blk: MMFFBlock, x: Tensor, dp: DiscretizedParams,
-                        c: Tensor) -> Tensor:
+def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,
+                        c: Tensor, delta: Tensor) -> Tensor:
     axis_l = x.ndim - 2
-    y_fwd = blk._scan_fn(x, dp, c)
-    dp_rev = DiscretizedParams(dp.a_bar.flip(axis_l), dp.b_bar.flip(axis_l))
-    y_rev = blk._scan_fn(x.flip(axis_l), dp_rev, c.flip(axis_l))
+    y_fwd = blk._scan_fn(x, a, b, c, delta)
+    y_rev = blk._scan_fn(x.flip(axis_l), a.flip(0), b.flip(axis_l),
+                         c.flip(axis_l), delta.flip(axis_l))
     return y_fwd + y_rev.flip(axis_l)
 
 
@@ -101,8 +102,7 @@ def mmff_forward(f_a: Tensor, f_b: Tensor | None, blk: MMFFBlock) -> Tensor:
 
     seq_a = blk._preprocess(f_a, blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(f_b, blk.lin_b, blk.conv_b)
-    x, dp, c = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = _bidirectional_scan(blk, x, dp, c)
+    y = _bidirectional_scan(blk, *_joined_scan_inputs(blk, seq_a, seq_b))
 
     half_a, half_b = split(y, [length, length], axis=y.ndim - 2)
     fused = concat([half_a * blk.scale_a, half_b * blk.scale_b],

@@ -209,10 +209,9 @@ def suite_ops() -> list[CheckResult]:
 
 
 def suite_scan() -> list[CheckResult]:
-    from .autodiff import Tensor
+    from .autodiff import Tensor, softplus
     from .rng import SplitMix64
-    from .scan import SSMParams, discretize_zoh, make_input_params, \
-        selective_scan
+    from .scan import SSMParams, make_input_params, selective_scan
     results = []
     for with_skip, name in ((False, "selective-scan"),
                             (True, "selective-scan-skip")):
@@ -223,8 +222,8 @@ def suite_scan() -> list[CheckResult]:
 
         def build(ts, p=p):
             b, c, delta = make_input_params(ts[0], p)
-            dp = discretize_zoh(p.state_matrix(), b, delta)
-            y = selective_scan(ts[0], dp, c, d_skip=p.d_skip)
+            y = selective_scan(ts[0], p.state_matrix(), b, c, delta,
+                               d_skip=p.d_skip)
             return (y * Tensor(w)).sum()
 
         res = check(name, build, [x], step=1e-5)
@@ -232,12 +231,21 @@ def suite_scan() -> list[CheckResult]:
 
         def loss_fn(p=p, x=x, w=w):
             b, c, delta = make_input_params(Tensor(x), p)
-            dp = discretize_zoh(p.state_matrix(), b, delta)
-            y = selective_scan(Tensor(x), dp, c, d_skip=p.d_skip)
+            y = selective_scan(Tensor(x), p.state_matrix(), b, c, delta,
+                               d_skip=p.d_skip)
             return (y * Tensor(w)).sum()
 
         results.append(check_params(f"{name}-params", loss_fn,
                                     list(p.named_parameters()), step=1e-4))
+
+    # Per-position A, (L, D, N), as in the fusion block's joined sequence.
+    w = _rand((6, 2), 45)
+    results.append(check(
+        "selective-scan-per-position-a",
+        lambda ts: (selective_scan(ts[0], -ts[1].exp(), ts[2], ts[3],
+                                   softplus(ts[4])) * Tensor(w)).sum(),
+        [_rand((6, 2), 46), _rand((6, 2, 3), 47), _rand((6, 3), 48),
+         _rand((6, 3), 49), _rand((6, 2), 50)], step=1e-5))
     return results
 
 

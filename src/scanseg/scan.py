@@ -11,23 +11,25 @@ is discretized per position k with a timescale delta:
     y_k   = C_k . h_k            (+ d_skip * x_k when the residual term is kept)
 
 A is diagonal per channel and parameterized as -exp(a_log), so its entries
-are strictly negative and a_bar stays in (0, 1] for delta > 0; delta comes
-out of a softplus and is strictly positive.  B, C, delta are generated from
-the input sequence, which is what makes the recurrence content-dependent.
+are strictly negative and a_bar stays in (0, 1].  B, C, delta are generated
+from the input sequence, which is what makes the recurrence
+content-dependent.  delta comes out of a softplus, which returns exactly 0
+below about -745; zero is the rule's limit (a_bar = 1, b_bar = 0: the state
+holds), so delta >= 0 is the domain and only a negative delta is rejected.
 
-Two realizations of the recurrence are provided: ``scan_sequential`` is the
-plain loop and serves as the oracle for everything else; ``scan_chunked``
-splits the sequence into chunks, composes each chunk's affine action
-h -> a*h + b position by position (all chunks advanced together, so the
-per-position Python cost is paid once per chunk offset instead of once per
-element), then resolves the chunk carries in a short sequential pass.  With
-a single chunk it degenerates to the sequential loop; otherwise it matches
-it up to floating-point reassociation.
+``selective_scan`` is the differentiable op: it takes x, A, B, C and delta,
+discretizes inside, runs ``scan_chunked``'s kernel, and reduces the
+gradients for delta, A and B analytically from the adjoint
+lambda_k = gsrc_k + a_bar_{k+1} * lambda_{k+1}, which runs the same kernel
+on flipped arrays.  The kernel splits the sequence into chunks, composes
+each chunk's affine action h -> a*h + b position by position (all chunks
+advanced together, so the per-position Python cost is paid once per chunk
+offset instead of once per element), then resolves the chunk carries in a
+short sequential pass.
 
-``selective_scan`` wraps the chunked kernel as a differentiable op with a
-hand-derived adjoint: the gradient w.r.t. the hidden state obeys the
-reversed recurrence lambda_k = gsrc_k + a_bar_{k+1} * lambda_{k+1}, which is
-evaluated with the same chunked machinery on flipped arrays.
+The array oracle is ``discretize_zoh`` (delta > 0) or ``_discretize_arrays``
+(unchecked) followed by ``scan_sequential``, the plain loop, which
+``scan_chunked`` matches up to floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -36,28 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, softplus
+from .autodiff import Tensor, _unbroadcast, matmul, softplus
 from .errors import ConfigError, DimensionError, DomainError
 from .nn import Module, param
 from .rng import SplitMix64
 
 __all__ = [
-    "SSMDims", "SSMParams", "DiscretizedParams", "make_input_params",
+    "SSMParams", "DiscretizedParams", "make_input_params",
     "discretize_zoh", "scan_sequential", "scan_chunked", "selective_scan",
     "default_chunk",
 ]
-
-
-@dataclass(frozen=True)
-class SSMDims:
-    """Sequence length, state width per channel, and channel count."""
-    L: int
-    N: int
-    D: int
-
-    def __post_init__(self):
-        if min(self.L, self.N, self.D) < 1:
-            raise ConfigError(f"all scan dims must be >= 1, got {self}")
 
 
 class SSMParams(Module):
@@ -66,8 +56,8 @@ class SSMParams(Module):
     ``a_log`` realizes A = -exp(a_log) (diagonal per channel), initialized
     to log(1..N) so the N state lanes start with spread decay timescales.
     ``delta_bias`` is set so softplus(delta_bias) lands uniformly in
-    [1e-3, 1e-1].  The skip term d_skip is optional; the 2D scan blocks
-    drop it by default.
+    [1e-3, 1e-1].  The skip term d_skip is optional; no model block
+    keeps it.
     """
 
     def __init__(self, channels: int, state: int, rng: SplitMix64,
@@ -120,28 +110,16 @@ def _discretize_arrays(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
 
 
 def discretize_zoh(a, b, delta) -> DiscretizedParams:
-    """Discretize (A, B) with timescale delta > 0.
+    """Array oracle: discretize (A, B) with timescale delta > 0.
 
-    Accepts Tensors (differentiable) or arrays.  a_bar = exp(delta*A)
-    elementwise; b_bar uses the first-order rule delta*B.
+    a_bar = exp(delta*A) elementwise; b_bar uses the first-order rule
+    delta*B.  The model path discretizes inside ``selective_scan`` instead.
     """
-    if isinstance(a, Tensor) or isinstance(b, Tensor) or isinstance(delta, Tensor):
-        a, b, delta = Tensor._ensure(a), Tensor._ensure(b), Tensor._ensure(delta)
-        if np.any(delta.data <= 0):
-            raise DomainError("delta must be strictly positive")
-        dl = delta.reshape(delta.shape + (1,))
-        al = a.reshape(a.shape[:-2] + (1,) + a.shape[-2:])
-        bl = b.reshape(b.shape[:-1] + (1,) + b.shape[-1:])
-        return DiscretizedParams(a_bar=(dl * al).exp(), b_bar=dl * bl)
     a, b, delta = np.asarray(a), np.asarray(b), np.asarray(delta)
     if np.any(delta <= 0):
         raise DomainError("delta must be strictly positive")
     a_bar, b_bar = _discretize_arrays(a, b, delta)
     return DiscretizedParams(a_bar=a_bar, b_bar=b_bar)
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def _emit(c: np.ndarray, h: np.ndarray, x: np.ndarray, d_skip) -> np.ndarray:
@@ -221,22 +199,20 @@ def _check_scan_shapes(x, a_bar, b_bar, c):
 
 def scan_sequential(x, dp: DiscretizedParams, c, d_skip=None):
     """Oracle realization of the recurrence; forward only."""
-    xa, aa, ba, ca = map(_as_array, (x, dp.a_bar, dp.b_bar, c))
+    xa, aa, ba, ca = map(np.asarray, (x, dp.a_bar, dp.b_bar, c))
     _check_scan_shapes(xa, aa, ba, ca)
-    da = _as_array(d_skip) if d_skip is not None else None
     h = _scan_core_loop(aa, ba * xa[..., :, :, None])
-    return _emit(ca, h, xa, da)
+    return _emit(ca, h, xa, d_skip)
 
 
 def scan_chunked(x, dp: DiscretizedParams, c, d_skip=None, chunk: int = 64):
     """Chunked scan; equals the oracle up to floating-point reassociation."""
     if chunk < 1:
         raise ConfigError(f"chunk must be a positive int, got {chunk}")
-    xa, aa, ba, ca = map(_as_array, (x, dp.a_bar, dp.b_bar, c))
+    xa, aa, ba, ca = map(np.asarray, (x, dp.a_bar, dp.b_bar, c))
     _check_scan_shapes(xa, aa, ba, ca)
-    da = _as_array(d_skip) if d_skip is not None else None
     h = _scan_core_chunked(aa, ba * xa[..., :, :, None], chunk)
-    return _emit(ca, h, xa, da)
+    return _emit(ca, h, xa, d_skip)
 
 
 def _reverse_scan(a: np.ndarray, src: np.ndarray, chunk: int) -> np.ndarray:
@@ -249,39 +225,60 @@ def _reverse_scan(a: np.ndarray, src: np.ndarray, chunk: int) -> np.ndarray:
     return np.flip(lam, axis=-3)
 
 
-def selective_scan(x: Tensor, dp: DiscretizedParams, c: Tensor,
-                   d_skip: Tensor | None = None,
-                   chunk: int | None = None) -> Tensor:
-    """Differentiable selective scan over (..., L, D) sequences."""
-    xt, at, bt, ct = (Tensor._ensure(x), Tensor._ensure(dp.a_bar),
-                      Tensor._ensure(dp.b_bar), Tensor._ensure(c))
-    _check_scan_shapes(xt.data, at.data, bt.data, ct.data)
-    length = xt.shape[-2]
-    size = default_chunk(length) if chunk is None else chunk
-    if size < 1:
-        raise ConfigError(f"chunk must be a positive int, got {size}")
+def _check_op_shapes(x, a, b, c, delta, d_skip):
+    full = x + b[-1:]
+    try:
+        ok = (len(x) >= 2 and b[:-1] == x[:-1] and c == b and delta == x
+              and np.broadcast_shapes(a, full) == full
+              and np.broadcast_shapes(d_skip or (), x) == x)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise DimensionError(
+            f"selective_scan shapes disagree: x {x}, A {a}, B {b}, C {c}, "
+            f"delta {delta}, d_skip {d_skip} (A must broadcast to {full})")
 
-    h = _scan_core_chunked(at.data, bt.data * xt.data[..., :, :, None], size)
-    dt = Tensor._ensure(d_skip) if d_skip is not None else None
-    y = _emit(ct.data, h, xt.data, dt.data if dt is not None else None)
+
+def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
+                   d_skip: Tensor | None = None) -> Tensor:
+    """Differentiable selective scan that discretizes inside.
+
+    x and delta are (..., L, D), B and C (..., L, N); A broadcasts to
+    (..., L, D, N) and d_skip, when given, to (..., L, D).  delta must be
+    >= 0.  Returns y of shape (..., L, D).
+    """
+    xt, at, bt, ct, dt = map(Tensor._ensure, (x, a, b, c, delta))
+    st = Tensor._ensure(d_skip) if d_skip is not None else None
+    xd, ad, bd, cd, dd = xt.data, at.data, bt.data, ct.data, dt.data
+    sd = st.data if st is not None else None
+    _check_op_shapes(xd.shape, ad.shape, bd.shape, cd.shape, dd.shape,
+                     sd.shape if sd is not None else None)
+    if np.any(dd < 0):
+        raise DomainError("delta must be non-negative")
+    size = default_chunk(xd.shape[-2])
+
+    dl = dd[..., None]
+    a_bar = np.exp(dl * ad)
+    h = _scan_core_chunked(a_bar, dl * bd[..., None, :] * xd[..., None], size)
+    y = _emit(cd, h, xd, sd)
 
     def backward(g):
-        from .autodiff import _unbroadcast
-        lam_src = np.einsum("...ld,...ln->...ldn", g, ct.data)
-        lam = _reverse_scan(at.data, lam_src, size)
-        h_prev = np.concatenate(
-            [np.zeros_like(h[..., :1, :, :]), h[..., :-1, :, :]], axis=-3)
-        ga = lam * h_prev
-        gb = lam * xt.data[..., :, :, None]
-        gx = np.sum(lam * bt.data, axis=-1)
+        lam = _reverse_scan(a_bar, np.einsum("...ld,...ln->...ldn", g, cd),
+                            size)
+        gz = np.zeros_like(lam)                # w.r.t. z = delta * A
+        np.multiply(lam[..., 1:, :, :], h[..., :-1, :, :],
+                    out=gz[..., 1:, :, :])     # lambda_k * h_{k-1}
+        gz *= a_bar
+        lam_b = np.einsum("...ldn,...ln->...ld", lam, bd)
+        gx = lam_b * dd
+        gdelta = np.einsum("...n,...n->...", gz, ad) + lam_b * xd
+        ga = _unbroadcast(gz * dl, ad.shape)
+        gb = np.einsum("...ldn,...ld->...ln", lam, xd * dd)
         gc = np.einsum("...ld,...ldn->...ln", g, h)
-        if dt is not None:
-            gx = gx + g * dt.data
-        grads = [_unbroadcast(gx, xt.data.shape), _unbroadcast(ga, at.data.shape),
-                 _unbroadcast(gb, bt.data.shape), _unbroadcast(gc, ct.data.shape)]
-        if dt is not None:
-            grads.append(_unbroadcast(g * xt.data, dt.data.shape))
-        return tuple(grads)
+        if st is None:
+            return gx, ga, gb, gc, gdelta
+        return (gx + g * sd, ga, gb, gc, gdelta,
+                _unbroadcast(g * xd, sd.shape))
 
-    parents = (xt, at, bt, ct) + ((dt,) if dt is not None else ())
+    parents = (xt, at, bt, ct, dt) + ((st,) if st is not None else ())
     return Tensor._from_op(y, parents, backward)

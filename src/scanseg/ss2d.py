@@ -19,7 +19,7 @@ from .autodiff import Tensor, concat, matmul, softplus, split, stack
 from .errors import DimensionError
 from .nn import LayerNorm, Module, ModuleList
 from .rng import SplitMix64
-from .scan import SSMParams, DiscretizedParams, selective_scan
+from .scan import SSMParams, selective_scan
 
 __all__ = ["cross_scan", "cross_merge", "SS2DBlock", "ss2d_forward"]
 
@@ -60,22 +60,20 @@ class SS2DBlock(Module):
     orders of magnitude below the residual streams.
     """
 
-    def __init__(self, channels: int, state: int, rng: SplitMix64,
-                 with_skip: bool = False):
+    def __init__(self, channels: int, state: int, rng: SplitMix64):
         super().__init__()
         self.channels = channels
         self.state = state
         self.directions = ModuleList(
-            [SSMParams(channels, state, rng, with_skip=with_skip)
-             for _ in range(4)])
+            [SSMParams(channels, state, rng) for _ in range(4)])
         self.out_norm = LayerNorm(channels)
 
     def _stacked(self, attr: str) -> Tensor:
         return stack([getattr(p, attr) for p in self.directions], axis=0)
 
 
-def ss2d_forward(f: Tensor, block: SS2DBlock, c_source: Tensor | None = None,
-                 chunk: int | None = None) -> Tensor:
+def ss2d_forward(f: Tensor, block: SS2DBlock,
+                 c_source: Tensor | None = None) -> Tensor:
     """Cross-scan, four selective scans, cross-merge.
 
     B and delta derive from ``f``'s directional sequences; C derives from
@@ -92,25 +90,12 @@ def ss2d_forward(f: Tensor, block: SS2DBlock, c_source: Tensor | None = None,
     seqs = cross_scan(f)                                   # (..., 4, L, C)
     cseqs = seqs if c_source is None else cross_scan(c_source)
 
-    w_b = block._stacked("w_B")                            # (4, C, N)
-    w_c = block._stacked("w_C")
-    w_d = block._stacked("w_delta")
-    bias_d = block._stacked("delta_bias")                  # (4, C)
+    b = matmul(seqs, block._stacked("w_B"))                # (..., 4, L, N)
+    c = matmul(cseqs, block._stacked("w_C"))
+    bias_d = block._stacked("delta_bias").reshape(4, 1, block.channels)
+    delta = softplus(matmul(seqs, block._stacked("w_delta")) + bias_d)
+    a = (-block._stacked("a_log").exp()).reshape(
+        (4, 1, block.channels, block.state))               # (4, 1, C, N)
 
-    b = matmul(seqs, w_b)                                  # (..., 4, L, N)
-    c = matmul(cseqs, w_c)
-    delta = softplus(matmul(seqs, w_d)
-                     + bias_d.reshape(4, 1, block.channels))
-    a = -block._stacked("a_log").exp()                     # (4, C, N)
-
-    dl = delta.reshape(delta.shape + (1,))
-    al = a.reshape((4, 1, block.channels, block.state))
-    bl = b.reshape(b.shape[:-1] + (1, block.state))
-    dp = DiscretizedParams(a_bar=(dl * al).exp(), b_bar=dl * bl)
-
-    d_skip = None
-    if block.directions[0].d_skip is not None:
-        d_skip = block._stacked("d_skip").reshape(4, 1, block.channels)
-
-    y = selective_scan(seqs, dp, c, d_skip=d_skip, chunk=chunk)
+    y = selective_scan(seqs, a, b, c, delta)
     return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))

@@ -33,6 +33,7 @@ def test_synth_writes_layout_and_manifest(workspace):
     manifest = json.load(open(ds / "manifest.json"))
     assert manifest["subcommand"] == "synth"
     assert manifest["seed"] == 3
+    assert manifest["config"]["resolution"] == [32, 32]
     assert manifest["version"]
     assert len(manifest["artifacts"]) == 5
 
@@ -125,6 +126,23 @@ def test_usage_error_exit_1_with_one_line(tmp_path, capsys):
     assert e.value.code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["synth", "--out", "d", "--count", "1", "--resolution", "abc"],
+    ["synth", "--out", "d", "--count", "1", "--resolution", "32"],
+    ["train", "--data", "d", "--out", "m.ckpt", "--depths", "2,x"],
+    ["train", "--data", "d", "--out", "m.ckpt", "--channels", "16,"],
+    ["scan-bench", "--lengths", "8,z"],
+])
+def test_malformed_list_flags_exit_1_with_one_line(args, tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("usage error") and args[-2] in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_train_mixed_resolution_dataset_exit_1(tmp_path, capsys):
     from scanseg.data import save_pair
     from scanseg.synth import SceneConfig, generate_scene
@@ -194,7 +212,7 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     assert len(csv) == 5
 
     out2 = tmp_path / "bench1"
-    assert run(["bench", "--lengths", "256", "--out-dir", out2]) == 0
+    assert run(["scan-bench", "--lengths", "256", "--out-dir", out2]) == 0
     assert "time ~ L^" not in open(out2 / "scan_bench.txt").read()
 
 

@@ -102,14 +102,46 @@ def test_single_position_matches_hand_composed_two_step_scan():
 
 def test_stub_identity_scan_doubles_joined_sequence():
     blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(11))
-    blk._scan_fn = lambda x, dp, c, d_skip=None, chunk=None: x
+    blk._scan_fn = lambda x, a, b, c, delta, d_skip=None: x
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
-    x, dp, c = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = _bidirectional_scan(blk, x, dp, c)
+    x, a, b, c, delta = _joined_scan_inputs(blk, seq_a, seq_b)
+    y = _bidirectional_scan(blk, x, a, b, c, delta)
     assert np.allclose(y.data, 2.0 * x.data, atol=1e-15)
+
+
+def test_underflowed_delta_matches_oracle():
+    # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
+    # both generators: a_bar = 1 and b_bar = 0 there, so the state holds.
+    from scanseg.scan import (DiscretizedParams, _discretize_arrays,
+                              scan_sequential)
+    blk = MMFFBlock(channels=2, state=3, rng=SplitMix64(29))
+    for gen in (blk.gen_a, blk.gen_b):
+        gen.delta_bias.data[0] = -1000.0
+    f_a = rand((2, 3, 2), seed=30)
+    f_b = rand((2, 3, 2), seed=31)
+    assert np.all(np.isfinite(blk(Tensor(f_a), Tensor(f_b)).data))
+
+    seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
+    seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
+    inputs = _joined_scan_inputs(blk, seq_a, seq_b)
+    y = _bidirectional_scan(blk, *inputs).data
+    x, _, b, c, delta = (t.data for t in inputs)
+    assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
+    halves = [_discretize_arrays(gen.state_matrix().data, b[s], delta[s])
+              for gen, s in ((blk.gen_a, slice(0, 6)),
+                             (blk.gen_b, slice(6, 12)))]
+    a_bar = np.concatenate([h[0] for h in halves])
+    b_bar = np.concatenate([h[1] for h in halves])
+    assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
+    fwd = scan_sequential(x, DiscretizedParams(a_bar, b_bar), c)
+    rev = scan_sequential(x[::-1], DiscretizedParams(a_bar[::-1],
+                                                     b_bar[::-1]), c[::-1])
+    expect = fwd + rev[::-1]
+    rel = np.max(np.abs(y - expect) / (np.abs(expect) + 1e-12))
+    assert rel <= 1e-10, rel
 
 
 def test_information_crossing_rgb_perturbation_reaches_x_half():
@@ -120,8 +152,8 @@ def test_information_crossing_rgb_perturbation_reaches_x_half():
     def halves(fa, fb):
         seq_a = blk._preprocess(Tensor(fa), blk.lin_a, blk.conv_a)
         seq_b = blk._preprocess(Tensor(fb), blk.lin_b, blk.conv_b)
-        x, dp, c = _joined_scan_inputs(blk, seq_a, seq_b)
-        y = _bidirectional_scan(blk, x, dp, c).data
+        y = _bidirectional_scan(
+            blk, *_joined_scan_inputs(blk, seq_a, seq_b)).data
         return y[:4], y[4:]
 
     _, xh0 = halves(f_a, f_b)

@@ -7,10 +7,9 @@ from scanseg.autodiff import Tensor
 from scanseg.errors import ConfigError, DimensionError, DomainError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
-from scanseg.scan import (DiscretizedParams, SSMDims, SSMParams,
-                          _discretize_arrays, discretize_zoh,
-                          make_input_params, scan_chunked, scan_sequential,
-                          selective_scan)
+from scanseg.scan import (DiscretizedParams, SSMParams, _discretize_arrays,
+                          discretize_zoh, make_input_params,
+                          scan_chunked, scan_sequential, selective_scan)
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -18,26 +17,25 @@ def rand(shape, seed=0, lo=-2.0, hi=2.0):
     return lo + (hi - lo) * r.uniform_array(shape)
 
 
-def random_scan_case(seed, L, N, D):
-    """Seeded (x, dp, C) with stable a_bar and bounded magnitudes."""
+def random_op_case(seed, L, N, D):
+    """Seeded (x, A, B, C, delta) with stable a_bar and bounded magnitudes."""
     r = SplitMix64(seed)
     x = -2.0 + 4.0 * r.uniform_array((L, D))
     a = -0.05 - 2.0 * r.uniform_array((D, N))
     b = -1.0 + 2.0 * r.uniform_array((L, N))
     delta = 0.01 + r.uniform_array((L, D))
     c = -1.0 + 2.0 * r.uniform_array((L, N))
+    return x, a, b, c, delta
+
+
+def random_scan_case(seed, L, N, D):
+    """The same case discretized for the array oracle: (x, dp, C)."""
+    x, a, b, c, delta = random_op_case(seed, L, N, D)
     a_bar, b_bar = _discretize_arrays(a, b, delta)
     return x, DiscretizedParams(a_bar, b_bar), c
 
 
-# ---------------------------------------------------------------- dims / params
-
-def test_dims_validation():
-    with pytest.raises(ConfigError):
-        SSMDims(L=0, N=1, D=1)
-    d = SSMDims(L=4, N=2, D=3)
-    assert (d.L, d.N, d.D) == (4, 2, 3)
-
+# ---------------------------------------------------------------- params
 
 def test_params_invariants():
     p = SSMParams(channels=3, state=4, rng=SplitMix64(1))
@@ -110,7 +108,8 @@ def test_discretize_rejects_nonpositive_delta():
     with pytest.raises(DomainError):
         discretize_zoh(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]))
     with pytest.raises(DomainError):
-        discretize_zoh(Tensor([[-1.0]]), Tensor([[1.0]]), Tensor([[-0.5]]))
+        selective_scan(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]]),
+                       Tensor([[1.0]]), Tensor([[-0.5]]))
 
 
 def test_discretize_stability_range():
@@ -221,24 +220,26 @@ def test_chunked_batched_leading_dims():
 # ---------------------------------------------------------------- adjoint
 
 def test_skip_gradient_is_input_sum():
-    x, dp, c = random_scan_case(22, L=7, N=2, D=3)
+    x, a, b, c, delta = random_op_case(22, L=7, N=2, D=3)
     d_skip = Tensor(rand((3,), seed=23), requires_grad=True)
-    y = selective_scan(Tensor(x), DiscretizedParams(Tensor(dp.a_bar), Tensor(dp.b_bar)),
-                       Tensor(c), d_skip=d_skip)
+    y = selective_scan(Tensor(x), Tensor(a), Tensor(b), Tensor(c),
+                       Tensor(delta), d_skip=d_skip)
     y.sum().backward()
     assert np.allclose(d_skip.grad, x.sum(axis=0), atol=1e-12)
 
 
 def test_zero_c_kills_state_path_gradients():
-    x, dp, c = random_scan_case(24, L=5, N=2, D=2)
+    x, a, b, c, delta = random_op_case(24, L=5, N=2, D=2)
     xt = Tensor(x, requires_grad=True)
-    at = Tensor(dp.a_bar, requires_grad=True)
-    bt = Tensor(dp.b_bar, requires_grad=True)
+    at = Tensor(a, requires_grad=True)
+    bt = Tensor(b, requires_grad=True)
+    dt = Tensor(delta, requires_grad=True)
     ct = Tensor(np.zeros_like(c), requires_grad=True)
-    y = selective_scan(xt, DiscretizedParams(at, bt), ct)
+    y = selective_scan(xt, at, bt, ct, dt)
     y.sum().backward()
     assert np.array_equal(at.grad, np.zeros_like(at.data))
     assert np.array_equal(bt.grad, np.zeros_like(bt.data))
+    assert np.array_equal(dt.grad, np.zeros_like(dt.data))
     assert np.array_equal(xt.grad, np.zeros_like(xt.data))
 
 
@@ -255,10 +256,8 @@ def test_scan_finite_difference_sweep():
     def build(ts):
         xx, aa, bb, dd, ss = ts
         from scanseg.autodiff import softplus
-        delta = softplus(dd)
-        dp = discretize_zoh(aa, bb, delta)
         # C tied to b keeps the case small while exercising the C gradient.
-        y = selective_scan(xx, dp, bb * 1.5, d_skip=ss)
+        y = selective_scan(xx, aa, bb, bb * 1.5, softplus(dd), d_skip=ss)
         return (y * Tensor(weight)).sum()
 
     res = check("selective-scan", build, [x, a, b, delta_raw, d_skip], step=1e-5)
@@ -273,12 +272,80 @@ def test_scan_gradcheck_via_input_params():
 
     def build(ts):
         b, c, delta = make_input_params(ts[0], p)
-        dp = discretize_zoh(p.state_matrix(), b, delta)
-        y = selective_scan(ts[0], dp, c, d_skip=p.d_skip)
+        y = selective_scan(ts[0], p.state_matrix(), b, c, delta,
+                           d_skip=p.d_skip)
         return (y * Tensor(weight)).sum()
 
     res = check("scan-input-grad", build, [x], step=1e-5)
     assert res.passed, res.line()
+
+
+def test_zero_delta_holds_state_negative_delta_rejected():
+    # Zero is softplus's underflow limit: a_bar = 1 and b_bar = 0, so the
+    # state holds.  Only a negative delta is outside the domain.
+    x, a, b, c, delta = random_op_case(33, L=9, N=3, D=2)
+    delta[:, 0] = 0.0
+    ts = [Tensor(v, requires_grad=True) for v in (x, a, b, c, delta)]
+    y = selective_scan(*ts)
+    assert np.array_equal(y.data[:, 0], np.zeros(9))
+    y.sum().backward()
+    assert all(np.all(np.isfinite(t.grad)) for t in ts)
+    delta[4, 1] = -1e-300
+    with pytest.raises(DomainError):
+        selective_scan(x, a, b, c, delta)
+
+
+def test_selective_scan_rejects_shape_mismatch():
+    x, a, b, c, delta = random_op_case(34, L=4, N=2, D=3)
+    bad = [
+        (x, a, b, c, delta[:, :2], None),          # delta D differs from x
+        (x, np.zeros((3, 3)), b, c, delta, None),  # A's N differs from B's
+        (x, a, b, c[:3], delta, None),             # C's L differs
+        (x, a, np.stack([b, b]), c, delta, None),  # B has its own lead dim
+        (x, a, b, c, delta, np.ones(2)),           # d_skip's D differs
+    ]
+    for xx, aa, bb, cc, dd, ss in bad:
+        with pytest.raises(DimensionError):
+            selective_scan(xx, aa, bb, cc, dd, d_skip=ss)
+
+
+def _op_oracle(x, a, b, c, delta, d_skip):
+    """scan_sequential on _discretize_arrays inputs; ``a`` is (D, N) or a
+    per-position (L, D, N), which is discretized as L length-1 sequences."""
+    if a.ndim == 2:
+        a_bar, b_bar = _discretize_arrays(a, b, delta)
+    else:
+        a_bar, b_bar = _discretize_arrays(a, b[..., None, :],
+                                          delta[..., None, :])
+        a_bar, b_bar = a_bar[..., 0, :, :], b_bar[..., 0, :, :]
+    return scan_sequential(x, DiscretizedParams(a_bar, b_bar), c, d_skip)
+
+
+def test_selective_scan_oracle_sweep():
+    # L = 1 (one chunk longer than the sequence), L not a multiple of
+    # default_chunk(L) (13, 65, 200) and L > 64 (many chunks), each crossed
+    # with leading dims and a shared or per-position A; every other case
+    # keeps d_skip.
+    r = SplitMix64(35)
+    worst, case = 0.0, 0
+    for L in (1, 13, 64, 65, 100, 200):
+        for lead in ((), (3,), (2, 2)):
+            for per_position in (False, True):
+                N, D = r.randint(1, 6), r.randint(1, 5)
+                rr = SplitMix64(3500 + case)
+                x = -2.0 + 4.0 * rr.uniform_array(lead + (L, D))
+                a = -0.05 - 2.0 * rr.uniform_array(
+                    ((L,) if per_position else ()) + (D, N))
+                b = -1.0 + 2.0 * rr.uniform_array(lead + (L, N))
+                delta = 0.01 + rr.uniform_array(lead + (L, D))
+                c = -1.0 + 2.0 * rr.uniform_array(lead + (L, N))
+                d_skip = rr.uniform_array((D,)) if case % 2 else None
+                y = selective_scan(x, a, b, c, delta, d_skip=d_skip).data
+                y_ref = _op_oracle(x, a, b, c, delta, d_skip)
+                rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
+                worst = max(worst, rel)
+                case += 1
+    assert worst <= 1e-10, worst
 
 
 # ---------------------------------------------------------------- properties

@@ -194,6 +194,31 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     assert np.array_equal(grid_dir2, via_dir1)
 
 
+def test_ss2d_underflowed_delta_matches_oracle():
+    # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
+    # every direction: a_bar = 1 and b_bar = 0 there, so the state holds.
+    from scanseg.scan import (DiscretizedParams, _discretize_arrays,
+                              make_input_params, scan_sequential)
+    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(23))
+    for p in blk.directions:
+        p.delta_bias.data[0] = -1000.0
+    f = rand((3, 4, 2), seed=24)
+    out = ss2d_forward(Tensor(f), blk).data
+    assert np.all(np.isfinite(out))
+
+    seqs = cross_scan(Tensor(f)).data
+    ys = []
+    for seq, p in zip(seqs, blk.directions):
+        b, c, delta = (t.data for t in make_input_params(Tensor(seq), p))
+        assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
+        a_bar, b_bar = _discretize_arrays(p.state_matrix().data, b, delta)
+        assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
+        ys.append(scan_sequential(seq, DiscretizedParams(a_bar, b_bar), c))
+    expect = blk.out_norm(cross_merge(Tensor(np.stack(ys)), 3, 4)).data
+    rel = np.max(np.abs(out - expect) / (np.abs(expect) + 1e-12))
+    assert rel <= 1e-10, rel
+
+
 def test_ss2d_finite_random_sweep():
     blk = SS2DBlock(channels=4, state=2, rng=SplitMix64(16))
     for seed in range(5):
