@@ -22,7 +22,7 @@ from .errors import DimensionError, GraphError
 __all__ = [
     "Tensor", "concat", "split", "stack", "matmul", "layer_norm",
     "depthwise_conv2d", "silu", "softplus", "sigmoid", "log_softmax",
-    "take_perm", "bilinear_resize",
+    "bilinear_resize",
 ]
 
 
@@ -88,9 +88,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     # -- backward pass -------------------------------------------------------
 
@@ -410,20 +407,6 @@ def depthwise_conv2d(x: Tensor, k: Tensor) -> Tensor:
         return gxp[..., ph:ph + h, pw:pw + w, :].copy(), gk
 
     return Tensor._from_op(out, (x, k), backward)
-
-
-def take_perm(x: Tensor, perm: np.ndarray, axis: int) -> Tensor:
-    """Reorder an axis by a bijective permutation (gradient uses the inverse)."""
-    x = Tensor._ensure(x)
-    perm = np.asarray(perm)
-    if perm.shape != (x.shape[axis],):
-        raise DimensionError(
-            f"permutation of length {perm.shape} does not match axis {axis} "
-            f"of {x.shape}")
-    inv = np.argsort(perm)
-    return Tensor._from_op(
-        np.take(x.data, perm, axis=axis), (x,),
-        lambda g: (np.take(g, inv, axis=axis),))
 
 
 def _bilinear_weights(n_in: int, n_out: int) -> np.ndarray:

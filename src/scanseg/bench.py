@@ -35,13 +35,13 @@ class BenchRow:
     max_rel_err: float
 
 
-def _case(length: int, n: int, d: int, seed: int, dtype):
+def _case(length: int, n: int, d: int, seed: int):
     r = SplitMix64(seed)
-    x = (-1.0 + 2.0 * r.uniform_array((length, d))).astype(dtype)
-    a = (-0.05 - 2.0 * r.uniform_array((d, n))).astype(dtype)
-    b = (-1.0 + 2.0 * r.uniform_array((length, n))).astype(dtype)
-    delta = (0.01 + r.uniform_array((length, d))).astype(dtype)
-    c = (-1.0 + 2.0 * r.uniform_array((length, n))).astype(dtype)
+    x = -1.0 + 2.0 * r.uniform_array((length, d))
+    a = -0.05 - 2.0 * r.uniform_array((d, n))
+    b = -1.0 + 2.0 * r.uniform_array((length, n))
+    delta = 0.01 + r.uniform_array((length, d))
+    c = -1.0 + 2.0 * r.uniform_array((length, n))
     a_bar, b_bar = _discretize_arrays(a, b, delta)
     return x, DiscretizedParams(a_bar, b_bar), c
 
@@ -57,10 +57,10 @@ def _time_call(fn, reps: int = 3) -> tuple[float, np.ndarray]:
 
 
 def run_bench(lengths, n: int, d: int, impls=IMPLS, chunk: int = 64,
-              dtype=np.float64, seed: int = 0) -> list[BenchRow]:
+              seed: int = 0) -> list[BenchRow]:
     rows = []
     for i, length in enumerate(lengths):
-        x, dp, c = _case(length, n, d, seed + i, dtype)
+        x, dp, c = _case(length, n, d, seed + i)
         oracle = scan_sequential(x, dp, c)
         for impl in impls:
             if impl == "sequential":

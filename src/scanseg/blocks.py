@@ -84,13 +84,12 @@ class PatchEmbed(Module):
 class EncoderBlock(Module):
     """LN -> linear -> depthwise conv -> SiLU -> SS2D -> linear, residual."""
 
-    def __init__(self, channels: int, state: int, rng: SplitMix64,
-                 conv_kernel: int = 3):
+    def __init__(self, channels: int, state: int, rng: SplitMix64):
         super().__init__()
         self.channels = channels
         self.norm = LayerNorm(channels)
         self.lin_in = Linear(channels, channels, rng)
-        self.conv = DepthwiseConv2d(channels, conv_kernel, rng)
+        self.conv = DepthwiseConv2d(channels, 3, rng)
         self.ss2d = SS2DBlock(channels, state, rng)
         self.lin_out = Linear(channels, channels, rng)
 

@@ -6,8 +6,8 @@ the wall time, and the package version.  Exit codes: 0 success,
 1 validation failure (usage errors included), 2 I/O error, 3 numerical
 failure.
 
-Heavy imports happen inside the command handlers so that ``--threads`` can
-cap BLAS pools before numpy loads.
+Heavy imports happen inside the command handlers so that ``--threads``,
+applied after parsing, can cap BLAS pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -239,13 +239,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_scan_bench(args) -> int:
-    import numpy as np
     from .bench import fit_exponent, format_table, run_bench, to_csv
     t0 = time.perf_counter()
     impls = args.impls.split(",")
-    dtype = np.float32 if args.dtype == "float32" else np.float64
     rows = run_bench(args.lengths, n=args.state_dim, d=args.channels,
-                     impls=impls, chunk=args.chunk, dtype=dtype, seed=args.seed)
+                     impls=impls, chunk=args.chunk, seed=args.seed)
     exponents = {impl: fit_exponent(rows, impl) for impl in impls}
     table = format_table(rows, exponents)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -330,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--impls", default="sequential,chunked")
     p.add_argument("--chunk", type=int, default=64)
-    p.add_argument("--dtype", choices=("float64", "float32"),
-                   default="float64")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="bench_out")
     p.set_defaults(func=cmd_scan_bench)
@@ -340,19 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Apply the thread cap before numpy initializes its pools.
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = argv[idx + 1]
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.threads is not None:
+        # Handlers import numpy lazily, so the cap lands before its pools start.
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            os.environ[var] = str(args.threads)
 
     from .errors import (CheckpointError, ConfigError, DimensionError,
                          DomainError, GraphError, NetpbmError, NumericalError)

@@ -15,9 +15,6 @@ half.  The summed scan output is split back into the two halves, each half
 is gated by a learnable per-channel scale (initialized to one), the halves
 are concatenated along channels, and a linear projection restores the
 input width.
-
-When the second modality is missing the first is fused with itself, which
-needs no retraining and keeps the interface uniform.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ class MMFFBlock(Module):
         x = conv(lin(f))
         return x.reshape(f.shape[:-3] + (-1, self.channels))
 
-    def __call__(self, f_a: Tensor, f_b: Tensor | None = None) -> Tensor:
+    def __call__(self, f_a: Tensor, f_b: Tensor) -> Tensor:
         return mmff_forward(f_a, f_b, self)
 
 
@@ -88,10 +85,8 @@ def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,
     return y_fwd + y_rev.flip(axis_l)
 
 
-def mmff_forward(f_a: Tensor, f_b: Tensor | None, blk: MMFFBlock) -> Tensor:
+def mmff_forward(f_a: Tensor, f_b: Tensor, blk: MMFFBlock) -> Tensor:
     """Fuse two same-shape feature maps into one of identical shape."""
-    if f_b is None:
-        f_b = f_a
     if f_a.shape != f_b.shape:
         raise DimensionError(
             f"fusion inputs must match, got {f_a.shape} vs {f_b.shape}")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from .autodiff import Tensor
 from .blocks import DualStreamEncoder, StageConfig
 from .decoder import Decoder
-from .errors import ConfigError, DimensionError
+from .errors import CheckpointError, ConfigError, DimensionError
 from .fusion import MMFFBlock, fuse_pyramids
 from .nn import Module, ModuleList
 from .rng import SplitMix64, mix64
@@ -117,8 +117,15 @@ class Model(Module):
 
     @staticmethod
     def from_checkpoint(path: str) -> "Model":
-        with open(config_path(path)) as fh:
-            cfg = ModelConfig.from_json(fh.read())
+        cfg_path = config_path(path)
+        with open(cfg_path) as fh:
+            text = fh.read()
+        try:
+            cfg = ModelConfig.from_json(text)
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"malformed model config {cfg_path}: "
+                f"{type(exc).__name__}: {exc}") from exc
         model = Model(cfg)
         model.load_checkpoint(path)
         return model

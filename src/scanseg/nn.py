@@ -74,41 +74,32 @@ def param(data: np.ndarray) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: SplitMix64,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: SplitMix64):
         super().__init__()
         std = 1.0 / np.sqrt(in_features)
         self.weight = param(rng.normal_array((in_features, out_features), 0.0, std))
-        self.bias = param(np.zeros(out_features)) if bias else None
+        self.bias = param(np.zeros(out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return matmul(x, self.weight) + self.bias
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-6):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = param(np.ones(dim))
         self.beta = param(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class DepthwiseConv2d(Module):
-    def __init__(self, channels: int, kernel: int, rng: SplitMix64,
-                 bias: bool = True):
+    def __init__(self, channels: int, kernel: int, rng: SplitMix64):
         super().__init__()
         std = 1.0 / kernel
         self.weight = param(rng.normal_array((channels, kernel, kernel), 0.0, std))
-        self.bias = param(np.zeros(channels)) if bias else None
+        self.bias = param(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = depthwise_conv2d(x, self.weight)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return depthwise_conv2d(x, self.weight) + self.bias

@@ -18,8 +18,6 @@ samples use the Box-Muller transform on two uniform draws.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -65,12 +63,6 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         return lo + self.next_u64() % span
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        u1 = max(self.uniform(), 1e-300)
-        u2 = self.uniform()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -1,7 +1,7 @@
 """Synthetic paired-modality hidden-object scenes.
 
-Each scene is a textured background with a few random ellipses or convex
-polygons on it.  In RGB the object color is blended toward the local
+Each scene is a textured background with two to four random ellipses or
+convex polygons on it.  In RGB the object color is blended toward the local
 background with weight kappa — at kappa = 1 the objects are invisible in
 RGB before noise.  In the X modality every object carries a fixed positive
 intensity offset, so it stays visible regardless of kappa.  Occluders are
@@ -46,13 +46,11 @@ class ModalityPair:
 @dataclass(frozen=True)
 class SceneConfig:
     resolution: tuple = (64, 64)
-    objects: tuple = (2, 4)
     kappa: float = 0.5
     xmod_strength: float = 0.4
     occluder_density: float = 0.3
     noise_sigma: float = 0.02
     seed: int = 0
-    allow_empty: bool = False
 
     def __post_init__(self):
         h, w = self.resolution
@@ -60,8 +58,6 @@ class SceneConfig:
             raise ConfigError(f"resolution {h}x{w} too small")
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError(f"kappa {self.kappa} outside [0, 1]")
-        if self.objects[0] < 1 or self.objects[1] < self.objects[0]:
-            raise ConfigError(f"bad object count range {self.objects}")
         if self.noise_sigma < 0 or self.occluder_density < 0:
             raise ConfigError("negative noise or occluder density")
 
@@ -153,7 +149,7 @@ def generate_scene(cfg: SceneConfig, index: int) -> ModalityPair:
         xmod[shape] = bg_xmod[shape] + cfg.xmod_strength
 
     object_union = np.zeros((h, w), dtype=bool)
-    count = rng.randint(cfg.objects[0], cfg.objects[1])
+    count = rng.randint(2, 4)
     shapes = []
     for _ in range(count):
         shape = (_ellipse_mask(rng, h, w) if rng.uniform() < 0.6
@@ -172,7 +168,7 @@ def generate_scene(cfg: SceneConfig, index: int) -> ModalityPair:
     xmod[occluders] = occ_x
 
     mask = object_union & ~occluders
-    if not mask.any() and not cfg.allow_empty:
+    if not mask.any():
         # Re-expose the first object so the scene keeps visible foreground;
         # drawn from the same stream state, so still deterministic.
         shape = shapes[0]

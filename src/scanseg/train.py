@@ -38,7 +38,6 @@ class TrainConfig:
     task: str = "saliency"
     augment: bool = False
     use_xmod: bool = True
-    log_every: int = 1
 
     def __post_init__(self):
         # lr = 0 is allowed as the degenerate no-op used by tests.
@@ -109,8 +108,7 @@ def train_loop(model: Model, pairs: list[ModalityPair],
         optimizer.zero_grad()
         total.backward()
         optimizer.step()
-        if step % cfg.log_every == 0:
-            result.rows.append((step, value) + components)
+        result.rows.append((step, value) + components)
     return result
 
 
@@ -123,9 +121,9 @@ def predict_prob(model: Model, pair: ModalityPair,
 
 
 def mean_soft_iou(model: Model, pairs: list[ModalityPair],
-                  use_xmod: bool = True, threshold: float = 0.5) -> float:
-    """Mean foreground IoU of thresholded predictions over a set."""
-    scores = [binary_iou(predict_prob(model, p, use_xmod) >= threshold, p.mask)
+                  use_xmod: bool = True) -> float:
+    """Mean foreground IoU of predictions thresholded at 0.5 over a set."""
+    scores = [binary_iou(predict_prob(model, p, use_xmod) >= 0.5, p.mask)
               for p in pairs]
     return float(np.mean(scores))
 

@@ -4,7 +4,7 @@ import pytest
 from scanseg import autodiff as ad
 from scanseg.autodiff import (Tensor, bilinear_resize, concat, depthwise_conv2d,
                               layer_norm, log_softmax, matmul, sigmoid, silu,
-                              softplus, split, stack, take_perm)
+                              softplus, split, stack)
 from scanseg.errors import ConfigError, DimensionError, GraphError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
@@ -157,17 +157,6 @@ def test_structural_inverses_bitwise():
 def test_flip_axis_out_of_range():
     with pytest.raises(DimensionError):
         Tensor(np.zeros((2, 2))).flip(5)
-
-
-def test_take_perm_roundtrip_and_grad():
-    x = rand((5, 3), seed=17)
-    perm = np.array([4, 2, 0, 1, 3])
-    out = take_perm(Tensor(x), perm, axis=0)
-    assert np.array_equal(out.data, x[perm])
-    res = check("take_perm",
-                lambda ts: (take_perm(ts[0], perm, 0) * Tensor(rand((5, 3), 18))).sum(),
-                [x])
-    assert res.passed, res.line()
 
 
 # ---------------------------------------------------------------- backward

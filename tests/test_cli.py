@@ -1,6 +1,7 @@
 import json
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -227,6 +228,53 @@ def test_chunked_bench_error_column_small(tmp_path):
 def test_threads_flag_accepted(tmp_path):
     assert run(["--threads", "1", "synth", "--out", tmp_path / "t",
                 "--count", 1, "--seed", 0]) == 0
+
+
+def test_threads_flag_both_forms_set_env_and_manifest(tmp_path, monkeypatch):
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+    for i, flag in enumerate((["--threads=3"], ["--threads", "3"])):
+        for var in thread_vars:
+            monkeypatch.delenv(var, raising=False)
+        out = tmp_path / f"t{i}"
+        assert run(flag + ["synth", "--out", out, "--count", 1,
+                           "--resolution", "32x32"]) == 0
+        assert [os.environ.get(var) for var in thread_vars] == ["3"] * 3
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["config"]["threads"] == 3
+
+
+def _drop_depths(cfg):
+    del cfg["stages"]["depths"]
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize("edit, code, start", [
+    (lambda cfg: json.dumps(cfg)[:-5], 2,
+     "i/o error: malformed model config {path}: JSONDecodeError"),
+    (_drop_depths, 2, "i/o error: malformed model config {path}: KeyError"),
+    (lambda cfg: json.dumps(dict(cfg, state="x")), 2,
+     "i/o error: malformed model config {path}: TypeError"),
+    # A value the config itself rejects stays a validation failure.
+    (lambda cfg: json.dumps(dict(cfg, task="x")), 1,
+     "error: task must be one of"),
+], ids=["invalid-json", "missing-depths", "string-state", "bad-task"])
+def test_malformed_model_config_one_line(workspace, tmp_path, capsys, edit,
+                                         code, start):
+    ckpt = tmp_path / "m.ckpt"
+    shutil.copy(workspace["ckpt"], ckpt)
+    cfg = json.load(open(f"{workspace['ckpt']}.config.json"))
+    with open(f"{ckpt}.config.json", "w") as fh:
+        fh.write(edit(cfg))
+    rgb = workspace["ds"] / "rgb" / "00000.ppm"
+    for args in (["eval", "--ckpt", ckpt, "--data", workspace["ds"],
+                  "--out-dir", tmp_path / "ev"],
+                 ["infer", "--ckpt", ckpt, "--rgb", rgb,
+                  "--out", tmp_path / "o.pgm"]):
+        assert run(args) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(start.format(path=f"{ckpt}.config.json"))
 
 
 def test_semantic_task_end_to_end(tmp_path):

@@ -47,13 +47,6 @@ def test_shape_mismatch_rejected():
         blk(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 3, 2))))
 
 
-def test_missing_modality_self_fusion():
-    blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(6))
-    f = rand((2, 3, 2), seed=7)
-    assert np.array_equal(blk(Tensor(f), None).data,
-                          blk(Tensor(f), Tensor(f.copy())).data)
-
-
 def test_single_position_matches_hand_composed_two_step_scan():
     c_dim, n = 2, 3
     blk = MMFFBlock(channels=c_dim, state=n, rng=SplitMix64(8))
