@@ -27,6 +27,14 @@ __all__ = ["StageConfig", "PatchEmbed", "EncoderBlock", "Downsample",
            "DualStreamEncoder"]
 
 
+def check_extent(name: str, value) -> None:
+    """A config extent must be a positive int.  A float or a bool is a bad
+    value (``ConfigError``); a value that is not a number fails the
+    comparison with a ``TypeError``, the mark of a malformed field."""
+    if isinstance(value, (bool, float)) or value < 1:
+        raise ConfigError(f"{name} must be a positive int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StageConfig:
     """Stem patch size plus per-stage depths and channel widths."""
@@ -35,11 +43,13 @@ class StageConfig:
     channels: tuple = (16, 32)
 
     def __post_init__(self):
-        if len(self.depths) != len(self.channels):
+        if not self.depths or len(self.depths) != len(self.channels):
             raise ConfigError(
                 f"depths {self.depths} and channels {self.channels} disagree")
-        if self.patch < 1 or min(self.depths) < 1 or min(self.channels) < 1:
-            raise ConfigError(f"non-positive extent in {self}")
+        check_extent("patch", self.patch)
+        for name in ("depths", "channels"):
+            for i, value in enumerate(getattr(self, name)):
+                check_extent(f"{name}[{i}]", value)
         for a, b in zip(self.channels, self.channels[1:]):
             if b != 2 * a:
                 raise ConfigError(

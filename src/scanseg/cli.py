@@ -46,7 +46,8 @@ def _clean_config(config: dict) -> dict:
 
 
 def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
-                    artifacts: list[str], wall_time: float) -> str:
+                    artifacts: list[str], wall_time: float,
+                    exit_code: int = 0, error: str | None = None) -> str:
     from . import __version__
     manifest = {
         "subcommand": subcommand,
@@ -55,7 +56,11 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
         "artifacts": sorted(artifacts),
         "wall_time_s": wall_time,
         "version": __version__,
+        "status": "ok" if exit_code == EXIT_OK else "error",
+        "exit_code": exit_code,
     }
+    if error is not None:
+        manifest["error"] = error
     os.makedirs(out_dir or ".", exist_ok=True)
     path = os.path.join(out_dir or ".", "manifest.json")
     with open(path, "w") as fh:
@@ -107,6 +112,7 @@ def _model_config_for(args, resolution):
 
 def cmd_train(args) -> int:
     from .data import load_dataset
+    from .errors import ConfigError
     from .model import Model, config_path
     from .train import TrainConfig, train_loop
     t0 = time.perf_counter()
@@ -114,8 +120,7 @@ def cmd_train(args) -> int:
     for line in report.errors:
         print(f"load: {line}", file=sys.stderr)
     if not pairs:
-        print("no complete samples found", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"no complete samples found in {args.data}")
     resolution = pairs[0].rgb.shape[-2:]
     model = Model(_model_config_for(args, resolution), seed=args.seed)
     cfg = TrainConfig(lr=args.lr, weight_decay=args.wd, batch=args.batch,
@@ -128,8 +133,7 @@ def cmd_train(args) -> int:
     loss_csv = f"{args.out}.loss.csv"
     with open(loss_csv, "w") as fh:
         fh.write(result.csv())
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    _write_manifest(out_dir, "train", vars(args), args.seed,
+    _write_manifest(_manifest_dir(args), "train", vars(args), args.seed,
                     [args.out, config_path(args.out), loss_csv],
                     time.perf_counter() - t0)
     print(f"trained {cfg.steps} steps; final loss "
@@ -140,6 +144,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     import numpy as np
     from .data import load_dataset
+    from .errors import ConfigError
     from .metrics import SaliencyPair, evaluate_saliency, evaluate_semantic
     from .model import Model
     from .train import predict_prob
@@ -149,8 +154,7 @@ def cmd_eval(args) -> int:
     for line in report.errors:
         print(f"load: {line}", file=sys.stderr)
     if not pairs:
-        print("no complete samples found", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"no complete samples found in {args.data}")
 
     ids = [p.id for p in pairs]
     if model.cfg.task == "saliency":
@@ -210,8 +214,7 @@ def cmd_infer(args) -> int:
         write_pgm(args.out, labels / 255.0)
         fraction = float((labels > 0).mean())
     h, w = rgb.shape[-2:]
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    _write_manifest(out_dir, "infer",
+    _write_manifest(_manifest_dir(args), "infer",
                     vars(args) | {"self_fusion": args.x is None}, None,
                     [args.out], time.perf_counter() - t0)
     print(f"resolution {h}x{w}; foreground fraction {fraction:.4f}; "
@@ -228,14 +231,15 @@ def cmd_gradcheck(args) -> int:
     report_path = os.path.join(args.out_dir, "gradcheck_report.txt")
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(args.out_dir, "gradcheck", vars(args), None,
-                    [report_path], time.perf_counter() - t0)
-    print("\n".join(lines))
     failed = [r for r in results if not r.passed]
+    code = EXIT_VALIDATION if failed else EXIT_OK
+    error = f"{len(failed)} gradient check(s) failed" if failed else None
+    _write_manifest(args.out_dir, "gradcheck", vars(args), None,
+                    [report_path], time.perf_counter() - t0, code, error)
+    print("\n".join(lines))
     if failed:
-        print(f"{len(failed)} gradient check(s) failed", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        print(error, file=sys.stderr)
+    return code
 
 
 def cmd_scan_bench(args) -> int:
@@ -335,6 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest_dir(args) -> str:
+    """The directory a command writes its outputs and manifest to."""
+    if args.command in ("train", "infer"):
+        return os.path.dirname(os.path.abspath(args.out))
+    return args.out if args.command == "synth" else args.out_dir
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -349,17 +360,23 @@ def main(argv=None) -> int:
 
     from .errors import (CheckpointError, ConfigError, DimensionError,
                          DomainError, GraphError, NetpbmError, NumericalError)
+    t0 = time.perf_counter()
     try:
         return args.func(args)
     except (ConfigError, DimensionError, DomainError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, line = EXIT_VALIDATION, f"error: {exc}"
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code, line = EXIT_NUMERIC, f"numerical failure: {exc}"
     except (OSError, NetpbmError, CheckpointError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, line = EXIT_IO, f"i/o error: {exc}"
+    print(line, file=sys.stderr)
+    try:
+        _write_manifest(_manifest_dir(args), args.command, vars(args),
+                        getattr(args, "seed", None), [],
+                        time.perf_counter() - t0, code, line)
+    except OSError:
+        pass  # the output directory is what failed; the line above says so
+    return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Each modality's features pass through their own linear layer and depthwise
 convolution, are flattened, and the two sequences are joined end to end.
-The joined sequence is scanned twice: once as-is and once reversed, so
-state flows across the modality boundary in both directions; the reversed
-output is flipped back and the two are summed.
+The joined sequence is scanned twice, front to back and back to front
+(``reverse=True``), so state flows across the modality boundary in both
+directions; the two outputs are summed.
 
 Parameter wiring is crossed between the modalities: along the first half
 (positions owned by the first modality) the transition quantities A, B,
@@ -78,11 +78,8 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
 
 def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,
                         c: Tensor, delta: Tensor) -> Tensor:
-    axis_l = x.ndim - 2
-    y_fwd = blk._scan_fn(x, a, b, c, delta)
-    y_rev = blk._scan_fn(x.flip(axis_l), a.flip(0), b.flip(axis_l),
-                         c.flip(axis_l), delta.flip(axis_l))
-    return y_fwd + y_rev.flip(axis_l)
+    return (blk._scan_fn(x, a, b, c, delta)
+            + blk._scan_fn(x, a, b, c, delta, reverse=True))
 
 
 def mmff_forward(f_a: Tensor, f_b: Tensor, blk: MMFFBlock) -> Tensor:

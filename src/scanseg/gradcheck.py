@@ -174,7 +174,7 @@ def suite_ops() -> list[CheckResult]:
 def suite_scan() -> list[CheckResult]:
     from .autodiff import Tensor, softplus
     from .rng import SplitMix64
-    from .scan import SSMParams, make_input_params, selective_scan
+    from .scan import BLOCK, SSMParams, make_input_params, selective_scan
     results = []
     for with_skip, name in ((False, "selective-scan"),
                             (True, "selective-scan-skip")):
@@ -209,6 +209,28 @@ def suite_scan() -> list[CheckResult]:
                                    softplus(ts[4])) * Tensor(w)).sum(),
         [_rand((6, 2), 46), _rand((6, 2, 3), 47), _rand((6, 3), 48),
          _rand((6, 3), 49), _rand((6, 2), 50)], step=1e-5))
+
+    # Three blocks (L = 2*BLOCK + 19: two full blocks and a partial one),
+    # forward and reversed, on a seeded subset of entries.
+    length = 2 * BLOCK + 19
+    lead, d, n = (4, 4), 8, 4
+    for reverse in (False, True):
+        seed = 70 + 5 * reverse
+        ts = [Tensor(_rand(s, seed + i), requires_grad=True)
+              for i, s in enumerate((lead + (length, d), (d, n),
+                                     lead + (length, n), lead + (length, n),
+                                     lead + (length, d)))]
+        w = Tensor(_rand(lead + (length, d), seed + 5))
+
+        def loss_fn(ts=ts, w=w, reverse=reverse):
+            x, a, b, c, delta = ts
+            return (selective_scan(x, -a.exp(), b, c, softplus(delta),
+                                   reverse=reverse) * w).sum()
+
+        name = "selective-scan-blocks" + "-reverse" * reverse
+        results.append(check_params(
+            name, loss_fn, [(f"input{i}", t) for i, t in enumerate(ts)],
+            step=1e-5, entries_per_param=12))
     return results
 
 

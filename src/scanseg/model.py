@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .autodiff import Tensor
-from .blocks import DualStreamEncoder, StageConfig
+from .blocks import DualStreamEncoder, StageConfig, check_extent
 from .decoder import Decoder
 from .errors import CheckpointError, ConfigError, DimensionError
 from .fusion import MMFFBlock, fuse_pyramids
@@ -37,8 +37,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.state < 1 or self.num_classes < 1:
-            raise ConfigError(f"non-positive extent in {self}")
+        check_extent("state", self.state)
+        check_extent("num_classes", self.num_classes)
+        if len(self.resolution) != 2:
+            raise ConfigError(
+                f"resolution must be two positive ints, got {self.resolution}")
+        for value in self.resolution:
+            check_extent("resolution", value)
         div = self.stages.patch * (1 << (self.stages.num_stages - 1))
         h, w = self.resolution
         if h % div or w % div:

@@ -17,19 +17,36 @@ content-dependent.  delta comes out of a softplus, which returns exactly 0
 below about -745; zero is the rule's limit (a_bar = 1, b_bar = 0: the state
 holds), so delta >= 0 is the domain and only a negative delta is rejected.
 
-``selective_scan`` is the differentiable op: it takes x, A, B, C and delta,
-discretizes inside, runs ``scan_chunked``'s kernel, and reduces the
-gradients for delta, A and B analytically from the adjoint
-lambda_k = gsrc_k + a_bar_{k+1} * lambda_{k+1}, which runs the same kernel
-on flipped arrays.  The kernel splits the sequence into chunks, composes
-each chunk's affine action h -> a*h + b position by position (all chunks
-advanced together, so the per-position Python cost is paid once per chunk
-offset instead of once per element), then resolves the chunk carries in a
-short sequential pass.
+``selective_scan`` is the differentiable op: it takes x, A, B, C and delta
+and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
+For each block it builds a_bar = exp(delta*A) and delta*B*x time-major,
+(T, ..., N, D), so each position's slice is contiguous and the elementwise
+work runs along D; runs the recurrence from the state carried in; and
+writes the block's part of y.  All it keeps for backward is the state
+entering each block, O(L/BLOCK * D * N), beside the (..., L, D) and
+(..., L, N) inputs the graph holds anyway.  Backward walks the blocks back
+to front; for each it recomputes a_bar, delta*B*x and the states from the
+saved state, runs the adjoint in place, and reduces the block's share of
+the gradients for x, A, B, C and delta.  The adjoint is carried as
+nu_k = a_bar_k * lambda_k, where lambda_k = g_k C_k + nu_{k+1} is dL/dh_k:
+nu_k = a_bar_k * nu_{k+1} + a_bar_k * g_k C_k is the forward recurrence run
+back to front, and dL/d(delta*A)_k = nu_k * h_{k-1}.  ``reverse=True``
+scans from the last position to the first by running the same code on
+flipped views, so it copies nothing.
+
+Inside a block the recurrence runs as a plain loop, ``_scan_loop``: two
+numpy calls per position on contiguous (..., N, D) slices.  The chunked
+prefix kernel ``_scan_chunked`` advances all chunks together one in-chunk
+offset at a time from a zero state (also forming each chunk's running
+product of a), resolves the state entering each chunk in a short
+sequential pass, and adds each chunk's carried-in state times its running
+products; it serves ``scan_chunked`` only, since at the model's step widths
+(prod(lead) * D * N from 64 to 2048) it did not beat the loop end to end.
 
 The array oracle is ``discretize_zoh`` (delta > 0) or ``_discretize_arrays``
-(unchecked) followed by ``scan_sequential``, the plain loop, which
-``scan_chunked`` matches up to floating-point reassociation.
+(unchecked) followed by ``scan_sequential``, an allocate-per-step loop that
+shares no code with the op's kernels; ``scan_chunked`` matches it up to
+floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -46,8 +63,9 @@ from .rng import SplitMix64
 __all__ = [
     "SSMParams", "DiscretizedParams", "make_input_params",
     "discretize_zoh", "scan_sequential", "scan_chunked", "selective_scan",
-    "default_chunk",
 ]
+
+BLOCK = 256   # positions per block; one state per block is kept for backward
 
 
 class SSMParams(Module):
@@ -141,49 +159,47 @@ def _scan_core_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_core_chunked(a: np.ndarray, b: np.ndarray, chunk: int) -> np.ndarray:
-    """Chunked recurrence; see module docstring for the three phases."""
-    length = a.shape[-3]
-    size = min(chunk, length)
-    n_chunks = -(-length // size)
-    padded = n_chunks * size
-    if padded != length:
-        pad = [(0, 0)] * a.ndim
-        pad[-3] = (0, padded - length)
-        a = np.pad(a, pad, constant_values=1.0)  # identity affine maps
-        b = np.pad(b, pad, constant_values=0.0)
-    lead = a.shape[:-3]
-    dn = a.shape[-2:]
-    a = a.reshape(lead + (n_chunks, size) + dn)
-    b = b.reshape(lead + (n_chunks, size) + dn)
-
-    # Phase 1: all chunks advanced together, one step per in-chunk offset.
-    htilde = np.empty_like(a)
-    prefix = np.empty_like(a)
-    h = np.zeros(lead + (n_chunks,) + dn, dtype=a.dtype)
-    p = np.ones(lead + (n_chunks,) + dn, dtype=a.dtype)
-    for s in range(size):
-        h = a[..., s, :, :] * h + b[..., s, :, :]
-        p = p * a[..., s, :, :]
-        htilde[..., s, :, :] = h
-        prefix[..., s, :, :] = p
-
-    # Phase 2: sequential carry across chunks.
-    carries = np.zeros(lead + (n_chunks,) + dn, dtype=a.dtype)
-    state = np.zeros(lead + dn, dtype=a.dtype)
-    for c in range(n_chunks):
-        carries[..., c, :, :] = state
-        state = prefix[..., c, -1, :, :] * state + htilde[..., c, -1, :, :]
-
-    # Phase 3: combine carries with intra-chunk partial states.
-    full = prefix * carries[..., :, None, :, :] + htilde
-    full = full.reshape(lead + (padded,) + dn)
-    return full[..., :length, :, :]
+def _scan_loop(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> None:
+    """b[t] <- a[t] * b[t-1] + b[t] in place along axis 0, from b[-1] = h0.
+    Arrays are time-major; views of any stride work."""
+    prev = h0
+    tmp = np.empty_like(h0)
+    for at, bt in zip(a, b):
+        np.multiply(at, prev, out=tmp)
+        np.add(bt, tmp, out=bt)
+        prev = bt
 
 
-def default_chunk(length: int) -> int:
-    """Near-sqrt chunk size; balances the two sequential phases."""
-    return max(8, min(64, int(round(np.sqrt(max(length, 1))))))
+def _scan_chunked(a: np.ndarray, b: np.ndarray, h0: np.ndarray,
+                  size: int) -> None:
+    """``_scan_loop`` with the first len(a) // size * size steps in chunks;
+    see the module docstring for the three phases."""
+    n = len(a) // size
+    full = n * size
+    if n:
+        # Splitting axis 0 is always a view, so the writes below reach b.
+        shape = (n, size) + a.shape[1:]
+        ac, bc = a[:full].reshape(shape), b[:full].reshape(shape)
+        # Phase 1: all chunks advanced together from a zero state; p holds
+        # each chunk's running product of a.
+        p = np.empty(shape, dtype=a.dtype)
+        p[:, 0] = ac[:, 0]
+        tmp = np.empty(shape[:1] + shape[2:], dtype=a.dtype)
+        for s in range(1, size):
+            np.multiply(ac[:, s], bc[:, s - 1], out=tmp)
+            np.add(bc[:, s], tmp, out=bc[:, s])
+            np.multiply(ac[:, s], p[:, s - 1], out=p[:, s])
+        # Phase 2: the state entering each chunk, one chunk at a time.
+        carry = np.empty_like(tmp)
+        carry[0] = h0
+        for k in range(1, n):
+            np.multiply(p[k - 1, -1], carry[k - 1], out=carry[k])
+            np.add(carry[k], bc[k - 1, -1], out=carry[k])
+        # Phase 3: each chunk's partial states plus its carried-in state.
+        np.multiply(p, carry[:, None], out=p)
+        np.add(bc, p, out=bc)
+        h0 = b[full - 1]
+    _scan_loop(a[full:], b[full:], h0)
 
 
 def _check_scan_shapes(x, a_bar, b_bar, c):
@@ -211,18 +227,10 @@ def scan_chunked(x, dp: DiscretizedParams, c, d_skip=None, chunk: int = 64):
         raise ConfigError(f"chunk must be a positive int, got {chunk}")
     xa, aa, ba, ca = map(np.asarray, (x, dp.a_bar, dp.b_bar, c))
     _check_scan_shapes(xa, aa, ba, ca)
-    h = _scan_core_chunked(aa, ba * xa[..., :, :, None], chunk)
+    h = ba * xa[..., :, :, None]
+    _scan_chunked(np.moveaxis(aa, -3, 0), np.moveaxis(h, -3, 0),
+                  np.zeros_like(h[..., 0, :, :]), chunk)
     return _emit(ca, h, xa, d_skip)
-
-
-def _reverse_scan(a: np.ndarray, src: np.ndarray, chunk: int) -> np.ndarray:
-    """lambda_k = src_k + a_{k+1} * lambda_{k+1}, evaluated back to front."""
-    a_next = np.concatenate(
-        [a[..., 1:, :, :], np.ones_like(a[..., :1, :, :])], axis=-3)
-    fm = np.flip(a_next, axis=-3)
-    fs = np.flip(src, axis=-3)
-    lam = _scan_core_chunked(fm, fs, chunk)
-    return np.flip(lam, axis=-3)
 
 
 def _check_op_shapes(x, a, b, c, delta, d_skip):
@@ -240,12 +248,14 @@ def _check_op_shapes(x, a, b, c, delta, d_skip):
 
 
 def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
-                   d_skip: Tensor | None = None) -> Tensor:
+                   d_skip: Tensor | None = None, reverse: bool = False
+                   ) -> Tensor:
     """Differentiable selective scan that discretizes inside.
 
     x and delta are (..., L, D), B and C (..., L, N); A broadcasts to
     (..., L, D, N) and d_skip, when given, to (..., L, D).  delta must be
-    >= 0.  Returns y of shape (..., L, D).
+    >= 0.  ``reverse`` scans from the last position to the first.  Returns
+    y of shape (..., L, D).
     """
     xt, at, bt, ct, dt = map(Tensor._ensure, (x, a, b, c, delta))
     st = Tensor._ensure(d_skip) if d_skip is not None else None
@@ -255,26 +265,84 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
                      sd.shape if sd is not None else None)
     if np.any(dd < 0):
         raise DomainError("delta must be non-negative")
-    size = default_chunk(xd.shape[-2])
+    lead, (length, d) = xd.shape[:-2], xd.shape[-2:]
+    n = bd.shape[-1]
+    step = -1 if reverse else 1
 
-    dl = dd[..., None]
-    a_bar = np.exp(dl * ad)
-    h = _scan_core_chunked(a_bar, dl * bd[..., None, :] * xd[..., None], size)
-    y = _emit(cd, h, xd, sd)
+    def tm(v, axis=-2):
+        """Time-major view of v in scan order: (L, ...) with L first."""
+        return np.moveaxis(v, axis, 0)[::step]
+
+    # States are kept as (N, D) per position so that the elementwise work
+    # runs along D, the longer contiguous axis.  A becomes (L or 1, ..., N, D):
+    # time-major, per position or shared.
+    a_nd = np.swapaxes(
+        ad.reshape((1,) * (xd.ndim + 1 - ad.ndim) + ad.shape), -1, -2)
+    a_tm = tm(a_nd, -3)
+    per_position = a_tm.shape[0] > 1
+    x_tm, b_tm, c_tm, d_tm = tm(xd), tm(bd), tm(cd), tm(dd)
+    bounds = [(s, min(s + BLOCK, length)) for s in range(0, length, BLOCK)]
+
+    def block_states(s, e, h0):
+        """delta, delta*x, a_bar and the states h of positions s..e-1;
+        the first two (T, ..., 1, D), the others (T, ..., N, D)."""
+        dl = d_tm[s:e, ..., None, :]
+        dx = dl * x_tm[s:e, ..., None, :]
+        # C order: the inputs are strided views, and the kernels step
+        # through contiguous (..., N, D) slices.
+        a_bar = np.multiply(dl, a_tm[s:e] if per_position else a_tm,
+                            order="C")
+        np.exp(a_bar, out=a_bar)
+        h = np.multiply(dx, b_tm[s:e, ..., :, None], order="C")
+        _scan_loop(a_bar, h, h0)
+        return dl, dx, a_bar, h
+
+    y = np.empty(xd.shape)
+    y_tm = tm(y)
+    starts = []                               # the state entering each block
+    h0 = np.zeros(lead + (n, d))
+    for s, e in bounds:
+        starts.append(h0)
+        h = block_states(s, e, h0)[-1]
+        np.matmul(c_tm[s:e, ..., None, :], h, out=y_tm[s:e, ..., None, :])
+        h0 = h[-1].copy()
+    if sd is not None:
+        y += sd * xd
 
     def backward(g):
-        lam = _reverse_scan(a_bar, np.einsum("...ld,...ln->...ldn", g, cd),
-                            size)
-        gz = np.zeros_like(lam)                # w.r.t. z = delta * A
-        np.multiply(lam[..., 1:, :, :], h[..., :-1, :, :],
-                    out=gz[..., 1:, :, :])     # lambda_k * h_{k-1}
-        gz *= a_bar
-        lam_b = np.einsum("...ldn,...ln->...ld", lam, bd)
-        gx = lam_b * dd
-        gdelta = np.einsum("...n,...n->...", gz, ad) + lam_b * xd
-        ga = _unbroadcast(gz * dl, ad.shape)
-        gb = np.einsum("...ldn,...ld->...ln", lam, xd * dd)
-        gc = np.einsum("...ld,...ldn->...ln", g, h)
+        g_tm = tm(g)
+        gx, gdelta = np.empty(xd.shape), np.empty(xd.shape)
+        gb, gc = np.empty(bd.shape), np.empty(cd.shape)
+        ga = np.zeros(a_tm.shape)              # time-major, in scan order
+        gx_tm, gdelta_tm, gb_tm, gc_tm = tm(gx), tm(gdelta), tm(gb), tm(gc)
+        nu0 = np.zeros(lead + (n, d))          # nu at the next block's start
+        for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
+            dl, dx, a_bar, h = block_states(s, e, h0)
+            gs = g_tm[s:e, ..., None, :]
+            lam = np.multiply(c_tm[s:e, ..., :, None], gs, order="C")
+            # lam starts as dL/dh_k through y_k alone.  nu_k = a_bar_k *
+            # lambda_k, where lambda_k = lam_k + nu_{k+1} is the full
+            # adjoint: the same recurrence, run back to front.
+            nu = a_bar * lam
+            _scan_loop(a_bar[::-1], nu[::-1], nu0)
+            lam[:-1] += nu[1:]
+            lam[-1] += nu0
+            nu0 = nu[0].copy()
+            gz = nu                                # dL/d(delta*A) = nu_k h_{k-1}
+            gz[1:] *= h[:-1]
+            gz[0] *= h0
+            lam_b = np.matmul(b_tm[s:e, ..., None, :], lam)
+            np.multiply(lam_b, dl, out=gx_tm[s:e, ..., None, :])
+            a_blk = a_tm[s:e] if per_position else a_tm
+            np.einsum("...nd,...nd->...d", gz, a_blk, out=gdelta_tm[s:e])
+            gdelta_tm[s:e] += lam_b[..., 0, :] * x_tm[s:e]
+            np.matmul(lam, np.swapaxes(dx, -1, -2),
+                      out=gb_tm[s:e, ..., :, None])
+            np.matmul(h, g_tm[s:e, ..., :, None], out=gc_tm[s:e, ..., :, None])
+            ga_blk = ga[s:e] if per_position else ga
+            ga_blk += _unbroadcast(gz * dl, ga_blk.shape)
+        ga = np.swapaxes(np.moveaxis(ga[::step], 0, -3), -1, -2)
+        ga = ga.reshape(ad.shape)
         if st is None:
             return gx, ga, gb, gc, gdelta
         return (gx + g * sd, ga, gb, gc, gdelta,

@@ -37,6 +37,7 @@ def test_synth_writes_layout_and_manifest(workspace):
     assert manifest["config"]["resolution"] == [32, 32]
     assert manifest["version"]
     assert len(manifest["artifacts"]) == 5
+    assert manifest["status"] == "ok" and manifest["exit_code"] == 0
 
 
 def test_train_outputs(workspace):
@@ -158,6 +159,38 @@ def test_train_mixed_resolution_dataset_exit_1(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "m.ckpt")
 
 
+def test_failed_train_writes_manifest_saying_why(tmp_path, capsys):
+    from scanseg.data import save_pair
+    from scanseg.synth import SceneConfig, generate_scene
+    ds = tmp_path / "mixed"
+    for i, res in enumerate([(32, 32), (64, 64)]):
+        save_pair(str(ds), generate_scene(SceneConfig(resolution=res, seed=4), i))
+    out = tmp_path / "run"
+    assert run(["train", "--data", ds, "--steps", 1, "--seed", 7,
+                "--out", out / "m.ckpt"]) == 1
+    err = capsys.readouterr().err
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["subcommand"] == "train"
+    assert manifest["status"] == "error" and manifest["exit_code"] == 1
+    assert manifest["error"] == err.strip()
+    assert "00001 (64x64)" in manifest["error"]
+    assert manifest["seed"] == 7 and manifest["artifacts"] == []
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_eval_without_samples_exit_1_with_manifest(workspace, tmp_path,
+                                                  capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "out"
+    assert run(["eval", "--ckpt", workspace["ckpt"], "--data", empty,
+                "--out-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: no complete samples found in {empty}\n"
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["status"] == "error" and manifest["error"] == err.strip()
+
+
 def test_eval_stem_size_mismatch_exit_1(workspace, tmp_path, capsys):
     from scanseg.data import save_pair
     from scanseg.netpbm import write_pgm
@@ -275,6 +308,26 @@ def test_malformed_model_config_one_line(workspace, tmp_path, capsys, edit,
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(start.format(path=f"{ckpt}.config.json"))
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("resolution", [32], "resolution must be two positive ints"),
+    ("state", 2.5, "state must be a positive int, got 2.5"),
+    ("num_classes", True, "num_classes must be a positive int, got True"),
+], ids=["one-extent-resolution", "float-state", "bool-num-classes"])
+def test_model_config_bad_value_exit_1_naming_field(workspace, tmp_path, capsys,
+                                                    key, value, named):
+    ckpt = tmp_path / "m.ckpt"
+    shutil.copy(workspace["ckpt"], ckpt)
+    cfg = json.load(open(f"{workspace['ckpt']}.config.json"))
+    with open(f"{ckpt}.config.json", "w") as fh:
+        json.dump(dict(cfg, **{key: value}), fh)
+    assert run(["infer", "--ckpt", ckpt, "--rgb",
+                workspace["ds"] / "rgb" / "00000.ppm",
+                "--out", tmp_path / "o.pgm"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {named}")
 
 
 def test_semantic_task_end_to_end(tmp_path):

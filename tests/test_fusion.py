@@ -95,7 +95,7 @@ def test_single_position_matches_hand_composed_two_step_scan():
 
 def test_stub_identity_scan_doubles_joined_sequence():
     blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(11))
-    blk._scan_fn = lambda x, a, b, c, delta, d_skip=None: x
+    blk._scan_fn = lambda x, a, b, c, delta, d_skip=None, reverse=False: x
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)

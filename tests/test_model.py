@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,24 @@ def test_config_validation():
                     resolution=(20, 20))
     with pytest.raises(ConfigError):
         ModelConfig(task="detection")
+
+
+@pytest.mark.parametrize("stages, top, field", [
+    ({}, {"resolution": (32,)}, "resolution must be two positive ints"),
+    ({}, {"resolution": (32, 32.0)}, "resolution must be a positive int"),
+    ({}, {"state": 2.5}, "state must be a positive int"),
+    ({}, {"num_classes": True}, "num_classes must be a positive int"),
+    ({"patch": 4.0}, {}, "patch must be a positive int"),
+    ({"depths": (2, 1.5)}, {}, "depths[1] must be a positive int"),
+    ({"channels": (16, 0)}, {}, "channels[1] must be a positive int"),
+    ({"depths": (), "channels": ()}, {}, "depths () and channels ()"),
+], ids=["one-extent-resolution", "float-resolution", "float-state",
+        "bool-num-classes", "float-patch", "float-depth", "zero-channels",
+        "no-stages"])
+def test_config_rejects_non_int_extents_naming_the_field(stages, top, field):
+    stage_args = dict(patch=4, depths=(2, 2), channels=(16, 32)) | stages
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        ModelConfig(stages=StageConfig(**stage_args), **top)
 
 
 def test_config_json_roundtrip():

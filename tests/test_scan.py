@@ -322,10 +322,9 @@ def _op_oracle(x, a, b, c, delta, d_skip):
 
 
 def test_selective_scan_oracle_sweep():
-    # L = 1 (one chunk longer than the sequence), L not a multiple of
-    # default_chunk(L) (13, 65, 200) and L > 64 (many chunks), each crossed
-    # with leading dims and a shared or per-position A; every other case
-    # keeps d_skip.
+    # L = 1, L shorter than a chunk (13) or not a multiple of one (65, 100,
+    # 200), each crossed with leading dims and a shared or per-position A;
+    # every other case keeps d_skip.
     r = SplitMix64(35)
     worst, case = 0.0, 0
     for L in (1, 13, 64, 65, 100, 200):
@@ -346,6 +345,124 @@ def test_selective_scan_oracle_sweep():
                 worst = max(worst, rel)
                 case += 1
     assert worst <= 1e-10, worst
+
+
+def _blocked_case(seed, lead, length, d, n, a_shape, skip, extreme=False):
+    """Seeded op inputs; ``extreme`` makes delta*|A| reach 0 (a_bar = 1) and
+    1e6 (a_bar underflows to exactly 0) on alternate positions of channel 0."""
+    r = SplitMix64(seed)
+    x = -2.0 + 4.0 * r.uniform_array(lead + (length, d))
+    a = -0.05 - 2.0 * r.uniform_array(a_shape)
+    b = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
+    c = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
+    delta = 0.01 + r.uniform_array(lead + (length, d))
+    if extreme:
+        delta[..., 0::2, 0] = 0.0
+        delta[..., 1::2, 0] = 1e6
+    d_skip = r.uniform_array((d,)) if skip else None
+    return x, a, b, c, delta, d_skip
+
+
+def _broadcast_oracle(x, a, b, c, delta, d_skip, reverse):
+    """scan_sequential with A broadcast to (..., L, D, N) as the op takes it;
+    ``reverse`` scans the flipped arrays and flips the result back."""
+    a_bar = np.exp(delta[..., None] * a)
+    b_bar = delta[..., None] * b[..., None, :]
+    if not reverse:
+        return scan_sequential(x, DiscretizedParams(a_bar, b_bar), c, d_skip)
+    a_bar = np.broadcast_to(a_bar, b_bar.shape)
+    dp = DiscretizedParams(np.flip(a_bar, -3), np.flip(b_bar, -3))
+    y = scan_sequential(np.flip(x, -2), dp, np.flip(c, -2), d_skip)
+    return np.flip(y, -2)
+
+
+# lead, D, N and the shape of a shared A of the blocked-scan tests.
+LEAD, D, N, A_SHARED = (4, 4), 8, 4, (4, 1, 8, 4)
+
+
+def test_blocked_scan_matches_oracle_across_blocks():
+    from scanseg.scan import BLOCK
+    worst, case = 0.0, 0
+    for length in (1, BLOCK // 2 + 3, BLOCK, 2 * BLOCK + 19, 3 * BLOCK + 5):
+        for per_position in (False, True):
+            for reverse in (False, True):
+                shape = (length, D, N) if per_position else A_SHARED
+                args = _blocked_case(3600 + case, LEAD, length, D, N, shape,
+                                     skip=case % 3 == 0)
+                y = selective_scan(*args[:5], d_skip=args[5],
+                                   reverse=reverse).data
+                y_ref = _broadcast_oracle(*args, reverse)
+                rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
+                worst = max(worst, rel)
+                case += 1
+    assert worst <= 1e-10, worst
+
+
+def test_blocked_scan_extreme_delta_a_matches_oracle():
+    # a_bar is exactly 1 on even positions of channel 0 and underflows to
+    # exactly 0 on odd ones; outputs and gradients stay finite.
+    from scanseg.scan import BLOCK
+    length = 2 * BLOCK + 19
+    for reverse in (False, True):
+        args = _blocked_case(37, LEAD, length, D, N, A_SHARED, skip=True,
+                             extreme=True)
+        a_bar = np.exp(args[4][..., None] * args[1])
+        assert np.all(a_bar[..., 0::2, 0, :] == 1.0)
+        assert np.all(a_bar[..., 1::2, 0, :] == 0.0)
+        ts = [Tensor(v, requires_grad=True) for v in args]
+        y = selective_scan(*ts[:5], d_skip=ts[5], reverse=reverse)
+        y_ref = _broadcast_oracle(*args, reverse)
+        rel = np.max(np.abs(y.data - y_ref) / (np.abs(y_ref) + 1e-12))
+        assert rel <= 1e-10, rel
+        y.sum().backward()
+        assert all(np.all(np.isfinite(t.grad)) for t in ts)
+
+
+def test_reverse_gradients_equal_forward_scan_of_flipped_inputs():
+    from scanseg.scan import BLOCK
+    length = 2 * BLOCK + 19
+    for per_position in (False, True):
+        shape = (length, D, N) if per_position else A_SHARED
+        args = _blocked_case(38, LEAD, length, D, N, shape, skip=True)
+        probe = rand(LEAD + (length, D), seed=39)
+        grads = []
+        for reverse in (False, True):
+            ts = [Tensor(v, requires_grad=True) for v in args]
+            x, a, b, c, delta, d_skip = ts
+            if reverse:
+                y = selective_scan(x, a, b, c, delta, d_skip=d_skip,
+                                   reverse=True)
+            else:
+                ax = x.ndim - 2
+                fa = a.flip(0) if per_position else a
+                y = selective_scan(x.flip(ax), fa, b.flip(ax), c.flip(ax),
+                                   delta.flip(ax), d_skip=d_skip).flip(ax)
+            (y * Tensor(probe)).sum().backward()
+            grads.append([y.data] + [t.grad for t in ts])
+        for g_flip, g_rev in zip(*grads):
+            scale = np.max(np.abs(g_flip))
+            assert np.max(np.abs(g_flip - g_rev)) <= 1e-12 * scale
+
+
+def test_forward_graph_holds_less_than_one_full_state_array():
+    # The op keeps one (..., D, N) state per block for backward, not the
+    # (..., L, D, N) a_bar or states: what the forward leaves allocated,
+    # beyond y, stays below one such array (8 MiB here).
+    import tracemalloc
+    lead, length, d, n = (4, 4), 1024, 16, 4
+    args = _blocked_case(40, lead, length, d, n, (4, 1, d, n), skip=False)
+    ts = [Tensor(v, requires_grad=True) for v in args[:5]]
+    full = int(np.prod(lead)) * length * d * n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = selective_scan(*ts)
+        held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < full, (held, full)
+    y.sum().backward()
+    assert all(t.grad is not None for t in ts)
 
 
 # ---------------------------------------------------------------- properties
