@@ -298,7 +298,7 @@ def split(t: Tensor, sizes: Iterable[int], axis: int = 0) -> list[Tensor]:
             full[sl] = g
             return (full,)
 
-        outs.append(Tensor._from_op(t.data[sl].copy(), (t,), backward))
+        outs.append(Tensor._from_op(t.data[sl], (t,), backward))
         start += size
     return outs
 
@@ -309,12 +309,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))            # in (0, 1]: never overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(x: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
-"""Scan kernel timing: wall time, throughput, and the time-vs-length slope.
+"""Scan timing: wall time, throughput, and the time-vs-length slope.
 
-The recurrence is linear in sequence length, so the fitted log-log slope of
-wall time against L should sit near 1 for the sequential kernel; the bench
-reports that exponent when more than one length is measured.  Error columns
-compare each implementation against the sequential oracle on the same
-inputs.
+Two rows per length: ``sequential``, the array oracle on inputs
+discretized beforehand, and ``op``, a ``selective_scan`` forward, which
+discretizes inside.  The recurrence is linear in sequence length, so the
+fitted log-log slope of wall time against L should sit near 1; the bench
+reports that exponent when more than one length is measured.  Error
+columns compare each row against the oracle on the same inputs.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import SplitMix64
-from .scan import DiscretizedParams, _discretize_arrays, scan_chunked, \
-    scan_sequential
+from .scan import discretize, scan_sequential, selective_scan
 
 __all__ = ["BenchRow", "run_bench", "fit_exponent", "format_table", "to_csv"]
 
-IMPLS = ("sequential", "chunked")
+IMPLS = ("sequential", "op")
 
 
 @dataclass
@@ -42,8 +42,7 @@ def _case(length: int, n: int, d: int, seed: int):
     b = -1.0 + 2.0 * r.uniform_array((length, n))
     delta = 0.01 + r.uniform_array((length, d))
     c = -1.0 + 2.0 * r.uniform_array((length, n))
-    a_bar, b_bar = _discretize_arrays(a, b, delta)
-    return x, DiscretizedParams(a_bar, b_bar), c
+    return x, a, b, c, delta
 
 
 def _time_call(fn, reps: int = 3) -> tuple[float, np.ndarray]:
@@ -56,17 +55,18 @@ def _time_call(fn, reps: int = 3) -> tuple[float, np.ndarray]:
     return best, out
 
 
-def run_bench(lengths, n: int, d: int, impls=IMPLS, chunk: int = 64,
+def run_bench(lengths, n: int, d: int, impls=IMPLS,
               seed: int = 0) -> list[BenchRow]:
     rows = []
     for i, length in enumerate(lengths):
-        x, dp, c = _case(length, n, d, seed + i)
-        oracle = scan_sequential(x, dp, c)
+        x, a, b, c, delta = _case(length, n, d, seed + i)
+        a_bar, b_bar = discretize(a, b, delta)
+        oracle = scan_sequential(x, a_bar, b_bar, c)
         for impl in impls:
             if impl == "sequential":
-                fn = lambda: scan_sequential(x, dp, c)
-            elif impl == "chunked":
-                fn = lambda: scan_chunked(x, dp, c, chunk=chunk)
+                fn = lambda: scan_sequential(x, a_bar, b_bar, c)
+            elif impl == "op":
+                fn = lambda: selective_scan(x, a, b, c, delta).data
             else:
                 raise ConfigError(f"unknown implementation '{impl}'")
             wall, out = _time_call(fn)

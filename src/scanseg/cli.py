@@ -4,7 +4,8 @@ Every run writes exactly one JSON manifest next to its outputs recording
 the subcommand, the resolved configuration, the seed, the artifact paths,
 the wall time, and the package version.  Exit codes: 0 success,
 1 validation failure (usage errors included), 2 I/O error, 3 numerical
-failure.
+failure, 4 internal error (any other exception; its traceback goes to
+stderr and the manifest).
 
 Heavy imports happen inside the command handlers so that ``--threads``,
 applied after parsing, can cap BLAS pools before numpy loads.
@@ -17,11 +18,13 @@ import json
 import os
 import sys
 import time
+import traceback
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -47,7 +50,8 @@ def _clean_config(config: dict) -> dict:
 
 def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
                     artifacts: list[str], wall_time: float,
-                    exit_code: int = 0, error: str | None = None) -> str:
+                    exit_code: int = 0, error: str | None = None,
+                    trace: str | None = None) -> str:
     from . import __version__
     manifest = {
         "subcommand": subcommand,
@@ -61,6 +65,8 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
     }
     if error is not None:
         manifest["error"] = error
+    if trace is not None:
+        manifest["traceback"] = trace
     os.makedirs(out_dir or ".", exist_ok=True)
     path = os.path.join(out_dir or ".", "manifest.json")
     with open(path, "w") as fh:
@@ -243,12 +249,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_scan_bench(args) -> int:
-    from .bench import fit_exponent, format_table, run_bench, to_csv
+    from .bench import IMPLS, fit_exponent, format_table, run_bench, to_csv
     t0 = time.perf_counter()
-    impls = args.impls.split(",")
     rows = run_bench(args.lengths, n=args.state_dim, d=args.channels,
-                     impls=impls, chunk=args.chunk, seed=args.seed)
-    exponents = {impl: fit_exponent(rows, impl) for impl in impls}
+                     seed=args.seed)
+    exponents = {impl: fit_exponent(rows, impl) for impl in IMPLS}
     table = format_table(rows, exponents)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "scan_bench.csv")
@@ -325,13 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="gradcheck_out")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("scan-bench", help="time the scan kernels")
+    p = sub.add_parser("scan-bench",
+                       help="time the scan oracle and the selective-scan op")
     p.add_argument("--lengths", type=int_list,
                    default="1024,2048,4096,8192,16384")
     p.add_argument("--state-dim", type=int, default=4)
     p.add_argument("--channels", type=int, default=4)
-    p.add_argument("--impls", default="sequential,chunked")
-    p.add_argument("--chunk", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="bench_out")
     p.set_defaults(func=cmd_scan_bench)
@@ -361,6 +365,7 @@ def main(argv=None) -> int:
     from .errors import (CheckpointError, ConfigError, DimensionError,
                          DomainError, GraphError, NetpbmError, NumericalError)
     t0 = time.perf_counter()
+    trace = None
     try:
         return args.func(args)
     except (ConfigError, DimensionError, DomainError, GraphError) as exc:
@@ -369,11 +374,17 @@ def main(argv=None) -> int:
         code, line = EXIT_NUMERIC, f"numerical failure: {exc}"
     except (OSError, NetpbmError, CheckpointError) as exc:
         code, line = EXIT_IO, f"i/o error: {exc}"
+    except Exception as exc:
+        code = EXIT_INTERNAL
+        line = f"internal error: {type(exc).__name__}: {exc}"
+        trace = traceback.format_exc()
     print(line, file=sys.stderr)
+    if trace is not None:
+        print(trace, file=sys.stderr, end="")
     try:
         _write_manifest(_manifest_dir(args), args.command, vars(args),
                         getattr(args, "seed", None), [],
-                        time.perf_counter() - t0, code, line)
+                        time.perf_counter() - t0, code, line, trace)
     except OSError:
         pass  # the output directory is what failed; the line above says so
     return code

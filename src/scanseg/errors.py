@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: validation/config problems exit 1,
-I/O and format problems exit 2, numerical failures exit 3.
+I/O and format problems exit 2, numerical failures exit 3; any other
+exception is an internal error and exits 4.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ class DimensionError(ScansegError, ValueError):
 
 
 class ConfigError(ScansegError, ValueError):
-    """Invalid configuration value (kernel extents, chunk sizes, ...)."""
+    """Invalid configuration value (kernel extents, model sizes, ...)."""
 
 
 class DomainError(ScansegError, ValueError):

@@ -35,34 +35,27 @@ scans from the last position to the first by running the same code on
 flipped views, so it copies nothing.
 
 Inside a block the recurrence runs as a plain loop, ``_scan_loop``: two
-numpy calls per position on contiguous (..., N, D) slices.  The chunked
-prefix kernel ``_scan_chunked`` advances all chunks together one in-chunk
-offset at a time from a zero state (also forming each chunk's running
-product of a), resolves the state entering each chunk in a short
-sequential pass, and adds each chunk's carried-in state times its running
-products; it serves ``scan_chunked`` only, since at the model's step widths
-(prod(lead) * D * N from 64 to 2048) it did not beat the loop end to end.
+numpy calls per position on contiguous (..., N, D) slices.  It is the op's
+one kernel: a chunked prefix kernel was measured at the model's step
+widths (prod(lead) * D * N from 64 to 2048) and did not beat it end to end.
 
-The array oracle is ``discretize_zoh`` (delta > 0) or ``_discretize_arrays``
-(unchecked) followed by ``scan_sequential``, an allocate-per-step loop that
-shares no code with the op's kernels; ``scan_chunked`` matches it up to
-floating-point reassociation.
+The array reference is ``discretize``, which keeps the op's delta >= 0
+rule, followed by ``scan_sequential``, an allocate-per-step loop over
+(..., L, D, N) arrays that shares no code with the op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, _unbroadcast, matmul, softplus
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .nn import Module, param
 from .rng import SplitMix64
 
 __all__ = [
-    "SSMParams", "DiscretizedParams", "make_input_params",
-    "discretize_zoh", "scan_sequential", "scan_chunked", "selective_scan",
+    "SSMParams", "make_input_params", "discretize", "scan_sequential",
+    "selective_scan",
 ]
 
 BLOCK = 256   # positions per block; one state per block is kept for backward
@@ -98,13 +91,6 @@ class SSMParams(Module):
         return -self.a_log.exp()
 
 
-@dataclass
-class DiscretizedParams:
-    """Per-position discretized transition and input maps, (..., L, D, N)."""
-    a_bar: object
-    b_bar: object
-
-
 def make_input_params(x: Tensor, p: SSMParams):
     """Input-dependent B, C, delta for a sequence x of shape (..., L, D)."""
     if x.shape[-1] != p.channels:
@@ -116,47 +102,18 @@ def make_input_params(x: Tensor, p: SSMParams):
     return b, c, delta
 
 
-def _discretize_arrays(a: np.ndarray, b: np.ndarray, delta: np.ndarray):
-    """Kernel-level discretization on raw arrays, no domain checks.
+def discretize(a, b, delta):
+    """Array oracle's discretization: a_bar = exp(delta*A), b_bar = delta*B.
 
-    a: (..., D, N), b: (..., L, N), delta: (..., L, D); returns
-    a_bar, b_bar of shape (..., L, D, N).
+    a: (..., D, N), b: (..., L, N), delta: (..., L, D) with delta >= 0, the
+    op's rule; returns a_bar, b_bar of shape (..., L, D, N).
     """
+    a, b, delta = np.asarray(a), np.asarray(b), np.asarray(delta)
+    if np.any(delta < 0):
+        raise DomainError("delta must be non-negative")
     a_bar = np.exp(delta[..., :, :, None] * a[..., None, :, :])
     b_bar = delta[..., :, :, None] * b[..., :, None, :]
     return a_bar, b_bar
-
-
-def discretize_zoh(a, b, delta) -> DiscretizedParams:
-    """Array oracle: discretize (A, B) with timescale delta > 0.
-
-    a_bar = exp(delta*A) elementwise; b_bar uses the first-order rule
-    delta*B.  The model path discretizes inside ``selective_scan`` instead.
-    """
-    a, b, delta = np.asarray(a), np.asarray(b), np.asarray(delta)
-    if np.any(delta <= 0):
-        raise DomainError("delta must be strictly positive")
-    a_bar, b_bar = _discretize_arrays(a, b, delta)
-    return DiscretizedParams(a_bar=a_bar, b_bar=b_bar)
-
-
-def _emit(c: np.ndarray, h: np.ndarray, x: np.ndarray, d_skip) -> np.ndarray:
-    """y_k = C_k . h_k (+ d_skip * x_k)."""
-    y = np.einsum("...ln,...ldn->...ld", c, h)
-    if d_skip is not None:
-        y = y + d_skip * x
-    return y
-
-
-def _scan_core_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference recurrence h_k = a_k h_{k-1} + b_k from h_{-1} = 0."""
-    length = a.shape[-3]
-    h = np.zeros(a.shape[:-3] + a.shape[-2:], dtype=a.dtype)
-    out = np.empty_like(a)
-    for k in range(length):
-        h = a[..., k, :, :] * h + b[..., k, :, :]
-        out[..., k, :, :] = h
-    return out
 
 
 def _scan_loop(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> None:
@@ -170,67 +127,32 @@ def _scan_loop(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> None:
         prev = bt
 
 
-def _scan_chunked(a: np.ndarray, b: np.ndarray, h0: np.ndarray,
-                  size: int) -> None:
-    """``_scan_loop`` with the first len(a) // size * size steps in chunks;
-    see the module docstring for the three phases."""
-    n = len(a) // size
-    full = n * size
-    if n:
-        # Splitting axis 0 is always a view, so the writes below reach b.
-        shape = (n, size) + a.shape[1:]
-        ac, bc = a[:full].reshape(shape), b[:full].reshape(shape)
-        # Phase 1: all chunks advanced together from a zero state; p holds
-        # each chunk's running product of a.
-        p = np.empty(shape, dtype=a.dtype)
-        p[:, 0] = ac[:, 0]
-        tmp = np.empty(shape[:1] + shape[2:], dtype=a.dtype)
-        for s in range(1, size):
-            np.multiply(ac[:, s], bc[:, s - 1], out=tmp)
-            np.add(bc[:, s], tmp, out=bc[:, s])
-            np.multiply(ac[:, s], p[:, s - 1], out=p[:, s])
-        # Phase 2: the state entering each chunk, one chunk at a time.
-        carry = np.empty_like(tmp)
-        carry[0] = h0
-        for k in range(1, n):
-            np.multiply(p[k - 1, -1], carry[k - 1], out=carry[k])
-            np.add(carry[k], bc[k - 1, -1], out=carry[k])
-        # Phase 3: each chunk's partial states plus its carried-in state.
-        np.multiply(p, carry[:, None], out=p)
-        np.add(bc, p, out=bc)
-        h0 = b[full - 1]
-    _scan_loop(a[full:], b[full:], h0)
+def scan_sequential(x, a_bar, b_bar, c, d_skip=None):
+    """Oracle realization of the recurrence; forward only.
 
-
-def _check_scan_shapes(x, a_bar, b_bar, c):
-    if x.shape[-2:] != a_bar.shape[-3:-1] or a_bar.shape != b_bar.shape:
+    x is (..., L, D), a_bar and b_bar (..., L, D, N), c (..., L, N); returns
+    y_k = C_k . h_k (+ d_skip * x_k) with h_k = a_bar_k h_{k-1} +
+    b_bar_k x_k from h_{-1} = 0.
+    """
+    xa, aa, ba, ca = map(np.asarray, (x, a_bar, b_bar, c))
+    if xa.shape[-2:] != aa.shape[-3:-1] or aa.shape != ba.shape:
         raise DimensionError(
-            f"scan shapes disagree: x {x.shape}, a_bar {a_bar.shape}, "
-            f"b_bar {b_bar.shape}")
-    if c.shape[-2] != x.shape[-2] or c.shape[-1] != a_bar.shape[-1]:
+            f"scan shapes disagree: x {xa.shape}, a_bar {aa.shape}, "
+            f"b_bar {ba.shape}")
+    if ca.shape[-2] != xa.shape[-2] or ca.shape[-1] != aa.shape[-1]:
         raise DimensionError(
-            f"C shape {c.shape} does not match x {x.shape} / state "
-            f"{a_bar.shape}")
-
-
-def scan_sequential(x, dp: DiscretizedParams, c, d_skip=None):
-    """Oracle realization of the recurrence; forward only."""
-    xa, aa, ba, ca = map(np.asarray, (x, dp.a_bar, dp.b_bar, c))
-    _check_scan_shapes(xa, aa, ba, ca)
-    h = _scan_core_loop(aa, ba * xa[..., :, :, None])
-    return _emit(ca, h, xa, d_skip)
-
-
-def scan_chunked(x, dp: DiscretizedParams, c, d_skip=None, chunk: int = 64):
-    """Chunked scan; equals the oracle up to floating-point reassociation."""
-    if chunk < 1:
-        raise ConfigError(f"chunk must be a positive int, got {chunk}")
-    xa, aa, ba, ca = map(np.asarray, (x, dp.a_bar, dp.b_bar, c))
-    _check_scan_shapes(xa, aa, ba, ca)
-    h = ba * xa[..., :, :, None]
-    _scan_chunked(np.moveaxis(aa, -3, 0), np.moveaxis(h, -3, 0),
-                  np.zeros_like(h[..., 0, :, :]), chunk)
-    return _emit(ca, h, xa, d_skip)
+            f"C shape {ca.shape} does not match x {xa.shape} / state "
+            f"{aa.shape}")
+    bx = ba * xa[..., :, :, None]
+    h = np.zeros(aa.shape[:-3] + aa.shape[-2:])
+    hs = np.empty_like(bx)
+    for k in range(aa.shape[-3]):
+        h = aa[..., k, :, :] * h + bx[..., k, :, :]
+        hs[..., k, :, :] = h
+    y = np.einsum("...ln,...ldn->...ld", ca, hs)
+    if d_skip is not None:
+        y = y + d_skip * xa
+    return y
 
 
 def _check_op_shapes(x, a, b, c, delta, d_skip):

@@ -22,9 +22,8 @@ def report(name: str, detail: str):
 
 # ----------------------------------------------------------- 1: scan oracle
 
-def test_criterion_1_scan_oracle_equivalence():
-    from scanseg.scan import (DiscretizedParams, _discretize_arrays,
-                              scan_chunked, scan_sequential)
+def test_criterion_1_scan_oracle_equivalence(monkeypatch):
+    from scanseg import scan
     t0 = time.perf_counter()
     r = SplitMix64(1001)
     worst = 0.0
@@ -38,12 +37,13 @@ def test_criterion_1_scan_oracle_equivalence():
         b = -1.0 + 2.0 * rr.uniform_array((L, N))
         delta = 0.01 + rr.uniform_array((L, D))
         c = -1.0 + 2.0 * rr.uniform_array((L, N))
-        a_bar, b_bar = _discretize_arrays(a, b, delta)
-        dp = DiscretizedParams(a_bar, b_bar)
+        a_bar, b_bar = scan.discretize(a, b, delta)
         d_skip = rr.uniform_array((D,)) if case % 2 else None
-        y_ref = scan_sequential(x, dp, c, d_skip)
-        for chunk in (1, 2, 3, 8, L):
-            y = scan_chunked(x, dp, c, d_skip, chunk=chunk)
+        y_ref = scan.scan_sequential(x, a_bar, b_bar, c, d_skip)
+        for block in (1, 2, 3, 8, L):
+            # Patched so that these short sequences cross block boundaries.
+            monkeypatch.setattr(scan, "BLOCK", block)
+            y = scan.selective_scan(x, a, b, c, delta, d_skip).data
             rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -74,19 +74,19 @@ def test_criterion_2_gradient_suite():
 # ------------------------------------------------- 3: discretization identities
 
 def test_criterion_3_discretization_identities():
-    from scanseg.scan import _discretize_arrays, discretize_zoh
+    from scanseg.scan import discretize
     a = -0.05 - 2.0 * SplitMix64(3001).uniform_array((3, 4))
     b = -1.0 + 2.0 * SplitMix64(3002).uniform_array((5, 4))
-    a_bar, b_bar = _discretize_arrays(a, b, np.zeros((5, 3)))
+    a_bar, b_bar = discretize(a, b, np.zeros((5, 3)))
     assert np.max(np.abs(a_bar - 1.0)) < 1e-12
     assert np.max(np.abs(b_bar)) < 1e-12
     tiny = np.full((5, 3), 1e-13)
-    dp = discretize_zoh(a, b, tiny)
-    assert np.max(np.abs(dp.a_bar - 1.0)) < 1e-12
-    assert np.max(np.abs(dp.b_bar)) < 1e-12
-    dp = discretize_zoh(np.array([[-1.0]]), np.array([[1.0]]),
-                        np.array([[math.log(2.0)]]))
-    assert abs(dp.a_bar[0, 0, 0] - 0.5) < 1e-15
+    a_bar, b_bar = discretize(a, b, tiny)
+    assert np.max(np.abs(a_bar - 1.0)) < 1e-12
+    assert np.max(np.abs(b_bar)) < 1e-12
+    a_bar, _ = discretize(np.array([[-1.0]]), np.array([[1.0]]),
+                          np.array([[math.log(2.0)]]))
+    assert abs(a_bar[0, 0, 0] - 0.5) < 1e-15
     report("criterion 3 (discretization identities)",
            "delta->0 gives A_bar->1, B_bar->0 within 1e-12; "
            "A=-1, delta=ln2 gives A_bar=0.5 within 1e-15")

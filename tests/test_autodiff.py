@@ -140,15 +140,24 @@ def test_layer_norm_gradients():
 def test_silu_values():
     assert silu(Tensor(0.0)).item() == 0.0
     assert abs(silu(Tensor(1.0)).item() - 0.7310585786300049) < 1e-15
+    # The sigmoid under silu, sigmoid and softplus at its extremes: signed
+    # zeros and tiny values, exp overflow (709/710) and underflow
+    # (-745 is subnormal, -746 is 0) of the naive forms, infinities, nan.
+    xs = np.array([0.0, -0.0, 1e-300, -1e-300, 709.0, 710.0, 800.0, np.inf,
+                   -745.0, -746.0, -800.0, -np.inf, np.nan])
+    expect = [0.5] * 4 + [1.0] * 4 + [np.exp(-745.0), 0.0, 0.0, 0.0, np.nan]
+    assert np.array_equal(sigmoid(Tensor(xs)).data, expect, equal_nan=True)
 
 
 def test_structural_inverses_bitwise():
     a = rand((3, 4), seed=15)
     b = rand((2, 4), seed=16)
     ta, tb = Tensor(a), Tensor(b)
-    back = split(concat([ta, tb], axis=0), [3, 2], axis=0)
+    joined = concat([ta, tb], axis=0)
+    back = split(joined, [3, 2], axis=0)
     assert np.array_equal(back[0].data, a)
     assert np.array_equal(back[1].data, b)
+    assert all(np.shares_memory(p.data, joined.data) for p in back)  # views
     t = Tensor(a)
     assert np.array_equal(t.flip(0).flip(0).data, a)
     assert np.array_equal(t.transpose((1, 0)).transpose((1, 0)).data, a)

@@ -111,6 +111,55 @@ def test_corrupt_image_exit_2(workspace, tmp_path):
                 "--out", tmp_path / "o.pgm"]) == 2
 
 
+def test_infer_16bit_xmod_exit_0_truncated_exit_2(workspace, tmp_path,
+                                                  capsys):
+    from scanseg.netpbm import read_pgm, write_pgm
+    ds = workspace["ds"]
+    x16 = tmp_path / "x16.pgm"
+    write_pgm(str(x16), read_pgm(str(ds / "x" / "00000.pgm")), maxval=65535)
+    args = ["infer", "--ckpt", workspace["ckpt"],
+            "--rgb", ds / "rgb" / "00000.ppm", "--out", tmp_path / "o.pgm"]
+    assert run(args + ["--x", x16]) == 0
+    capsys.readouterr()
+    cut = tmp_path / "cut.pgm"
+    cut.write_bytes(x16.read_bytes()[:-7])
+    assert run(args + ["--x", cut]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("i/o error: payload truncated")
+
+
+def test_missing_model_config_exit_2_naming_it(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    shutil.copy(workspace["ckpt"], ckpt)
+    assert run(["infer", "--ckpt", ckpt, "--rgb",
+                workspace["ds"] / "rgb" / "00000.ppm",
+                "--out", tmp_path / "o.pgm"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("i/o error: ") and f"{ckpt}.config.json" in err
+
+
+def test_unexpected_exception_exit_4_with_traceback(tmp_path, capsys,
+                                                    monkeypatch):
+    from scanseg import cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_synth", boom)
+    out = tmp_path / "s"
+    assert run(["synth", "--out", out, "--count", 1]) == 4
+    line = "internal error: RuntimeError: boom"
+    err = capsys.readouterr().err
+    assert err.startswith(line + "\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: boom")
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["status"] == "error" and manifest["exit_code"] == 4
+    assert manifest["error"] == line
+    assert manifest["traceback"] == err[len(line) + 1:]
+
+
 def test_validation_errors_exit_1(tmp_path):
     assert run(["synth", "--out", tmp_path / "x", "--count", 2,
                 "--kappa", "1.5"]) == 1
@@ -251,11 +300,12 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
 
 
 def test_chunked_bench_error_column_small(tmp_path):
+    # The op row's error column, against the oracle on the same inputs.
     out = tmp_path / "bench_err"
-    assert run(["scan-bench", "--lengths", "512", "--impls", "chunked",
-                "--chunk", 32, "--out-dir", out]) == 0
-    row = open(out / "scan_bench.csv").read().strip().split("\n")[1]
-    assert float(row.split(",")[-1]) < 1e-10
+    assert run(["scan-bench", "--lengths", "512", "--out-dir", out]) == 0
+    rows = open(out / "scan_bench.csv").read().strip().split("\n")[1:]
+    op = [r.split(",") for r in rows if r.split(",")[3] == "op"]
+    assert len(op) == 1 and float(op[0][-1]) < 1e-10
 
 
 def test_threads_flag_accepted(tmp_path):

@@ -108,8 +108,7 @@ def test_stub_identity_scan_doubles_joined_sequence():
 def test_underflowed_delta_matches_oracle():
     # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
     # both generators: a_bar = 1 and b_bar = 0 there, so the state holds.
-    from scanseg.scan import (DiscretizedParams, _discretize_arrays,
-                              scan_sequential)
+    from scanseg.scan import discretize, scan_sequential
     blk = MMFFBlock(channels=2, state=3, rng=SplitMix64(29))
     for gen in (blk.gen_a, blk.gen_b):
         gen.delta_bias.data[0] = -1000.0
@@ -123,15 +122,14 @@ def test_underflowed_delta_matches_oracle():
     y = _bidirectional_scan(blk, *inputs).data
     x, _, b, c, delta = (t.data for t in inputs)
     assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
-    halves = [_discretize_arrays(gen.state_matrix().data, b[s], delta[s])
+    halves = [discretize(gen.state_matrix().data, b[s], delta[s])
               for gen, s in ((blk.gen_a, slice(0, 6)),
                              (blk.gen_b, slice(6, 12)))]
     a_bar = np.concatenate([h[0] for h in halves])
     b_bar = np.concatenate([h[1] for h in halves])
     assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
-    fwd = scan_sequential(x, DiscretizedParams(a_bar, b_bar), c)
-    rev = scan_sequential(x[::-1], DiscretizedParams(a_bar[::-1],
-                                                     b_bar[::-1]), c[::-1])
+    fwd = scan_sequential(x, a_bar, b_bar, c)
+    rev = scan_sequential(x[::-1], a_bar[::-1], b_bar[::-1], c[::-1])
     expect = fwd + rev[::-1]
     rel = np.max(np.abs(y - expect) / (np.abs(expect) + 1e-12))
     assert rel <= 1e-10, rel

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from scanseg.autodiff import Tensor
-from scanseg.errors import ConfigError, DimensionError, DomainError
+from scanseg.errors import DimensionError, DomainError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
-from scanseg.scan import (DiscretizedParams, SSMParams, _discretize_arrays,
-                          discretize_zoh, make_input_params,
-                          scan_chunked, scan_sequential, selective_scan)
+from scanseg.scan import (SSMParams, discretize, make_input_params,
+                          scan_sequential, selective_scan)
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -29,10 +28,9 @@ def random_op_case(seed, L, N, D):
 
 
 def random_scan_case(seed, L, N, D):
-    """The same case discretized for the array oracle: (x, dp, C)."""
+    """The same case discretized for the array oracle: (x, a_bar, b_bar, C)."""
     x, a, b, c, delta = random_op_case(seed, L, N, D)
-    a_bar, b_bar = _discretize_arrays(a, b, delta)
-    return x, DiscretizedParams(a_bar, b_bar), c
+    return (x, *discretize(a, b, delta), c)
 
 
 # ---------------------------------------------------------------- params
@@ -84,29 +82,29 @@ def test_input_params_channel_mismatch():
 # ---------------------------------------------------------------- discretization
 
 def test_discretize_zero_delta_boundary():
-    # Kernel-level call bypasses the positivity precondition on purpose.
+    # Zero is the domain's limit: the state holds.
     a = rand((2, 3), seed=8, lo=-2.0, hi=-0.1)
     b = rand((4, 3), seed=9)
-    a_bar, b_bar = _discretize_arrays(a, b, np.zeros((4, 2)))
+    a_bar, b_bar = discretize(a, b, np.zeros((4, 2)))
     assert np.allclose(a_bar, 1.0, atol=1e-12)
     assert np.allclose(b_bar, 0.0, atol=1e-12)
 
 
 def test_discretize_closed_form_half():
-    dp = discretize_zoh(np.array([[-1.0]]), np.array([[1.0]]),
-                        np.array([[math.log(2.0)]]))
-    assert abs(dp.a_bar[0, 0, 0] - 0.5) < 1e-15
+    a_bar, _ = discretize(np.array([[-1.0]]), np.array([[1.0]]),
+                          np.array([[math.log(2.0)]]))
+    assert abs(a_bar[0, 0, 0] - 0.5) < 1e-15
 
 
 def test_discretize_first_order_b():
-    dp = discretize_zoh(np.array([[-1.0]]), np.array([[3.0]]),
-                        np.array([[1.0]]))
-    assert dp.b_bar[0, 0, 0] == 3.0
+    _, b_bar = discretize(np.array([[-1.0]]), np.array([[3.0]]),
+                          np.array([[1.0]]))
+    assert b_bar[0, 0, 0] == 3.0
 
 
-def test_discretize_rejects_nonpositive_delta():
+def test_discretize_rejects_negative_delta():
     with pytest.raises(DomainError):
-        discretize_zoh(np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+        discretize(np.array([[-1.0]]), np.array([[1.0]]), np.array([[-0.5]]))
     with pytest.raises(DomainError):
         selective_scan(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]]),
                        Tensor([[1.0]]), Tensor([[-0.5]]))
@@ -116,23 +114,23 @@ def test_discretize_stability_range():
     a = rand((3, 4), seed=10, lo=-3.0, hi=-0.01)
     b = rand((6, 4), seed=11)
     delta = rand((6, 3), seed=12, lo=1e-4, hi=2.0)
-    dp = discretize_zoh(a, b, delta)
-    assert np.all(dp.a_bar > 0) and np.all(dp.a_bar <= 1.0)
-    assert np.allclose(dp.b_bar, delta[:, :, None] * b[:, None, :])
+    a_bar, b_bar = discretize(a, b, delta)
+    assert np.all(a_bar > 0) and np.all(a_bar <= 1.0)
+    assert np.allclose(b_bar, delta[:, :, None] * b[:, None, :])
 
 
 # ---------------------------------------------------------------- sequential oracle
 
 def test_scan_single_step_formula():
-    x, dp, c = random_scan_case(13, L=1, N=3, D=2)
-    y = scan_sequential(x, dp, c)
-    expect = np.einsum("n,dn,d->d", c[0], dp.b_bar[0], x[0])
+    x, a_bar, b_bar, c = random_scan_case(13, L=1, N=3, D=2)
+    y = scan_sequential(x, a_bar, b_bar, c)
+    expect = np.einsum("n,dn,d->d", c[0], b_bar[0], x[0])
     assert np.allclose(y[0], expect, atol=1e-14)
 
 
 def test_scan_zero_input():
-    x, dp, c = random_scan_case(14, L=5, N=2, D=3)
-    y = scan_sequential(np.zeros_like(x), dp, c)
+    x, a_bar, b_bar, c = random_scan_case(14, L=5, N=2, D=3)
+    y = scan_sequential(np.zeros_like(x), a_bar, b_bar, c)
     assert np.array_equal(y, np.zeros_like(x))
 
 
@@ -147,7 +145,7 @@ def test_scan_golden_hand_unrolled_table():
                        [-0.6321205588285577],
                        [-0.38249690258459546],
                        [-1.8249321199741362]])
-    y = scan_sequential(x, discretize_zoh(a, b, delta), c)
+    y = scan_sequential(x, *discretize(a, b, delta), c)
     assert np.allclose(y, golden, rtol=0, atol=1e-15)
 
     # Independent scalar re-derivation of the same table.
@@ -159,62 +157,11 @@ def test_scan_golden_hand_unrolled_table():
 
 
 def test_scan_with_skip_term():
-    x, dp, c = random_scan_case(15, L=6, N=2, D=3)
+    x, a_bar, b_bar, c = random_scan_case(15, L=6, N=2, D=3)
     d_skip = rand((3,), seed=16)
-    y0 = scan_sequential(x, dp, c)
-    y1 = scan_sequential(x, dp, c, d_skip=d_skip)
+    y0 = scan_sequential(x, a_bar, b_bar, c)
+    y1 = scan_sequential(x, a_bar, b_bar, c, d_skip=d_skip)
     assert np.allclose(y1, y0 + d_skip * x, atol=1e-14)
-
-
-# ---------------------------------------------------------------- chunked scan
-
-def test_chunked_equals_sequential_bitwise_at_full_chunk():
-    x, dp, c = random_scan_case(17, L=12, N=3, D=2)
-    y_seq = scan_sequential(x, dp, c)
-    y_chu = scan_chunked(x, dp, c, chunk=12)
-    assert np.array_equal(y_seq, y_chu)
-
-
-def test_chunked_chunk_one_close():
-    x, dp, c = random_scan_case(18, L=9, N=2, D=2)
-    y_seq = scan_sequential(x, dp, c)
-    y_chu = scan_chunked(x, dp, c, chunk=1)
-    rel = np.max(np.abs(y_seq - y_chu) / (np.abs(y_seq) + 1e-12))
-    assert rel < 1e-12
-
-
-def test_chunked_rejects_bad_chunk():
-    x, dp, c = random_scan_case(19, L=4, N=2, D=1)
-    with pytest.raises(ConfigError):
-        scan_chunked(x, dp, c, chunk=0)
-
-
-def test_chunked_oracle_sweep():
-    r = SplitMix64(20)
-    worst = 0.0
-    for case in range(100):
-        L = r.randint(1, 64)
-        N = r.randint(1, 16)
-        D = r.randint(1, 8)
-        x, dp, c = random_scan_case(1000 + case, L, N, D)
-        d_skip = rand((D,), seed=2000 + case) if case % 3 == 0 else None
-        y_seq = scan_sequential(x, dp, c, d_skip)
-        for chunk in (1, 2, 3, 8, L):
-            y_chu = scan_chunked(x, dp, c, d_skip, chunk=chunk)
-            rel = np.max(np.abs(y_seq - y_chu) / (np.abs(y_seq) + 1e-12))
-            worst = max(worst, rel)
-    assert worst < 1e-10, worst
-
-
-def test_chunked_batched_leading_dims():
-    x, dp, c = random_scan_case(21, L=10, N=3, D=2)
-    xs = np.stack([x, 2 * x])
-    dps = DiscretizedParams(np.stack([dp.a_bar] * 2), np.stack([dp.b_bar] * 2))
-    cs = np.stack([c, c])
-    ys = scan_chunked(xs, dps, cs, chunk=4)
-    y0 = scan_chunked(x, dp, c, chunk=4)
-    assert np.allclose(ys[0], y0, atol=1e-14)
-    assert np.allclose(ys[1], 2 * y0, atol=1e-13)
 
 
 # ---------------------------------------------------------------- adjoint
@@ -310,21 +257,19 @@ def test_selective_scan_rejects_shape_mismatch():
 
 
 def _op_oracle(x, a, b, c, delta, d_skip):
-    """scan_sequential on _discretize_arrays inputs; ``a`` is (D, N) or a
+    """scan_sequential on discretize inputs; ``a`` is (D, N) or a
     per-position (L, D, N), which is discretized as L length-1 sequences."""
     if a.ndim == 2:
-        a_bar, b_bar = _discretize_arrays(a, b, delta)
+        a_bar, b_bar = discretize(a, b, delta)
     else:
-        a_bar, b_bar = _discretize_arrays(a, b[..., None, :],
-                                          delta[..., None, :])
+        a_bar, b_bar = discretize(a, b[..., None, :], delta[..., None, :])
         a_bar, b_bar = a_bar[..., 0, :, :], b_bar[..., 0, :, :]
-    return scan_sequential(x, DiscretizedParams(a_bar, b_bar), c, d_skip)
+    return scan_sequential(x, a_bar, b_bar, c, d_skip)
 
 
 def test_selective_scan_oracle_sweep():
-    # L = 1, L shorter than a chunk (13) or not a multiple of one (65, 100,
-    # 200), each crossed with leading dims and a shared or per-position A;
-    # every other case keeps d_skip.
+    # L from 1 to 200, each crossed with leading dims and a shared or
+    # per-position A; every other case keeps d_skip.
     r = SplitMix64(35)
     worst, case = 0.0, 0
     for L in (1, 13, 64, 65, 100, 200):
@@ -369,10 +314,10 @@ def _broadcast_oracle(x, a, b, c, delta, d_skip, reverse):
     a_bar = np.exp(delta[..., None] * a)
     b_bar = delta[..., None] * b[..., None, :]
     if not reverse:
-        return scan_sequential(x, DiscretizedParams(a_bar, b_bar), c, d_skip)
+        return scan_sequential(x, a_bar, b_bar, c, d_skip)
     a_bar = np.broadcast_to(a_bar, b_bar.shape)
-    dp = DiscretizedParams(np.flip(a_bar, -3), np.flip(b_bar, -3))
-    y = scan_sequential(np.flip(x, -2), dp, np.flip(c, -2), d_skip)
+    y = scan_sequential(np.flip(x, -2), np.flip(a_bar, -3), np.flip(b_bar, -3),
+                        np.flip(c, -2), d_skip)
     return np.flip(y, -2)
 
 
@@ -474,26 +419,25 @@ def test_stability_long_scan_no_nan():
     a = -0.01 - 2.0 * r.uniform_array((D, N))
     b = -1.0 + 2.0 * r.uniform_array((L, N))
     delta = 0.001 + r.uniform_array((L, D))
-    dp = discretize_zoh(a, b, delta)
-    y = scan_chunked(x, dp, c=b, chunk=64)
+    y = selective_scan(x, a, b, b, delta).data
     assert np.all(np.isfinite(y))
 
 
 def test_linearity_in_input_without_skip():
-    x1, dp, c = random_scan_case(30, L=16, N=4, D=3)
-    x2, _, _ = random_scan_case(31, L=16, N=4, D=3)
+    x1, *abc = random_scan_case(30, L=16, N=4, D=3)
+    x2 = random_scan_case(31, L=16, N=4, D=3)[0]
     alpha, beta = 0.7, -1.3
-    y_mix = scan_sequential(alpha * x1 + beta * x2, dp, c)
-    y_sep = alpha * scan_sequential(x1, dp, c) + beta * scan_sequential(x2, dp, c)
+    y_mix = scan_sequential(alpha * x1 + beta * x2, *abc)
+    y_sep = alpha * scan_sequential(x1, *abc) + beta * scan_sequential(x2, *abc)
     rel = np.max(np.abs(y_mix - y_sep) / (np.abs(y_sep) + 1e-12))
     assert rel < 1e-10
 
 
 def test_causality_by_perturbation():
-    x, dp, c = random_scan_case(32, L=10, N=3, D=2)
-    y0 = scan_sequential(x, dp, c)
+    x, *abc = random_scan_case(32, L=10, N=3, D=2)
+    y0 = scan_sequential(x, *abc)
     x2 = x.copy()
     x2[7:] += 10.0
-    y1 = scan_sequential(x2, dp, c)
+    y1 = scan_sequential(x2, *abc)
     assert np.array_equal(y0[:7], y1[:7])
     assert not np.allclose(y0[7:], y1[7:])

@@ -174,7 +174,7 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     # it with the shared parameters, flip the output back, and restore grid
     # order with direction 1's inverse permutation.  The permutations are
     # the test's own oracle tables.
-    from scanseg.scan import (SSMParams, discretize_zoh, make_input_params,
+    from scanseg.scan import (SSMParams, discretize, make_input_params,
                               scan_sequential)
     params = SSMParams(channels=2, state=3, rng=SplitMix64(14))
     f = rand((3, 4, 2), seed=15)
@@ -184,8 +184,9 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
 
     def run(x):
         b, c, delta = make_input_params(Tensor(x), params)
-        dp = discretize_zoh(params.state_matrix().data, b.data, delta.data)
-        return scan_sequential(x, dp, c.data)
+        a_bar, b_bar = discretize(params.state_matrix().data, b.data,
+                                  delta.data)
+        return scan_sequential(x, a_bar, b_bar, c.data)
 
     y2 = run(seqs[1])
     grid_dir2 = np.take(y2, invs[1], axis=0)
@@ -197,8 +198,7 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
 def test_ss2d_underflowed_delta_matches_oracle():
     # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
     # every direction: a_bar = 1 and b_bar = 0 there, so the state holds.
-    from scanseg.scan import (DiscretizedParams, _discretize_arrays,
-                              make_input_params, scan_sequential)
+    from scanseg.scan import discretize, make_input_params, scan_sequential
     blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(23))
     for p in blk.directions:
         p.delta_bias.data[0] = -1000.0
@@ -211,9 +211,9 @@ def test_ss2d_underflowed_delta_matches_oracle():
     for seq, p in zip(seqs, blk.directions):
         b, c, delta = (t.data for t in make_input_params(Tensor(seq), p))
         assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
-        a_bar, b_bar = _discretize_arrays(p.state_matrix().data, b, delta)
+        a_bar, b_bar = discretize(p.state_matrix().data, b, delta)
         assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
-        ys.append(scan_sequential(seq, DiscretizedParams(a_bar, b_bar), c))
+        ys.append(scan_sequential(seq, a_bar, b_bar, c))
     expect = blk.out_norm(cross_merge(Tensor(np.stack(ys)), 3, 4)).data
     rel = np.max(np.abs(out - expect) / (np.abs(expect) + 1e-12))
     assert rel <= 1e-10, rel
