@@ -240,6 +240,25 @@ def test_eval_without_samples_exit_1_with_manifest(workspace, tmp_path,
     assert manifest["status"] == "error" and manifest["error"] == err.strip()
 
 
+def test_eval_nan_weight_exit_3_with_manifest(workspace, tmp_path, capsys):
+    from scanseg.model import Model
+    model = Model.from_checkpoint(str(workspace["ckpt"]))
+    params = dict(model.named_parameters())
+    params["decoder.head.proj.bias"].data[...] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    model.save_checkpoint(str(ckpt))
+    out = tmp_path / "out"
+    assert run(["eval", "--ckpt", ckpt, "--data", workspace["ds"],
+                "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: prediction holds ")
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["status"] == "error" and manifest["exit_code"] == 3
+    assert manifest["error"] == err.strip()
+    assert os.listdir(out) == ["manifest.json"]
+
+
 def test_eval_stem_size_mismatch_exit_1(workspace, tmp_path, capsys):
     from scanseg.data import save_pair
     from scanseg.netpbm import write_pgm

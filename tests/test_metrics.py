@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scanseg.errors import DimensionError, DomainError
+from scanseg.errors import DimensionError, DomainError, NumericalError
+from scanseg import metrics
 from scanseg.metrics import (MetricsReport, SaliencyPair, binary_iou,
                              confusion_matrix, e_measure, evaluate_saliency,
                              evaluate_semantic, miou_macc, nearest_foreground,
@@ -274,6 +276,84 @@ def test_nearest_foreground_matches_brute_force():
                 assert et[i, j] == e[y, x]
 
 
+def nearest_foreground_oracle(gt, e):
+    """Lexicographic minimum of (dist^2, error) over every foreground pixel."""
+    fy, fx = np.nonzero(gt)
+    ef = e[fy, fx]
+    rows, cols = gt.shape
+    d2 = np.empty((rows, cols), dtype=np.int64)
+    et = np.empty((rows, cols))
+    xs = np.arange(cols)[:, None]
+    for i in range(rows):
+        dist = (i - fy) ** 2 + (xs - fx) ** 2
+        d2[i] = dist.min(axis=1)
+        et[i] = np.where(dist == d2[i][:, None], ef, np.inf).min(axis=1)
+    return d2, et
+
+
+def _oracle_case(name, seed):
+    r = SplitMix64(seed)
+    shape = (64, 64) if name.startswith("64") else (40, 57)
+    if name.startswith(("40", "64")):
+        density = float(name.split("@")[1])
+        gt = r.uniform_array(shape) < density
+    else:
+        gt = np.zeros(shape, dtype=bool)
+        if name == "single-pixel":
+            gt[17, 31] = True
+        elif name == "border-row":
+            gt[-1] = r.uniform_array(shape[1]) < 0.3
+        elif name == "border-column":
+            gt[:, 0] = r.uniform_array(shape[0]) < 0.3
+        else:  # one foreground column
+            gt[:, 20] = True
+    e = r.uniform_array(shape)
+    # About 30% of the errors share one value, so distance ties meet equal
+    # errors as well as unequal ones.
+    e[r.uniform_array(shape) < 0.3] = r.uniform()
+    return gt, e
+
+
+_ORACLE_CASES = ["40x57@0.01", "40x57@0.1", "40x57@0.5",
+                 "64x64@0.01", "64x64@0.1", "64x64@0.5",
+                 "single-pixel", "border-row", "border-column", "one-column"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_CASES)
+def test_nearest_foreground_matches_oracle_with_ties(name, monkeypatch):
+    gt, e = _oracle_case(name, seed=500 + _ORACLE_CASES.index(name))
+    assert gt.any()
+    want_d2, want_et = nearest_foreground_oracle(gt, e)
+    # Row-pass blocks of one entry, of a few target columns of one row, and
+    # of whole rows (the default).
+    for entries in (1, 250, metrics._ROW_PASS_ENTRIES):
+        monkeypatch.setattr(metrics, "_ROW_PASS_ENTRIES", entries)
+        d2, et = nearest_foreground(gt, e)
+        assert d2.dtype == np.int64
+        assert np.array_equal(d2, want_d2), entries
+        assert np.array_equal(et, want_et), entries
+
+
+def test_nearest_foreground_rejects_mask_without_foreground():
+    with pytest.raises(DomainError, match="no foreground"):
+        nearest_foreground(np.zeros((4, 5), dtype=bool), rand((4, 5)))
+
+
+def test_nearest_foreground_memory_bounded_at_full_resolution():
+    # FULL_CONFIG's 480x640: an unblocked row pass would hold a
+    # (480, 640, 640) int64 temporary, about 1.5 GiB.
+    gt = SplitMix64(7).uniform_array((480, 640)) < 0.05
+    e = rand((480, 640), seed=8)
+    tracemalloc.start()
+    try:
+        d2, et = nearest_foreground(gt, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak / 2 ** 20
+    assert d2[gt].max() == 0 and np.array_equal(et[gt], e[gt])
+
+
 # ---------------------------------------------------------------- mIoU / mAcc
 
 def test_miou_macc_perfect():
@@ -375,6 +455,18 @@ def test_semantic_report_pools_confusion():
     miou, macc, _, _ = miou_macc(pooled)
     assert abs(rep.means["miou"] - miou) < 1e-12
     assert abs(rep.means["macc"] - macc) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_prediction_rejected(bad):
+    pred = rand((4, 4), seed=9)
+    pred[2, 1] = bad
+    gt = random_blob_gt(4, 4, seed=10)
+    with pytest.raises(NumericalError, match="1 non-finite"):
+        SaliencyPair(pred, gt)
+    for metric in (s_measure, e_measure, weighted_fbeta):
+        with pytest.raises(NumericalError):
+            metric(pred, gt)
 
 
 def test_empty_gt_flagged_in_report():
