@@ -7,12 +7,22 @@ in reverse topological order and accumulates (sums) chain-rule
 contributions into ``grad`` buffers, so parameters shared between several
 consumers — e.g. the two encoder streams — receive the sum of both paths.
 
-A recorded graph supports exactly one backward pass: the closures are
-released as the walk completes, and a second call raises ``GraphError``.
+A recorded graph supports exactly one backward pass, and the walk releases
+it as it goes: each node's closure and parent links are dropped once the
+closure has run, and so is the ``grad`` of every non-leaf node other than
+the root.  Afterwards only leaves (parameters and tensors made with
+``requires_grad=True``) and the root keep ``grad``.  A second call raises
+``GraphError``.
+
+Inside ``with no_grad():`` operations record nothing: outputs keep no
+parents and no closure and have ``requires_grad=False``, so each
+intermediate is freed as soon as nothing else refers to it.  Parameters
+keep ``requires_grad=True``.  Inference runs in this scope.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,10 +30,25 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 __all__ = [
-    "Tensor", "concat", "split", "stack", "matmul", "layer_norm",
+    "Tensor", "no_grad", "concat", "split", "stack", "matmul", "layer_norm",
     "depthwise_conv2d", "silu", "softplus", "sigmoid", "log_softmax",
     "bilinear_resize",
 ]
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Scope in which operations record no graph; nests, and restores the
+    previous state on exit, also by an exception."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -59,7 +84,7 @@ class Tensor:
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"], backward_fn):
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _recording and any(p.requires_grad for p in parents)
         out.grad = None
         out._consumed = False
         if out.requires_grad:
@@ -124,7 +149,10 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad = self.grad + np.ones_like(self.data)
 
-        for node in reversed(topo):
+        # Popping releases each node, with its data, once nothing else
+        # refers to it; a non-leaf's grad is dropped once it has been used.
+        while topo:
+            node = topo.pop()
             fn = node._backward_fn
             if fn is None or node.grad is None:
                 continue
@@ -137,6 +165,8 @@ class Tensor:
                 parent.grad = g if parent.grad is None else parent.grad + g
             node._backward_fn = None
             node._parents = ()
+            if node is not self:
+                node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
 

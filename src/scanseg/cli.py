@@ -2,7 +2,8 @@
 
 Every run writes exactly one JSON manifest next to its outputs recording
 the subcommand, the resolved configuration, the seed, the artifact paths,
-the wall time, and the package version.  Exit codes: 0 success,
+the wall time, the package version, and the numpy version, BLAS library
+and thread environment it ran with.  Exit codes: 0 success,
 1 validation failure (usage errors included), 2 I/O error, 3 numerical
 failure, 4 internal error (any other exception; its traceback goes to
 stderr and the manifest).
@@ -25,6 +26,8 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -52,7 +55,13 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
                     artifacts: list[str], wall_time: float,
                     exit_code: int = 0, error: str | None = None,
                     trace: str | None = None) -> str:
+    import numpy as np
+
     from . import __version__
+    try:  # mode= arrived in numpy 1.25; the package allows 1.24
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        blas = {}
     manifest = {
         "subcommand": subcommand,
         "config": _clean_config(config),
@@ -60,6 +69,9 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
         "artifacts": sorted(artifacts),
         "wall_time_s": wall_time,
         "version": __version__,
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
         "status": "ok" if exit_code == EXIT_OK else "error",
         "exit_code": exit_code,
     }
@@ -153,7 +165,7 @@ def cmd_eval(args) -> int:
     from .errors import ConfigError
     from .metrics import SaliencyPair, evaluate_saliency, evaluate_semantic
     from .model import Model
-    from .train import predict_prob
+    from .train import predict_logits, predict_prob
     t0 = time.perf_counter()
     model = Model.from_checkpoint(args.ckpt)
     pairs, report = load_dataset(args.data)
@@ -170,11 +182,10 @@ def cmd_eval(args) -> int:
             [SaliencyPair(pred, p.mask) for pred, p in zip(preds, pairs)],
             ids=ids)
     else:
-        from .autodiff import Tensor
         maps = []
         for p in pairs:
-            logits = model(Tensor(p.rgb),
-                           None if args.rgb_only else Tensor(p.xmod))
+            logits = predict_logits(model, p.rgb,
+                                    None if args.rgb_only else p.xmod)
             maps.append(np.argmax(logits.data, axis=-3))
         rep = evaluate_semantic(maps, [p.mask.astype(np.int64) for p in pairs],
                                 num_classes=model.cfg.num_classes, ids=ids)
@@ -201,16 +212,17 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     import numpy as np
-    from .autodiff import Tensor, sigmoid
+    from .autodiff import sigmoid
     from .model import Model
     from .netpbm import read_pgm, read_ppm, write_pgm
+    from .train import predict_logits
     t0 = time.perf_counter()
     model = Model.from_checkpoint(args.ckpt)
     rgb = read_ppm(args.rgb)
     xmod = read_pgm(args.x)[None] if args.x else None
     out_parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_parent, exist_ok=True)
-    logits = model(Tensor(rgb), Tensor(xmod) if xmod is not None else None)
+    logits = predict_logits(model, rgb, xmod)
     if model.cfg.task == "saliency":
         prob = sigmoid(logits).data[0]
         write_pgm(args.out, prob)
@@ -358,8 +370,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     if args.threads is not None:
         # Handlers import numpy lazily, so the cap lands before its pools start.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = str(args.threads)
 
     from .errors import (CheckpointError, ConfigError, DimensionError,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid
+from .autodiff import Tensor, no_grad, sigmoid
 from .errors import ConfigError, NumericalError
 from .losses import loss_saliency, loss_semantic
 from .metrics import binary_iou
@@ -21,8 +21,9 @@ from .optim import AdamW
 from .rng import SplitMix64, combine
 from .synth import ModalityPair, SceneConfig, generate_scene
 
-__all__ = ["TrainConfig", "TrainResult", "train_loop", "predict_prob",
-           "mean_soft_iou", "make_synthetic_pairs", "LOSS_CSV_HEADER"]
+__all__ = ["TrainConfig", "TrainResult", "train_loop", "predict_logits",
+           "predict_prob", "mean_soft_iou", "make_synthetic_pairs",
+           "LOSS_CSV_HEADER"]
 
 LOSS_CSV_HEADER = {"saliency": "step,loss,bce,iou_loss",
                    "semantic": "step,loss,ce"}
@@ -112,11 +113,17 @@ def train_loop(model: Model, pairs: list[ModalityPair],
     return result
 
 
+def predict_logits(model: Model, rgb: np.ndarray,
+                   xmod: np.ndarray | None = None) -> Tensor:
+    """Model logits for one input, recording no graph."""
+    with no_grad():
+        return model(Tensor(rgb), None if xmod is None else Tensor(xmod))
+
+
 def predict_prob(model: Model, pair: ModalityPair,
                  use_xmod: bool = True) -> np.ndarray:
     """Foreground probability map (H, W) for one sample."""
-    logits = model(Tensor(pair.rgb),
-                   Tensor(pair.xmod) if use_xmod else None)
+    logits = predict_logits(model, pair.rgb, pair.xmod if use_xmod else None)
     return sigmoid(logits).data[0]
 
 

@@ -220,6 +220,60 @@ def test_grad_accumulates_across_consumers():
     assert np.allclose(x.grad, [5.0, 5.0])
 
 
+def test_backward_releases_non_leaf_grads_and_keeps_leaf_grads():
+    # h feeds three consumers, so its gradient is a sum.  The leaf gradients
+    # are pinned bitwise to the engine's values before non-leaf gradients
+    # were released during the walk.
+    x = Tensor(np.array([[0.5, -1.25, 2.0], [1.5, 0.25, -0.75]]),
+               requires_grad=True)
+    w = Tensor(np.array([[1.0, -0.5], [0.25, 2.0], [-1.5, 0.75]]),
+               requires_grad=True)
+    g = Tensor(np.array([1.0, 0.5]), requires_grad=True)
+    h = silu(matmul(x, w))
+    y = layer_norm(h, g, Tensor(np.zeros(2)))
+    loss = (y * h + h).sum()
+    loss.backward()
+    assert h.grad is None and y.grad is None
+    assert np.array_equal(loss.grad, 1.0)
+    assert np.array_equal(x.grad, [
+        [-0.1888740940170727, -0.04050283256026636, 0.28331114102560906],
+        [2.159621625883325, 0.6826900548566989, -3.2394324388249878]])
+    assert np.array_equal(w.grad, [
+        [3.196180054887228, 0.10236932614155403],
+        [0.7824219177372227, 0.012847787490101003],
+        [-2.0195013731881444, -0.044073931483010385]])
+    assert np.array_equal(g.grad, [2.356952832364775, 0.5280642160849296])
+
+
+def _records_graph() -> bool:
+    out = Tensor(np.ones(2), requires_grad=True) * 2.0
+    return out.requires_grad and bool(out._parents)
+
+
+def test_no_grad_records_nothing_and_restores_state():
+    x = Tensor(rand((3,), seed=29), requires_grad=True)
+    with ad.no_grad():
+        out = silu(x * x).sum()
+        with ad.no_grad():
+            assert not _records_graph()
+        assert not _records_graph()          # the inner exit keeps it off
+    assert not out.requires_grad and out._parents == ()
+    assert out._backward_fn is None and x.requires_grad
+    assert _records_graph()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside the scope")
+    assert _records_graph()
+
+
+def test_backward_on_no_grad_scalar_is_a_no_op():
+    x = Tensor(rand((3,), seed=30), requires_grad=True)
+    with ad.no_grad():
+        loss = (x * x).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, np.zeros(3))
+
+
 def test_forward_deterministic():
     x = rand((5, 5), seed=27)
     w = rand((5, 5), seed=28)

@@ -344,6 +344,11 @@ def test_threads_flag_both_forms_set_env_and_manifest(tmp_path, monkeypatch):
         assert [os.environ.get(var) for var in thread_vars] == ["3"] * 3
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["config"]["threads"] == 3
+        # The same fields and formats as perfbench's environment header.
+        assert manifest["threads"] == {var: "3" for var in thread_vars}
+        assert manifest["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == f"{blas['name']} {blas['version']}"
 
 
 def _drop_depths(cfg):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from scanseg.autodiff import Tensor
+from scanseg.autodiff import Tensor, no_grad
 from scanseg.blocks import StageConfig
 from scanseg.errors import CheckpointError, ConfigError, DimensionError
 from scanseg.model import TINY_CONFIG, TOY_CONFIG, Model, ModelConfig
@@ -72,6 +72,18 @@ def test_forward_deterministic_bitwise():
     a = model(Tensor(rgb), Tensor(xm)).data
     b = model(Tensor(rgb.copy()), Tensor(xm.copy())).data
     assert np.array_equal(a, b)
+
+
+def test_no_grad_forward_bitwise_equal_and_records_nothing():
+    model = Model(TOY_CONFIG, seed=14)
+    rgb, xm = rand((3, 32, 32), seed=15), rand((1, 32, 32), seed=16)
+    recorded = model(Tensor(rgb), Tensor(xm))
+    with no_grad():
+        plain = model(Tensor(rgb), Tensor(xm))
+    assert recorded.requires_grad and recorded._parents
+    assert not plain.requires_grad and plain._parents == ()
+    assert np.array_equal(plain.data, recorded.data)
+    assert all(p.requires_grad for p in model.parameters())
 
 
 def test_batched_forward_matches_single():
