@@ -358,8 +358,9 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     x = Tensor._ensure(x)
-    s = _stable_sigmoid(x.data)
-    return Tensor._from_op(np.logaddexp(0.0, x.data), (x,), lambda g: (g * s,))
+    # The sigmoid serves only backward, so it is computed there.
+    return Tensor._from_op(np.logaddexp(0.0, x.data), (x,),
+                           lambda g: (g * _stable_sigmoid(x.data),))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

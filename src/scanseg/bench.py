@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import check_extent
 from .errors import ConfigError
 from .rng import SplitMix64
 from .scan import discretize, scan_sequential, selective_scan
@@ -57,6 +58,8 @@ def _time_call(fn, reps: int = 3) -> tuple[float, np.ndarray]:
 
 def run_bench(lengths, n: int, d: int, impls=IMPLS,
               seed: int = 0) -> list[BenchRow]:
+    for name, value in [("N", n), ("D", d)] + [("L", v) for v in lengths]:
+        check_extent(name, value)
     rows = []
     for i, length in enumerate(lengths):
         x, a, b, c, delta = _case(length, n, d, seed + i)

@@ -1,16 +1,17 @@
 """Encoder-side blocks: patch embedding, the scan encoder block, stage
-downsampling, and the weight-shared dual-stream encoder.
+downsampling, and the encoder that stacks them into a feature pyramid.
 
 Images enter as ``(..., 3, H, W)``; the patch embedding turns them into
 channels-last feature maps ``(..., H, W, C)``, the only feature layout from
 there on, so every Linear, LayerNorm and depthwise convolution acts on the
 trailing channel axis without conversion.
 
-Both modality streams run through the *same* modules, so shared parameters
-accumulate gradient contributions from both passes.  Stage downsampling is
-2x2 patch merging: the four spatial phases are gathered channel-wise (4C)
-and linearly projected to 2C, which keeps the /4, /8, /16, /32 pyramid
-schedule of a patch-4 stem with one merge per stage transition.
+The encoder takes one image; the model runs both modality streams through
+it, so its parameters accumulate gradient contributions from both passes.
+Stage downsampling is 2x2 patch merging: the four spatial phases are
+gathered channel-wise (4C) and linearly projected to 2C, which keeps the
+/4, /8, /16, /32 pyramid schedule of a patch-4 stem with one merge per
+stage transition.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .rng import SplitMix64
 from .ss2d import SS2DBlock, ss2d_forward
 
 __all__ = ["StageConfig", "PatchEmbed", "EncoderBlock", "Downsample",
-           "DualStreamEncoder"]
+           "Encoder"]
 
 
 def check_extent(name: str, value) -> None:
@@ -137,11 +138,12 @@ class Downsample(Module):
         return self.proj(self.gather_phases(f))
 
 
-class DualStreamEncoder(Module):
-    """Shared-weight encoder applied to both modality inputs.
+class Encoder(Module):
+    """Patch embedding plus the scan stages.
 
-    Returns one feature pyramid per stream, recorded at each stage output
-    before the merge to the next stage.
+    Returns the image's feature pyramid, recorded at each stage output
+    before the merge to the next stage.  A single-channel image is
+    replicated to three channels first.
     """
 
     def __init__(self, cfg: StageConfig, state: int, rng: SplitMix64):
@@ -158,7 +160,7 @@ class DualStreamEncoder(Module):
         self.stages = ModuleList(stages)
         self.merges = ModuleList(merges)
 
-    def encode(self, img: Tensor) -> list[Tensor]:
+    def __call__(self, img: Tensor) -> list[Tensor]:
         if img.shape[-3] == 1:
             img = concat([img, img, img], axis=img.ndim - 3)
         x = self.embed(img)
@@ -170,9 +172,3 @@ class DualStreamEncoder(Module):
             if i < len(self.merges):
                 x = self.merges[i](x)
         return pyramid
-
-    def __call__(self, rgb: Tensor, xmod: Tensor):
-        if rgb.shape[-2:] != xmod.shape[-2:]:
-            raise DimensionError(
-                f"modality resolutions differ: {rgb.shape} vs {xmod.shape}")
-        return self.encode(rgb), self.encode(xmod)

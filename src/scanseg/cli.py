@@ -100,9 +100,11 @@ def int_list(text: str) -> tuple[int, ...]:
 # ------------------------------------------------------------------ commands
 
 def cmd_synth(args) -> int:
+    from .blocks import check_extent
     from .data import save_pair
     from .synth import SceneConfig, generate_scene
     t0 = time.perf_counter()
+    check_extent("count", args.count)
     cfg = SceneConfig(resolution=args.resolution,
                       kappa=args.kappa, xmod_strength=args.xmod_strength,
                       occluder_density=args.occluder_density,
@@ -134,6 +136,9 @@ def cmd_train(args) -> int:
     from .model import Model, config_path
     from .train import TrainConfig, train_loop
     t0 = time.perf_counter()
+    cfg = TrainConfig(lr=args.lr, weight_decay=args.wd, batch=args.batch,
+                      steps=args.steps, seed=args.seed,
+                      augment=args.augment, use_xmod=not args.rgb_only)
     pairs, report = load_dataset(args.data)
     for line in report.errors:
         print(f"load: {line}", file=sys.stderr)
@@ -141,9 +146,6 @@ def cmd_train(args) -> int:
         raise ConfigError(f"no complete samples found in {args.data}")
     resolution = pairs[0].rgb.shape[-2:]
     model = Model(_model_config_for(args, resolution), seed=args.seed)
-    cfg = TrainConfig(lr=args.lr, weight_decay=args.wd, batch=args.batch,
-                      steps=args.steps, seed=args.seed, task=args.task,
-                      augment=args.augment, use_xmod=not args.rgb_only)
     result = train_loop(model, pairs, cfg)
     out_parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_parent, exist_ok=True)

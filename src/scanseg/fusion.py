@@ -14,20 +14,21 @@ features at the corresponding positions — and symmetrically for the second
 half.  The summed scan output is split back into the two halves, each half
 is gated by a learnable per-channel scale (initialized to one), the halves
 are concatenated along channels, and a linear projection restores the
-input width.
+input width.  The model applies one block per pyramid level; in
+self-fusion both inputs are the same RGB feature map.
 """
 
 from __future__ import annotations
 
 from .autodiff import Tensor, concat, split
 from .errors import DimensionError
-from .nn import DepthwiseConv2d, Linear, Module, ModuleList, param
+from .nn import DepthwiseConv2d, Linear, Module, param
 from .rng import SplitMix64
 from .scan import SSMParams, make_input_params, selective_scan
 
 import numpy as np
 
-__all__ = ["MMFFBlock", "mmff_forward", "fuse_pyramids"]
+__all__ = ["MMFFBlock"]
 
 
 class MMFFBlock(Module):
@@ -56,7 +57,23 @@ class MMFFBlock(Module):
         return x.reshape(f.shape[:-3] + (-1, self.channels))
 
     def __call__(self, f_a: Tensor, f_b: Tensor) -> Tensor:
-        return mmff_forward(f_a, f_b, self)
+        """Fuse two same-shape feature maps into one of identical shape."""
+        if f_a.shape != f_b.shape:
+            raise DimensionError(
+                f"fusion inputs must match, got {f_a.shape} vs {f_b.shape}")
+        if f_a.shape[-1] != self.channels:
+            raise DimensionError(
+                f"fusion block expects {self.channels} channels, got {f_a.shape}")
+        length = f_a.shape[-3] * f_a.shape[-2]
+
+        seq_a = self._preprocess(f_a, self.lin_a, self.conv_a)
+        seq_b = self._preprocess(f_b, self.lin_b, self.conv_b)
+        y = _bidirectional_scan(self, *_joined_scan_inputs(self, seq_a, seq_b))
+
+        half_a, half_b = split(y, [length, length], axis=y.ndim - 2)
+        fused = concat([half_a * self.scale_a, half_b * self.scale_b],
+                       axis=y.ndim - 1)
+        return self.proj(fused).reshape(f_a.shape)
 
 
 def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
@@ -80,33 +97,3 @@ def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,
                         c: Tensor, delta: Tensor) -> Tensor:
     return (blk._scan_fn(x, a, b, c, delta)
             + blk._scan_fn(x, a, b, c, delta, reverse=True))
-
-
-def mmff_forward(f_a: Tensor, f_b: Tensor, blk: MMFFBlock) -> Tensor:
-    """Fuse two same-shape feature maps into one of identical shape."""
-    if f_a.shape != f_b.shape:
-        raise DimensionError(
-            f"fusion inputs must match, got {f_a.shape} vs {f_b.shape}")
-    if f_a.shape[-1] != blk.channels:
-        raise DimensionError(
-            f"fusion block expects {blk.channels} channels, got {f_a.shape}")
-    length = f_a.shape[-3] * f_a.shape[-2]
-
-    seq_a = blk._preprocess(f_a, blk.lin_a, blk.conv_a)
-    seq_b = blk._preprocess(f_b, blk.lin_b, blk.conv_b)
-    y = _bidirectional_scan(blk, *_joined_scan_inputs(blk, seq_a, seq_b))
-
-    half_a, half_b = split(y, [length, length], axis=y.ndim - 2)
-    fused = concat([half_a * blk.scale_a, half_b * blk.scale_b],
-                   axis=y.ndim - 1)
-    return blk.proj(fused).reshape(f_a.shape)
-
-
-def fuse_pyramids(pyr_a: list[Tensor], pyr_b: list[Tensor],
-                  blocks: ModuleList) -> list[Tensor]:
-    """Level-wise fusion of two aligned feature pyramids."""
-    if not (len(pyr_a) == len(pyr_b) == len(blocks)):
-        raise DimensionError(
-            f"pyramid/block level counts differ: {len(pyr_a)}, {len(pyr_b)}, "
-            f"{len(blocks)}")
-    return [blk(a, b) for blk, a, b in zip(blocks, pyr_a, pyr_b)]

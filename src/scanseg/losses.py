@@ -6,7 +6,8 @@ loss is 1 - (sum(p*t) + eps) / (sum(p) + sum(t) - sum(p*t) + eps), which is
 exactly zero for a perfect hard prediction.
 
 Semantic: mean per-pixel cross-entropy over non-ignored pixels; when every
-pixel is ignored the loss is defined as zero and a warning is emitted.
+pixel is ignored the loss is defined as zero and a warning is emitted.  A
+label outside [0, K) other than the ignore index is a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 
 from .autodiff import Tensor, log_softmax, sigmoid, softplus
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 __all__ = ["loss_saliency", "loss_semantic", "soft_iou"]
 
@@ -53,6 +54,9 @@ def loss_semantic(logits: Tensor, labels: np.ndarray,
         raise DimensionError(
             f"labels {labels.shape} do not match logits {logits.shape}")
     valid = labels != ignore_index
+    bad = labels[valid & ((labels < 0) | (labels >= k))]
+    if bad.size:
+        raise DomainError(f"label {bad[0]} outside [0, {k}) and not {ignore_index}")
     n_valid = int(valid.sum())
     if n_valid == 0:
         warnings.warn("all pixels ignored; semantic loss defined as zero")

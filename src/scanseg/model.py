@@ -1,10 +1,10 @@
 """End-to-end assembly: dual-stream encoder, per-level fusion, decoder.
 
-A single parameter set encodes both modality streams; fusion blocks merge
-the two pyramids level by level; the decoder cascades from the deepest
-level back up and emits per-pixel logits at the input resolution.  When the
-second modality is absent the RGB input is fused with itself, so the same
-weights serve both regimes.
+Only ``Model.__call__`` pairs the two modality streams: one encoder (one
+parameter set) encodes each stream; one fusion block per level merges the
+two pyramids; the decoder cascades from the deepest level back up to logits
+at the input resolution.  Without the second modality the RGB image is
+encoded once and its pyramid fused with itself: the same weights serve both.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .autodiff import Tensor
-from .blocks import DualStreamEncoder, StageConfig, check_extent
+from .blocks import Encoder, StageConfig, check_extent
 from .decoder import Decoder
 from .errors import CheckpointError, ConfigError, DimensionError
-from .fusion import MMFFBlock, fuse_pyramids
+from .fusion import MMFFBlock
 from .nn import Module, ModuleList
 from .rng import SplitMix64, mix64
 from . import checkpoint as ckpt
@@ -39,6 +39,9 @@ class ModelConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         check_extent("state", self.state)
         check_extent("num_classes", self.num_classes)
+        if self.task == "semantic" and self.num_classes < 2:
+            raise ConfigError(f"the semantic task needs num_classes >= 2, "
+                              f"got {self.num_classes}")
         if len(self.resolution) != 2:
             raise ConfigError(
                 f"resolution must be two positive ints, got {self.resolution}")
@@ -88,7 +91,7 @@ class Model(Module):
         super().__init__()
         self.cfg = cfg
         rng = SplitMix64(mix64(seed ^ 0x5EED))
-        self.encoder = DualStreamEncoder(cfg.stages, cfg.state, rng)
+        self.encoder = Encoder(cfg.stages, cfg.state, rng)
         self.fusion = ModuleList(
             [MMFFBlock(ch, cfg.state, rng) for ch in cfg.stages.channels])
         self.decoder = Decoder(cfg.stages.channels, cfg.state,
@@ -103,11 +106,11 @@ class Model(Module):
 
     def __call__(self, rgb: Tensor, xmod: Tensor | None = None) -> Tensor:
         self._check_resolution(rgb, "rgb input")
-        if xmod is None:
-            xmod = rgb
-        self._check_resolution(xmod, "x-modality input")
-        pyr_rgb, pyr_x = self.encoder(rgb, xmod)
-        fused = fuse_pyramids(pyr_rgb, pyr_x, self.fusion)
+        if xmod is not None:
+            self._check_resolution(xmod, "x-modality input")
+        pyr_rgb = self.encoder(rgb)
+        pyr_x = pyr_rgb if xmod is None else self.encoder(xmod)
+        fused = [blk(a, b) for blk, a, b in zip(self.fusion, pyr_rgb, pyr_x)]
         return self.decoder(fused, self.cfg.resolution)
 
     # -- persistence ----------------------------------------------------------

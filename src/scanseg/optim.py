@@ -20,12 +20,11 @@ class AdamW:
     def __init__(self, named_params: list[tuple[str, Tensor]],
                  lr: float = 6e-5, betas: tuple = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
-        if lr < 0 or eps <= 0:
-            raise ConfigError(f"need lr >= 0 and eps > 0, got {lr}, {eps}")
+        if not (0 <= lr < np.inf and 0 <= weight_decay < np.inf and eps > 0):
+            raise ConfigError(f"need finite lr, weight decay >= 0 and eps > 0, "
+                              f"got {lr}, {weight_decay}, {eps}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {betas}")
-        if weight_decay < 0:
-            raise ConfigError(f"negative weight decay {weight_decay}")
         self.named_params = list(named_params)
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -58,8 +58,10 @@ class SceneConfig:
             raise ConfigError(f"resolution {h}x{w} too small")
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError(f"kappa {self.kappa} outside [0, 1]")
-        if self.noise_sigma < 0 or self.occluder_density < 0:
-            raise ConfigError("negative noise or occluder density")
+        for name in ("xmod_strength", "occluder_density", "noise_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # false for NaN too
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _texture(rng: SplitMix64, h: int, w: int) -> np.ndarray:

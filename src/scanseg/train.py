@@ -36,13 +36,13 @@ class TrainConfig:
     batch: int = 4
     steps: int = 500
     seed: int = 0
-    task: str = "saliency"
     augment: bool = False
     use_xmod: bool = True
 
     def __post_init__(self):
-        # lr = 0 is allowed as the degenerate no-op used by tests.
-        if self.lr < 0 or self.weight_decay < 0 or self.batch < 1                 or self.steps < 1:
+        # lr = 0 is the degenerate no-op used by tests; NaN fails each bound.
+        if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf
+                and self.batch >= 1 and self.steps >= 1):
             raise ConfigError(f"bad hyperparameter in {self}")
 
 
@@ -90,14 +90,14 @@ def train_loop(model: Model, pairs: list[ModalityPair],
     optimizer = AdamW(list(model.named_parameters()), lr=cfg.lr,
                       weight_decay=cfg.weight_decay)
     rng = SplitMix64(combine(cfg.seed, 0x7EA1))
-    result = TrainResult(header=LOSS_CSV_HEADER[cfg.task])
+    result = TrainResult(header=LOSS_CSV_HEADER[model.cfg.task])
 
     for step, idxs in enumerate(_batches(len(pairs), cfg.batch,
                                          cfg.steps, rng), start=1):
         flips = [cfg.augment and rng.uniform() < 0.5 for _ in idxs]
         rgb, xmod, mask = _assemble(pairs, idxs, flips)
         logits = model(Tensor(rgb), Tensor(xmod) if cfg.use_xmod else None)
-        if cfg.task == "saliency":
+        if model.cfg.task == "saliency":
             total, bce, iou_loss = loss_saliency(logits, Tensor(mask[:, None]))
             components = (bce.item(), iou_loss.item())
         else:

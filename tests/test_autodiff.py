@@ -274,6 +274,21 @@ def test_backward_on_no_grad_scalar_is_a_no_op():
     assert np.array_equal(x.grad, np.zeros(3))
 
 
+def test_softplus_sigmoid_only_in_backward(monkeypatch):
+    calls = []
+    real = ad._stable_sigmoid
+    monkeypatch.setattr(ad, "_stable_sigmoid",
+                        lambda v: calls.append(v) or real(v))
+    x = Tensor(rand((4, 3), seed=31, lo=-40.0, hi=40.0), requires_grad=True)
+    with ad.no_grad():
+        plain = softplus(x).data
+    assert calls == []
+    y = softplus(x)
+    assert calls == [] and np.array_equal(y.data, plain)
+    y.sum().backward()
+    assert len(calls) == 1 and np.array_equal(x.grad, real(x.data))
+
+
 def test_forward_deterministic():
     x = rand((5, 5), seed=27)
     w = rand((5, 5), seed=28)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from scanseg.autodiff import Tensor
-from scanseg.blocks import (Downsample, DualStreamEncoder, EncoderBlock,
-                            PatchEmbed, StageConfig)
-from scanseg.errors import ConfigError, DimensionError
+from scanseg.blocks import (Downsample, Encoder, EncoderBlock, PatchEmbed,
+                            StageConfig)
+from scanseg.errors import ConfigError
 from scanseg.gradcheck import check_params
 from scanseg.rng import SplitMix64
 
@@ -130,53 +130,46 @@ def test_downsample_rejects_odd():
         ds(Tensor(np.zeros((3, 4, 2))))
 
 
-# ---------------------------------------------------------------- dual stream
+# ---------------------------------------------------------------- encoder
+# One encoder serves both modality streams: the model calls it once per
+# stream.
 
 def test_dual_stream_equal_inputs_equal_pyramids():
     cfg = StageConfig(patch=2, depths=(1, 1), channels=(4, 8))
-    enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(20))
+    enc = Encoder(cfg, state=2, rng=SplitMix64(20))
     img = rand((3, 8, 8), seed=21)
-    pyr_rgb, pyr_x = enc(Tensor(img), Tensor(img.copy()))
+    pyr_rgb, pyr_x = enc(Tensor(img)), enc(Tensor(img.copy()))
     for a, b in zip(pyr_rgb, pyr_x):
         assert np.array_equal(a.data, b.data)
 
 
 def test_dual_stream_pyramid_shapes():
     cfg = StageConfig(patch=4, depths=(1, 1, 1, 1), channels=(16, 32, 64, 128))
-    enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(22))
-    img = rand((3, 64, 64), seed=23)
-    pyr, _ = enc(Tensor(img), Tensor(img))
+    enc = Encoder(cfg, state=2, rng=SplitMix64(22))
+    pyr = enc(Tensor(rand((3, 64, 64), seed=23)))
     assert [p.shape for p in pyr] == [(16, 16, 16), (8, 8, 32), (4, 4, 64),
                                       (2, 2, 128)]
 
 
 def test_dual_stream_single_channel_replication():
     cfg = StageConfig(patch=2, depths=(1, 1), channels=(4, 8))
-    enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(24))
+    enc = Encoder(cfg, state=2, rng=SplitMix64(24))
     xm = rand((1, 8, 8), seed=25)
-    rgb = rand((3, 8, 8), seed=26)
-    _, pyr_a = enc(Tensor(rgb), Tensor(xm))
-    _, pyr_b = enc(Tensor(rgb), Tensor(np.concatenate([xm] * 3, axis=0)))
+    pyr_a = enc(Tensor(xm))
+    pyr_b = enc(Tensor(np.concatenate([xm] * 3, axis=0)))
     for a, b in zip(pyr_a, pyr_b):
         assert np.array_equal(a.data, b.data)
 
 
-def test_dual_stream_resolution_mismatch():
-    cfg = StageConfig(patch=2, depths=(1, 1), channels=(4, 8))
-    enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(27))
-    with pytest.raises(DimensionError):
-        enc(Tensor(np.zeros((3, 8, 8))), Tensor(np.zeros((3, 4, 4))))
-
-
 def test_dual_stream_shared_weights_accumulate_both_streams():
     cfg = StageConfig(patch=2, depths=(1, 1), channels=(2, 4))
-    enc = DualStreamEncoder(cfg, state=2, rng=SplitMix64(28))
+    enc = Encoder(cfg, state=2, rng=SplitMix64(28))
     rgb = rand((3, 4, 4), seed=29)
     xm = rand((3, 4, 4), seed=30)
     r = [rand((2, 2, 2), seed=31), rand((1, 1, 4), seed=32)]
 
     def loss_fn():
-        pa, pb = enc(Tensor(rgb), Tensor(xm))
+        pa, pb = enc(Tensor(rgb)), enc(Tensor(xm))
         total = (pa[0] * Tensor(r[0])).sum() + (pb[0] * Tensor(r[0])).sum()
         return total + (pa[1] * Tensor(r[1])).sum() + (pb[1] * Tensor(r[1])).sum()
 

@@ -421,3 +421,66 @@ def test_semantic_task_end_to_end(tmp_path):
     pred = tmp_path / "sem_pred.pgm"
     assert run(["infer", "--ckpt", ckpt, "--rgb", ds / "rgb" / "00000.ppm",
                 "--x", ds / "x" / "00000.pgm", "--out", pred]) == 0
+
+
+def _one_error_line_and_manifest(capsys, out_dir, start):
+    """The failed command printed one line and left only its manifest."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(start), err
+    manifest = json.load(open(out_dir / "manifest.json"))
+    assert manifest["status"] == "error" and manifest["exit_code"] == 1
+    assert manifest["error"] == err.strip()
+    assert os.listdir(out_dir) == ["manifest.json"]
+
+
+def test_semantic_one_class_exit_1_with_manifest(tmp_path, capsys):
+    ds = tmp_path / "d"
+    assert run(["synth", "--out", ds, "--count", 2,
+                "--resolution", "32x32"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ck"
+    assert run(["train", "--data", ds, "--task", "semantic", "--steps", 1,
+                "--batch", 2, "--out", out / "m.ckpt"]) == 1
+    _one_error_line_and_manifest(
+        capsys, out, "error: the semantic task needs num_classes >= 2, got 1")
+
+
+@pytest.mark.parametrize("flags, start", [
+    (["--lengths", "0"], "error: L must be a positive int, got 0"),
+    (["--lengths", "-5"], "error: L must be a positive int, got -5"),
+    (["--lengths", "256,0"], "error: L must be a positive int, got 0"),
+    (["--channels", "0"], "error: D must be a positive int, got 0"),
+    (["--state-dim", "0"], "error: N must be a positive int, got 0"),
+], ids=["zero-length", "negative-length", "one-zero-length", "zero-channels",
+        "zero-state-dim"])
+def test_scan_bench_non_positive_size_exit_1(tmp_path, capsys, flags, start):
+    out = tmp_path / "bench"
+    assert run(["scan-bench", "--lengths", "256", "--out-dir", out]
+               + flags) == 1
+    _one_error_line_and_manifest(capsys, out, start)
+
+
+@pytest.mark.parametrize("flags, start", [
+    (["--count", "-1"], "error: count must be a positive int, got -1"),
+    (["--count", "0"], "error: count must be a positive int, got 0"),
+    (["--noise", "nan"], "error: noise_sigma must be finite"),
+    (["--xmod-strength", "nan"], "error: xmod_strength must be finite"),
+    (["--occluder-density", "nan"], "error: occluder_density must be finite"),
+    (["--noise", "inf"], "error: noise_sigma must be finite"),
+], ids=["negative-count", "zero-count", "nan-noise", "nan-xmod-strength",
+        "nan-occluder-density", "inf-noise"])
+def test_synth_bad_numeric_flag_exit_1(tmp_path, capsys, flags, start):
+    out = tmp_path / "d"
+    args = ["synth", "--out", out, "--count", 1, "--resolution", "16x16"]
+    assert run(args + flags) == 1
+    _one_error_line_and_manifest(capsys, out, start)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lr", "nan"], ["--lr", "inf"], ["--wd", "nan"],
+], ids=["nan-lr", "inf-lr", "nan-wd"])
+def test_train_non_finite_flag_exit_1(workspace, tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert run(["train", "--data", workspace["ds"], "--steps", 1,
+                "--batch", 2, "--out", out / "m.ckpt"] + flags) == 1
+    _one_error_line_and_manifest(capsys, out, "error: bad hyperparameter")

@@ -3,10 +3,8 @@ import pytest
 
 from scanseg.autodiff import Tensor
 from scanseg.errors import DimensionError
-from scanseg.fusion import MMFFBlock, _bidirectional_scan, _joined_scan_inputs, \
-    fuse_pyramids, mmff_forward
+from scanseg.fusion import MMFFBlock, _bidirectional_scan, _joined_scan_inputs
 from scanseg.gradcheck import check_params
-from scanseg.nn import ModuleList
 from scanseg.rng import SplitMix64
 
 
@@ -159,17 +157,6 @@ def test_swap_invariance_with_tied_generators_and_scales():
     a = blk(Tensor(f), Tensor(f.copy())).data
     b = blk(Tensor(f.copy()), Tensor(f)).data
     assert np.array_equal(a, b)
-
-
-def test_fuse_pyramids_contract():
-    rng = SplitMix64(19)
-    blocks = ModuleList([MMFFBlock(4, 2, rng), MMFFBlock(8, 2, rng)])
-    pyr_a = [Tensor(rand((4, 4, 4), seed=20)), Tensor(rand((2, 2, 8), seed=21))]
-    pyr_b = [Tensor(rand((4, 4, 4), seed=22)), Tensor(rand((2, 2, 8), seed=23))]
-    fused = fuse_pyramids(pyr_a, pyr_b, blocks)
-    assert [f.shape for f in fused] == [(4, 4, 4), (2, 2, 8)]
-    with pytest.raises(DimensionError):
-        fuse_pyramids(pyr_a[:1], pyr_b, blocks)
 
 
 def test_fusion_output_finite_random_sweep():

@@ -27,6 +27,12 @@ def test_config_validation():
         ModelConfig(task="detection")
 
 
+def test_semantic_config_needs_two_classes():
+    with pytest.raises(ConfigError, match="num_classes >= 2, got 1"):
+        ModelConfig(task="semantic", num_classes=1)
+    assert ModelConfig(task="semantic", num_classes=2).num_classes == 2
+
+
 @pytest.mark.parametrize("stages, top, field", [
     ({}, {"resolution": (32,)}, "resolution must be two positive ints"),
     ({}, {"resolution": (32, 32.0)}, "resolution must be a positive int"),
@@ -65,6 +71,37 @@ def test_missing_modality_equals_self_fusion():
     assert np.array_equal(a, b)
 
 
+def test_self_fusion_encodes_once(monkeypatch):
+    from scanseg.blocks import PatchEmbed
+    calls = []
+    real = PatchEmbed.__call__
+    monkeypatch.setattr(PatchEmbed, "__call__",
+                        lambda self, img: calls.append(img) or real(self, img))
+    model = Model(TINY_CONFIG, seed=4)
+    rgb = Tensor(rand((3, 8, 8), seed=5))
+    model(rgb)
+    assert len(calls) == 1
+    model(rgb, Tensor(rand((1, 8, 8), seed=6)))
+    assert len(calls) == 3
+
+
+def test_self_fusion_gradients_match_dual_call():
+    from scanseg.losses import loss_saliency
+    rgb = rand((2, 3, 8, 8), seed=7)
+    mask = Tensor((rand((2, 1, 8, 8), seed=8) > 0.5).astype(np.float64))
+
+    def leaf_grads(pass_rgb_twice):
+        model = Model(TINY_CONFIG, seed=4)
+        x = Tensor(rgb, requires_grad=True)
+        logits = model(x, x) if pass_rgb_twice else model(x)
+        loss_saliency(logits, mask)[0].backward()
+        return [x.grad] + [p.grad for _, p in model.named_parameters()]
+
+    # A zero gradient (the A of a one-position scan) must stay exactly zero.
+    for once, twice in zip(leaf_grads(False), leaf_grads(True)):
+        assert np.max(np.abs(once - twice)) <= 1e-12 * np.max(np.abs(twice))
+
+
 def test_forward_deterministic_bitwise():
     model = Model(TINY_CONFIG, seed=6)
     rgb = rand((3, 8, 8), seed=7)
@@ -101,6 +138,14 @@ def test_resolution_mismatch_names_both():
     with pytest.raises(DimensionError) as e:
         model(Tensor(np.zeros((3, 16, 16))))
     assert "16x16" in str(e.value) and "8x8" in str(e.value)
+
+
+def test_xmod_resolution_mismatch_names_both():
+    model = Model(TINY_CONFIG, seed=14)
+    with pytest.raises(DimensionError) as e:
+        model(Tensor(np.zeros((3, 8, 8))), Tensor(np.zeros((1, 16, 16))))
+    msg = str(e.value)
+    assert "x-modality" in msg and "16x16" in msg and "8x8" in msg
 
 
 def test_no_nan_at_init_random_sweep():

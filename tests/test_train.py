@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scanseg.autodiff import Tensor
-from scanseg.errors import ConfigError, NumericalError
+from scanseg.errors import ConfigError, DomainError, NumericalError
 from scanseg.losses import loss_saliency, loss_semantic, soft_iou
 from scanseg.model import TINY_CONFIG, TOY_CONFIG, Model
 from scanseg.nn import param
@@ -81,6 +81,17 @@ def test_optimizer_validation():
         AdamW([("p", p)], betas=(1.0, 0.5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+])
+def test_non_finite_hyperparameters_rejected(field, value):
+    with pytest.raises(ConfigError):
+        TrainConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        AdamW([("p", param(np.array([1.0])))], **{field: value})
+
+
 # ---------------------------------------------------------------- losses
 
 def test_saliency_loss_saturates_to_zero():
@@ -113,6 +124,14 @@ def test_semantic_loss_and_ignore():
     with pytest.warns(UserWarning, match="ignored"):
         total, _ = loss_semantic(logits, all_ignored)
     assert total.item() == 0.0
+
+
+@pytest.mark.parametrize("label", [-1, 3, 254])
+def test_semantic_loss_rejects_labels_outside_classes(label):
+    logits = Tensor(SplitMix64(1).normal_array((1, 3, 2, 2)))
+    labels = np.array([[[0, 1], [255, label]]], dtype=np.int64)
+    with pytest.raises(DomainError, match=f"label {label} outside"):
+        loss_semantic(logits, labels)
 
 
 def test_semantic_loss_matches_manual_ce():
@@ -159,6 +178,14 @@ def test_training_reduces_loss_and_is_deterministic():
             assert abs(va - vb) < 1e-12
     first, last = res_a.rows[0][1], res_a.rows[-1][1]
     assert last < first
+
+
+def test_train_loop_takes_task_from_model():
+    model = Model(replace(TINY_CONFIG, task="semantic", num_classes=2), seed=1)
+    cfg = TrainConfig(lr=1e-3, batch=2, steps=2, seed=2)
+    result = train_loop(model, small_pairs(), cfg)
+    assert result.csv().split("\n")[0] == "step,loss,ce"
+    assert all(len(row) == 3 for row in result.rows)
 
 
 def test_empty_dataset_rejected():
