@@ -92,6 +92,13 @@ def resolution(text: str) -> tuple[int, int]:
     return (int(h), int(w))
 
 
+def positive_int(text: str) -> int:
+    """Integer flag value of at least 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integer flag value such as ``2,2``."""
     return tuple(int(v) for v in text.split(","))
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="scanseg",
         description="selective-scan multimodal segmentation toolkit")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=positive_int, default=None,
                         help="cap internal math-library thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 

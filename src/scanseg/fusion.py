@@ -11,20 +11,23 @@ Parameter wiring is crossed between the modalities: along the first half
 delta come from that modality's own generator applied to its own features,
 while the readout matrix C is generated from the *other* modality's
 features at the corresponding positions — and symmetrically for the second
-half.  The summed scan output is split back into the two halves, each half
-is gated by a learnable per-channel scale (initialized to one), the halves
-are concatenated along channels, and a linear projection restores the
-input width.  The model applies one block per pyramid level; in
+half.  The two sequences are stacked on a modality axis and go through
+``scan.scan_inputs``, the generator SS2D uses too; flipping that axis of C
+crosses the readout, and a reshape joins the halves.  The summed scan
+output is split back into the two halves, each half is gated by a
+learnable per-channel scale (initialized to one), the halves are
+concatenated along channels, and a linear projection restores the input
+width.  The model applies one block per pyramid level; in
 self-fusion both inputs are the same RGB feature map.
 """
 
 from __future__ import annotations
 
-from .autodiff import Tensor, concat, split
+from .autodiff import Tensor, concat, split, stack
 from .errors import DimensionError
 from .nn import DepthwiseConv2d, Linear, Module, param
 from .rng import SplitMix64
-from .scan import SSMParams, make_input_params, selective_scan
+from .scan import SSMParams, scan_inputs, selective_scan
 
 import numpy as np
 
@@ -37,7 +40,6 @@ class MMFFBlock(Module):
     def __init__(self, channels: int, state: int, rng: SplitMix64):
         super().__init__()
         self.channels = channels
-        self.state = state
         self.lin_a = Linear(channels, channels, rng)
         self.conv_a = DepthwiseConv2d(channels, 3, rng)
         self.lin_b = Linear(channels, channels, rng)
@@ -78,19 +80,20 @@ class MMFFBlock(Module):
 
 def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
     """Joined sequence x and its crossed A (per position), B, C, delta."""
-    b_a, c_a, delta_a = make_input_params(seq_a, blk.gen_a)
-    b_b, c_b, delta_b = make_input_params(seq_b, blk.gen_b)
-    axis_l = seq_a.ndim - 2
-    ones = Tensor(np.ones((seq_a.shape[-2], 1, 1)))
-    a = concat([blk.gen_a.state_matrix() * ones,
-                blk.gen_b.state_matrix() * ones], axis=0)
-    x = concat([seq_a, seq_b], axis=axis_l)
-    b = concat([b_a, b_b], axis=axis_l)
-    delta = concat([delta_a, delta_b], axis=axis_l)
+    axis_k, length = seq_a.ndim - 2, seq_a.shape[-2]
+    seqs = stack([seq_a, seq_b], axis=axis_k)              # (..., 2, L, C)
+    a, b, c, delta = scan_inputs(seqs, (blk.gen_a, blk.gen_b))
     # Crossed readout: the first half is read out through C generated from
     # the second modality, and vice versa.
-    c = concat([c_b, c_a], axis=axis_l)
-    return x, a, b, c, delta
+    c = c.flip(axis_k)
+    a = (a * Tensor(np.ones((length, 1, 1)))).reshape(  # (2L, C, N)
+        (2 * length,) + a.shape[-2:])
+
+    def joined(t):
+        """(..., 2, L, .) -> (..., 2L, .): the halves end to end."""
+        return t.reshape(t.shape[:-3] + (2 * length, t.shape[-1]))
+
+    return joined(seqs), a, joined(b), joined(c), joined(delta)
 
 
 def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,

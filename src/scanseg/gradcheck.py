@@ -174,32 +174,18 @@ def suite_ops() -> list[CheckResult]:
 def suite_scan() -> list[CheckResult]:
     from .autodiff import Tensor, softplus
     from .rng import SplitMix64
-    from .scan import BLOCK, SSMParams, make_input_params, selective_scan
-    results = []
-    for with_skip, name in ((False, "selective-scan"),
-                            (True, "selective-scan-skip")):
-        p = SSMParams(channels=2, state=3, rng=SplitMix64(40 + with_skip),
-                      with_skip=with_skip)
-        x = _rand((6, 2), 41 + with_skip)
-        w = _rand((6, 2), 43 + with_skip)
+    from .scan import BLOCK, SSMParams, scan_inputs, selective_scan
+    p = SSMParams(channels=2, state=3, rng=SplitMix64(40))
+    x = _rand((6, 2), 41).reshape(1, 6, 2)      # K = 1 sequence
+    weight = Tensor(_rand((6, 2), 43))
 
-        def build(ts, p=p):
-            b, c, delta = make_input_params(ts[0], p)
-            y = selective_scan(ts[0], p.state_matrix(), b, c, delta,
-                               d_skip=p.d_skip)
-            return (y * Tensor(w)).sum()
+    def scan_loss(x):
+        return (selective_scan(x, *scan_inputs(x, [p])) * weight).sum()
 
-        res = check(name, build, [x], step=1e-5)
-        results.append(res)
-
-        def loss_fn(p=p, x=x, w=w):
-            b, c, delta = make_input_params(Tensor(x), p)
-            y = selective_scan(Tensor(x), p.state_matrix(), b, c, delta,
-                               d_skip=p.d_skip)
-            return (y * Tensor(w)).sum()
-
-        results.append(check_params(f"{name}-params", loss_fn,
-                                    list(p.named_parameters()), step=1e-4))
+    results = [
+        check("selective-scan", lambda ts: scan_loss(ts[0]), [x], step=1e-5),
+        check_params("selective-scan-params", lambda: scan_loss(Tensor(x)),
+                     list(p.named_parameters()), step=1e-4)]
 
     # Per-position A, (L, D, N), as in the fusion block's joined sequence.
     w = _rand((6, 2), 45)

@@ -42,6 +42,9 @@ class ModelConfig:
         if self.task == "semantic" and self.num_classes < 2:
             raise ConfigError(f"the semantic task needs num_classes >= 2, "
                               f"got {self.num_classes}")
+        if self.task == "saliency" and self.num_classes != 1:
+            raise ConfigError(f"the saliency task needs num_classes == 1, "
+                              f"got {self.num_classes}")
         if len(self.resolution) != 2:
             raise ConfigError(
                 f"resolution must be two positive ints, got {self.resolution}")

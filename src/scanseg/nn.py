@@ -38,10 +38,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 

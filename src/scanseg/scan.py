@@ -8,7 +8,7 @@ is discretized per position k with a timescale delta:
 
     a_bar = exp(delta * A),       b_bar = delta * B      (first-order rule)
     h_k   = a_bar_k * h_{k-1} + b_bar_k * x_k
-    y_k   = C_k . h_k            (+ d_skip * x_k when the residual term is kept)
+    y_k   = C_k . h_k            (no D x_k skip term: no model block keeps one)
 
 A is diagonal per channel and parameterized as -exp(a_log), so its entries
 are strictly negative and a_bar stays in (0, 1].  B, C, delta are generated
@@ -16,6 +16,10 @@ from the input sequence, which is what makes the recurrence
 content-dependent.  delta comes out of a softplus, which returns exactly 0
 below about -745; zero is the rule's limit (a_bar = 1, b_bar = 0: the state
 holds), so delta >= 0 is the domain and only a negative delta is rejected.
+
+``scan_inputs`` is the one generator of A, B, C and delta: it projects K
+sequences, each through its own ``SSMParams`` (SS2D's four directions,
+fusion's two modalities).
 
 ``selective_scan`` is the differentiable op: it takes x, A, B, C and delta
 and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
@@ -48,13 +52,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _unbroadcast, matmul, softplus
+from .autodiff import Tensor, _unbroadcast, matmul, softplus, stack
 from .errors import DimensionError, DomainError
 from .nn import Module, param
 from .rng import SplitMix64
 
 __all__ = [
-    "SSMParams", "make_input_params", "discretize", "scan_sequential",
+    "SSMParams", "scan_inputs", "discretize", "scan_sequential",
     "selective_scan",
 ]
 
@@ -67,15 +71,11 @@ class SSMParams(Module):
     ``a_log`` realizes A = -exp(a_log) (diagonal per channel), initialized
     to log(1..N) so the N state lanes start with spread decay timescales.
     ``delta_bias`` is set so softplus(delta_bias) lands uniformly in
-    [1e-3, 1e-1].  The skip term d_skip is optional; no model block
-    keeps it.
+    [1e-3, 1e-1].
     """
 
-    def __init__(self, channels: int, state: int, rng: SplitMix64,
-                 with_skip: bool = False):
+    def __init__(self, channels: int, state: int, rng: SplitMix64):
         super().__init__()
-        self.channels = channels
-        self.state = state
         self.a_log = param(np.tile(np.log(np.arange(1, state + 1, dtype=np.float64)),
                                    (channels, 1)))
         std = 1.0 / np.sqrt(channels)
@@ -84,22 +84,26 @@ class SSMParams(Module):
         self.w_delta = param(rng.normal_array((channels, channels), 0.0, std))
         u = 1e-3 + (1e-1 - 1e-3) * rng.uniform_array((channels,))
         self.delta_bias = param(np.log(np.expm1(u)))
-        self.d_skip = param(np.ones(channels)) if with_skip else None
-
-    def state_matrix(self) -> Tensor:
-        """A = -exp(a_log); strictly negative."""
-        return -self.a_log.exp()
 
 
-def make_input_params(x: Tensor, p: SSMParams):
-    """Input-dependent B, C, delta for a sequence x of shape (..., L, D)."""
-    if x.shape[-1] != p.channels:
-        raise DimensionError(
-            f"sequence channels {x.shape} do not match params D={p.channels}")
-    b = matmul(x, p.w_B)
-    c = matmul(x, p.w_C)
-    delta = softplus(matmul(x, p.w_delta) + p.delta_bias)
-    return b, c, delta
+def scan_inputs(seqs: Tensor, params, c_seqs: Tensor | None = None):
+    """A, B, C and delta for K sequences, sequence k through ``params[k]``.
+
+    ``seqs`` is (..., K, L, D).  B and delta derive from ``seqs``; C derives
+    from ``c_seqs`` (same shape) when given, else from ``seqs``.  Returns A
+    (K, 1, D, N), B and C (..., K, L, N) and delta (..., K, L, D).
+    """
+    k, (d, n) = len(params), params[0].a_log.shape
+
+    def stacked(attr):
+        return stack([getattr(p, attr) for p in params], axis=0)
+
+    b = matmul(seqs, stacked("w_B"))
+    c = matmul(seqs if c_seqs is None else c_seqs, stacked("w_C"))
+    delta = softplus(matmul(seqs, stacked("w_delta"))
+                     + stacked("delta_bias").reshape(k, 1, d))
+    a = (-stacked("a_log").exp()).reshape((k, 1, d, n))
+    return a, b, c, delta
 
 
 def discretize(a, b, delta):
@@ -127,12 +131,11 @@ def _scan_loop(a: np.ndarray, b: np.ndarray, h0: np.ndarray) -> None:
         prev = bt
 
 
-def scan_sequential(x, a_bar, b_bar, c, d_skip=None):
+def scan_sequential(x, a_bar, b_bar, c):
     """Oracle realization of the recurrence; forward only.
 
     x is (..., L, D), a_bar and b_bar (..., L, D, N), c (..., L, N); returns
-    y_k = C_k . h_k (+ d_skip * x_k) with h_k = a_bar_k h_{k-1} +
-    b_bar_k x_k from h_{-1} = 0.
+    y_k = C_k . h_k with h_k = a_bar_k h_{k-1} + b_bar_k x_k from h_{-1} = 0.
     """
     xa, aa, ba, ca = map(np.asarray, (x, a_bar, b_bar, c))
     if xa.shape[-2:] != aa.shape[-3:-1] or aa.shape != ba.shape:
@@ -149,42 +152,33 @@ def scan_sequential(x, a_bar, b_bar, c, d_skip=None):
     for k in range(aa.shape[-3]):
         h = aa[..., k, :, :] * h + bx[..., k, :, :]
         hs[..., k, :, :] = h
-    y = np.einsum("...ln,...ldn->...ld", ca, hs)
-    if d_skip is not None:
-        y = y + d_skip * xa
-    return y
+    return np.einsum("...ln,...ldn->...ld", ca, hs)
 
 
-def _check_op_shapes(x, a, b, c, delta, d_skip):
+def _check_op_shapes(x, a, b, c, delta):
     full = x + b[-1:]
     try:
         ok = (len(x) >= 2 and b[:-1] == x[:-1] and c == b and delta == x
-              and np.broadcast_shapes(a, full) == full
-              and np.broadcast_shapes(d_skip or (), x) == x)
+              and np.broadcast_shapes(a, full) == full)
     except ValueError:
         ok = False
     if not ok:
         raise DimensionError(
             f"selective_scan shapes disagree: x {x}, A {a}, B {b}, C {c}, "
-            f"delta {delta}, d_skip {d_skip} (A must broadcast to {full})")
+            f"delta {delta} (A must broadcast to {full})")
 
 
 def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
-                   d_skip: Tensor | None = None, reverse: bool = False
-                   ) -> Tensor:
+                   reverse: bool = False) -> Tensor:
     """Differentiable selective scan that discretizes inside.
 
     x and delta are (..., L, D), B and C (..., L, N); A broadcasts to
-    (..., L, D, N) and d_skip, when given, to (..., L, D).  delta must be
-    >= 0.  ``reverse`` scans from the last position to the first.  Returns
-    y of shape (..., L, D).
+    (..., L, D, N).  delta must be >= 0.  ``reverse`` scans from the last
+    position to the first.  Returns y of shape (..., L, D).
     """
     xt, at, bt, ct, dt = map(Tensor._ensure, (x, a, b, c, delta))
-    st = Tensor._ensure(d_skip) if d_skip is not None else None
     xd, ad, bd, cd, dd = xt.data, at.data, bt.data, ct.data, dt.data
-    sd = st.data if st is not None else None
-    _check_op_shapes(xd.shape, ad.shape, bd.shape, cd.shape, dd.shape,
-                     sd.shape if sd is not None else None)
+    _check_op_shapes(xd.shape, ad.shape, bd.shape, cd.shape, dd.shape)
     if np.any(dd < 0):
         raise DomainError("delta must be non-negative")
     lead, (length, d) = xd.shape[:-2], xd.shape[-2:]
@@ -228,8 +222,6 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
         h = block_states(s, e, h0)[-1]
         np.matmul(c_tm[s:e, ..., None, :], h, out=y_tm[s:e, ..., None, :])
         h0 = h[-1].copy()
-    if sd is not None:
-        y += sd * xd
 
     def backward(g):
         g_tm = tm(g)
@@ -264,11 +256,6 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
             ga_blk = ga[s:e] if per_position else ga
             ga_blk += _unbroadcast(gz * dl, ga_blk.shape)
         ga = np.swapaxes(np.moveaxis(ga[::step], 0, -3), -1, -2)
-        ga = ga.reshape(ad.shape)
-        if st is None:
-            return gx, ga, gb, gc, gdelta
-        return (gx + g * sd, ga, gb, gc, gdelta,
-                _unbroadcast(g * xd, sd.shape))
+        return gx, ga.reshape(ad.shape), gb, gc, gdelta
 
-    parents = (xt, at, bt, ct, dt) + ((st,) if st is not None else ())
-    return Tensor._from_op(y, parents, backward)
+    return Tensor._from_op(y, (xt, at, bt, ct, dt), backward)

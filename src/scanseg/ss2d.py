@@ -4,9 +4,10 @@ Feature maps are channels-last, ``(..., H, W, C)``, here and in every block
 between the patch embedding and the segmentation head.  A map is flattened
 into four directional sequences — row-major from the top-left, its
 reversal, column-major from the top-left, and its reversal — each scanned
-by its own parameter set, then the four outputs are restored to grid order
-and summed.  The two diagonal corner orders named in the usual cross-scan
-formulation are realized as the row-/column-major pair with reversals.
+by its own parameter set (through ``scan.scan_inputs``, fusion's generator
+too), then the four outputs are restored to grid order and summed.  The
+two diagonal corner orders named in the usual cross-scan formulation are
+realized as the row-/column-major pair with reversals.
 
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
@@ -15,11 +16,11 @@ features steer how the hidden state is read out.
 
 from __future__ import annotations
 
-from .autodiff import Tensor, concat, matmul, softplus, split, stack
+from .autodiff import Tensor, concat, split
 from .errors import DimensionError
 from .nn import LayerNorm, Module, ModuleList
 from .rng import SplitMix64
-from .scan import SSMParams, selective_scan
+from .scan import SSMParams, scan_inputs, selective_scan
 
 __all__ = ["cross_scan", "cross_merge", "SS2DBlock", "ss2d_forward"]
 
@@ -63,13 +64,9 @@ class SS2DBlock(Module):
     def __init__(self, channels: int, state: int, rng: SplitMix64):
         super().__init__()
         self.channels = channels
-        self.state = state
         self.directions = ModuleList(
             [SSMParams(channels, state, rng) for _ in range(4)])
         self.out_norm = LayerNorm(channels)
-
-    def _stacked(self, attr: str) -> Tensor:
-        return stack([getattr(p, attr) for p in self.directions], axis=0)
 
 
 def ss2d_forward(f: Tensor, block: SS2DBlock,
@@ -88,14 +85,7 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
             f"c_source shape {c_source.shape} must equal f shape {f.shape}")
 
     seqs = cross_scan(f)                                   # (..., 4, L, C)
-    cseqs = seqs if c_source is None else cross_scan(c_source)
-
-    b = matmul(seqs, block._stacked("w_B"))                # (..., 4, L, N)
-    c = matmul(cseqs, block._stacked("w_C"))
-    bias_d = block._stacked("delta_bias").reshape(4, 1, block.channels)
-    delta = softplus(matmul(seqs, block._stacked("w_delta")) + bias_d)
-    a = (-block._stacked("a_log").exp()).reshape(
-        (4, 1, block.channels, block.state))               # (4, 1, C, N)
-
+    cseqs = None if c_source is None else cross_scan(c_source)
+    a, b, c, delta = scan_inputs(seqs, block.directions, cseqs)
     y = selective_scan(seqs, a, b, c, delta)
     return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))

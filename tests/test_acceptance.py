@@ -38,12 +38,11 @@ def test_criterion_1_scan_oracle_equivalence(monkeypatch):
         delta = 0.01 + rr.uniform_array((L, D))
         c = -1.0 + 2.0 * rr.uniform_array((L, N))
         a_bar, b_bar = scan.discretize(a, b, delta)
-        d_skip = rr.uniform_array((D,)) if case % 2 else None
-        y_ref = scan.scan_sequential(x, a_bar, b_bar, c, d_skip)
+        y_ref = scan.scan_sequential(x, a_bar, b_bar, c)
         for block in (1, 2, 3, 8, L):
             # Patched so that these short sequences cross block boundaries.
             monkeypatch.setattr(scan, "BLOCK", block)
-            y = scan.selective_scan(x, a, b, c, delta, d_skip).data
+            y = scan.selective_scan(x, a, b, c, delta).data
             rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from scanseg.cli import main
+from scanseg.cli import THREAD_VARS, main
 
 
 def run(args):
@@ -351,6 +351,20 @@ def test_threads_flag_both_forms_set_env_and_manifest(tmp_path, monkeypatch):
         assert manifest["blas"] == f"{blas['name']} {blas['version']}"
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_threads_non_positive_exit_1(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert run(["--threads", value, "synth", "--out", "e", "--count", 1,
+                "--resolution", "16x16"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("usage error") and "--threads" in err
+    assert [os.environ.get(var) for var in THREAD_VARS] == [None] * 3
+    assert os.listdir(tmp_path) == []
+
+
 def _drop_depths(cfg):
     del cfg["stages"]["depths"]
     return json.dumps(cfg)
@@ -443,6 +457,23 @@ def test_semantic_one_class_exit_1_with_manifest(tmp_path, capsys):
                 "--batch", 2, "--out", out / "m.ckpt"]) == 1
     _one_error_line_and_manifest(
         capsys, out, "error: the semantic task needs num_classes >= 2, got 1")
+
+
+def test_saliency_several_classes_exit_1_with_manifest(tmp_path, capsys,
+                                                      monkeypatch):
+    from scanseg.model import Model
+    ds = tmp_path / "d"
+    assert run(["synth", "--out", ds, "--count", 2,
+                "--resolution", "32x32"]) == 0
+    capsys.readouterr()
+    # The config is rejected before any model is built.
+    monkeypatch.setattr(Model, "__init__",
+                        lambda *a, **k: pytest.fail("model built"))
+    out = tmp_path / "ck"
+    assert run(["train", "--data", ds, "--num-classes", 2, "--steps", 1,
+                "--batch", 2, "--out", out / "m.ckpt"]) == 1
+    _one_error_line_and_manifest(
+        capsys, out, "error: the saliency task needs num_classes == 1, got 2")
 
 
 @pytest.mark.parametrize("flags, start", [

@@ -93,7 +93,7 @@ def test_single_position_matches_hand_composed_two_step_scan():
 
 def test_stub_identity_scan_doubles_joined_sequence():
     blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(11))
-    blk._scan_fn = lambda x, a, b, c, delta, d_skip=None, reverse=False: x
+    blk._scan_fn = lambda x, a, b, c, delta, reverse=False: x
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
@@ -120,7 +120,7 @@ def test_underflowed_delta_matches_oracle():
     y = _bidirectional_scan(blk, *inputs).data
     x, _, b, c, delta = (t.data for t in inputs)
     assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
-    halves = [discretize(gen.state_matrix().data, b[s], delta[s])
+    halves = [discretize(-np.exp(gen.a_log.data), b[s], delta[s])
               for gen, s in ((blk.gen_a, slice(0, 6)),
                              (blk.gen_b, slice(6, 12)))]
     a_bar = np.concatenate([h[0] for h in halves])

@@ -33,6 +33,12 @@ def test_semantic_config_needs_two_classes():
     assert ModelConfig(task="semantic", num_classes=2).num_classes == 2
 
 
+def test_saliency_config_needs_one_class():
+    with pytest.raises(ConfigError, match="num_classes == 1, got 2"):
+        ModelConfig(task="saliency", num_classes=2)
+    assert ModelConfig(task="saliency", num_classes=1).num_classes == 1
+
+
 @pytest.mark.parametrize("stages, top, field", [
     ({}, {"resolution": (32,)}, "resolution must be two positive ints"),
     ({}, {"resolution": (32, 32.0)}, "resolution must be a positive int"),

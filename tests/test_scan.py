@@ -7,7 +7,7 @@ from scanseg.autodiff import Tensor
 from scanseg.errors import DimensionError, DomainError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
-from scanseg.scan import (SSMParams, discretize, make_input_params,
+from scanseg.scan import (SSMParams, discretize, scan_inputs,
                           scan_sequential, selective_scan)
 
 
@@ -37,7 +37,9 @@ def random_scan_case(seed, L, N, D):
 
 def test_params_invariants():
     p = SSMParams(channels=3, state=4, rng=SplitMix64(1))
-    a = p.state_matrix().data
+    a = scan_inputs(Tensor(np.zeros((1, 1, 3))), [p])[0]
+    assert a.shape == (1, 1, 3, 4)
+    a = a.data[0, 0]
     assert np.all(a < 0)
     assert np.allclose(a, -np.tile(np.arange(1, 5.0), (3, 1)))
     dt0 = np.logaddexp(0.0, p.delta_bias.data)
@@ -49,34 +51,54 @@ def test_params_invariants():
 def test_input_params_zero_projection_constant_delta():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(2))
     p.w_delta.data[:] = 0.0
-    x = Tensor(rand((5, 3), seed=3))
-    _, _, delta = make_input_params(x, p)
+    x = Tensor(rand((1, 5, 3), seed=3))
+    delta = scan_inputs(x, [p])[3]
     expect = np.logaddexp(0.0, p.delta_bias.data)
-    assert np.allclose(delta.data, np.broadcast_to(expect, (5, 3)), atol=1e-15)
+    assert np.allclose(delta.data, np.broadcast_to(expect, (1, 5, 3)),
+                       atol=1e-15)
 
 
 def test_input_params_zero_input():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(4))
-    b, c, delta = make_input_params(Tensor(np.zeros((4, 3))), p)
-    assert np.array_equal(b.data, np.zeros((4, 2)))
-    assert np.array_equal(c.data, np.zeros((4, 2)))
+    _, b, c, delta = scan_inputs(Tensor(np.zeros((1, 4, 3))), [p])
+    assert np.array_equal(b.data, np.zeros((1, 4, 2)))
+    assert np.array_equal(c.data, np.zeros((1, 4, 2)))
     assert np.all(delta.data > 0)
 
 
 def test_input_params_match_hand_projection():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(5))
     x = rand((6, 3), seed=6)
-    b, c, delta = make_input_params(Tensor(x), p)
-    assert np.array_equal(b.data, x @ p.w_B.data)
-    assert np.array_equal(c.data, x @ p.w_C.data)
-    assert np.array_equal(delta.data,
+    _, b, c, delta = scan_inputs(Tensor(x[None]), [p])
+    assert np.array_equal(b.data[0], x @ p.w_B.data)
+    assert np.array_equal(c.data[0], x @ p.w_C.data)
+    assert np.array_equal(delta.data[0],
                           np.logaddexp(0.0, x @ p.w_delta.data + p.delta_bias.data))
+
+
+def test_scan_inputs_match_per_set_projections():
+    # K = 2 distinct parameter sets, a leading batch axis and a separate
+    # C source: each set's slice is its own plain projection, bitwise.
+    ps = [SSMParams(channels=3, state=2, rng=SplitMix64(s)) for s in (50, 51)]
+    seqs = rand((2, 2, 5, 3), seed=52)
+    c_seqs = rand((2, 2, 5, 3), seed=53)
+    a, b, c, delta = scan_inputs(Tensor(seqs), ps, Tensor(c_seqs))
+    assert a.shape == (2, 1, 3, 2)
+    assert b.shape == c.shape == (2, 2, 5, 2) and delta.shape == seqs.shape
+    for k, p in enumerate(ps):
+        x = seqs[:, k]
+        assert np.array_equal(a.data[k, 0], -np.exp(p.a_log.data))
+        assert np.array_equal(b.data[:, k], x @ p.w_B.data)
+        assert np.array_equal(c.data[:, k], c_seqs[:, k] @ p.w_C.data)
+        assert np.array_equal(
+            delta.data[:, k],
+            np.logaddexp(0.0, x @ p.w_delta.data + p.delta_bias.data))
 
 
 def test_input_params_channel_mismatch():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(7))
     with pytest.raises(DimensionError):
-        make_input_params(Tensor(np.zeros((4, 5))), p)
+        scan_inputs(Tensor(np.zeros((1, 4, 5))), [p])
 
 
 # ---------------------------------------------------------------- discretization
@@ -156,24 +178,7 @@ def test_scan_golden_hand_unrolled_table():
         assert abs(c[k, 0] * h[0] + c[k, 1] * h[1] - golden[k, 0]) < 1e-15
 
 
-def test_scan_with_skip_term():
-    x, a_bar, b_bar, c = random_scan_case(15, L=6, N=2, D=3)
-    d_skip = rand((3,), seed=16)
-    y0 = scan_sequential(x, a_bar, b_bar, c)
-    y1 = scan_sequential(x, a_bar, b_bar, c, d_skip=d_skip)
-    assert np.allclose(y1, y0 + d_skip * x, atol=1e-14)
-
-
 # ---------------------------------------------------------------- adjoint
-
-def test_skip_gradient_is_input_sum():
-    x, a, b, c, delta = random_op_case(22, L=7, N=2, D=3)
-    d_skip = Tensor(rand((3,), seed=23), requires_grad=True)
-    y = selective_scan(Tensor(x), Tensor(a), Tensor(b), Tensor(c),
-                       Tensor(delta), d_skip=d_skip)
-    y.sum().backward()
-    assert np.allclose(d_skip.grad, x.sum(axis=0), atol=1e-12)
-
 
 def test_zero_c_kills_state_path_gradients():
     x, a, b, c, delta = random_op_case(24, L=5, N=2, D=2)
@@ -197,30 +202,28 @@ def test_scan_finite_difference_sweep():
     a = -0.1 - 1.5 * r.uniform_array((D, N))
     b = -1.0 + 2.0 * r.uniform_array((L, N))
     delta_raw = -1.0 + 2.0 * r.uniform_array((L, D))
-    d_skip = -1.0 + 2.0 * r.uniform_array((D,))
+    r.uniform_array((D,))   # drawn so that ``weight`` keeps its values
     weight = -1.0 + 2.0 * r.uniform_array((L, D))
 
     def build(ts):
-        xx, aa, bb, dd, ss = ts
+        xx, aa, bb, dd = ts
         from scanseg.autodiff import softplus
         # C tied to b keeps the case small while exercising the C gradient.
-        y = selective_scan(xx, aa, bb, bb * 1.5, softplus(dd), d_skip=ss)
+        y = selective_scan(xx, aa, bb, bb * 1.5, softplus(dd))
         return (y * Tensor(weight)).sum()
 
-    res = check("selective-scan", build, [x, a, b, delta_raw, d_skip], step=1e-5)
+    res = check("selective-scan", build, [x, a, b, delta_raw], step=1e-5)
     assert res.passed, res.line()
 
 
 def test_scan_gradcheck_via_input_params():
     L, N, D = 6, 3, 2
-    p = SSMParams(channels=D, state=N, rng=SplitMix64(26), with_skip=True)
-    x = rand((L, D), seed=27, lo=-1.0, hi=1.0)
-    weight = rand((L, D), seed=28)
+    p = SSMParams(channels=D, state=N, rng=SplitMix64(26))
+    x = rand((1, L, D), seed=27, lo=-1.0, hi=1.0)
+    weight = rand((1, L, D), seed=28)
 
     def build(ts):
-        b, c, delta = make_input_params(ts[0], p)
-        y = selective_scan(ts[0], p.state_matrix(), b, c, delta,
-                           d_skip=p.d_skip)
+        y = selective_scan(ts[0], *scan_inputs(ts[0], [p]))
         return (y * Tensor(weight)).sum()
 
     res = check("scan-input-grad", build, [x], step=1e-5)
@@ -245,18 +248,17 @@ def test_zero_delta_holds_state_negative_delta_rejected():
 def test_selective_scan_rejects_shape_mismatch():
     x, a, b, c, delta = random_op_case(34, L=4, N=2, D=3)
     bad = [
-        (x, a, b, c, delta[:, :2], None),          # delta D differs from x
-        (x, np.zeros((3, 3)), b, c, delta, None),  # A's N differs from B's
-        (x, a, b, c[:3], delta, None),             # C's L differs
-        (x, a, np.stack([b, b]), c, delta, None),  # B has its own lead dim
-        (x, a, b, c, delta, np.ones(2)),           # d_skip's D differs
+        (x, a, b, c, delta[:, :2]),          # delta D differs from x
+        (x, np.zeros((3, 3)), b, c, delta),  # A's N differs from B's
+        (x, a, b, c[:3], delta),             # C's L differs
+        (x, a, np.stack([b, b]), c, delta),  # B has its own lead dim
     ]
-    for xx, aa, bb, cc, dd, ss in bad:
+    for args in bad:
         with pytest.raises(DimensionError):
-            selective_scan(xx, aa, bb, cc, dd, d_skip=ss)
+            selective_scan(*args)
 
 
-def _op_oracle(x, a, b, c, delta, d_skip):
+def _op_oracle(x, a, b, c, delta):
     """scan_sequential on discretize inputs; ``a`` is (D, N) or a
     per-position (L, D, N), which is discretized as L length-1 sequences."""
     if a.ndim == 2:
@@ -264,12 +266,12 @@ def _op_oracle(x, a, b, c, delta, d_skip):
     else:
         a_bar, b_bar = discretize(a, b[..., None, :], delta[..., None, :])
         a_bar, b_bar = a_bar[..., 0, :, :], b_bar[..., 0, :, :]
-    return scan_sequential(x, a_bar, b_bar, c, d_skip)
+    return scan_sequential(x, a_bar, b_bar, c)
 
 
 def test_selective_scan_oracle_sweep():
     # L from 1 to 200, each crossed with leading dims and a shared or
-    # per-position A; every other case keeps d_skip.
+    # per-position A.
     r = SplitMix64(35)
     worst, case = 0.0, 0
     for L in (1, 13, 64, 65, 100, 200):
@@ -283,16 +285,15 @@ def test_selective_scan_oracle_sweep():
                 b = -1.0 + 2.0 * rr.uniform_array(lead + (L, N))
                 delta = 0.01 + rr.uniform_array(lead + (L, D))
                 c = -1.0 + 2.0 * rr.uniform_array(lead + (L, N))
-                d_skip = rr.uniform_array((D,)) if case % 2 else None
-                y = selective_scan(x, a, b, c, delta, d_skip=d_skip).data
-                y_ref = _op_oracle(x, a, b, c, delta, d_skip)
+                y = selective_scan(x, a, b, c, delta).data
+                y_ref = _op_oracle(x, a, b, c, delta)
                 rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
                 worst = max(worst, rel)
                 case += 1
     assert worst <= 1e-10, worst
 
 
-def _blocked_case(seed, lead, length, d, n, a_shape, skip, extreme=False):
+def _blocked_case(seed, lead, length, d, n, a_shape, extreme=False):
     """Seeded op inputs; ``extreme`` makes delta*|A| reach 0 (a_bar = 1) and
     1e6 (a_bar underflows to exactly 0) on alternate positions of channel 0."""
     r = SplitMix64(seed)
@@ -304,20 +305,19 @@ def _blocked_case(seed, lead, length, d, n, a_shape, skip, extreme=False):
     if extreme:
         delta[..., 0::2, 0] = 0.0
         delta[..., 1::2, 0] = 1e6
-    d_skip = r.uniform_array((d,)) if skip else None
-    return x, a, b, c, delta, d_skip
+    return x, a, b, c, delta
 
 
-def _broadcast_oracle(x, a, b, c, delta, d_skip, reverse):
+def _broadcast_oracle(x, a, b, c, delta, reverse):
     """scan_sequential with A broadcast to (..., L, D, N) as the op takes it;
     ``reverse`` scans the flipped arrays and flips the result back."""
     a_bar = np.exp(delta[..., None] * a)
     b_bar = delta[..., None] * b[..., None, :]
     if not reverse:
-        return scan_sequential(x, a_bar, b_bar, c, d_skip)
+        return scan_sequential(x, a_bar, b_bar, c)
     a_bar = np.broadcast_to(a_bar, b_bar.shape)
     y = scan_sequential(np.flip(x, -2), np.flip(a_bar, -3), np.flip(b_bar, -3),
-                        np.flip(c, -2), d_skip)
+                        np.flip(c, -2))
     return np.flip(y, -2)
 
 
@@ -332,10 +332,8 @@ def test_blocked_scan_matches_oracle_across_blocks():
         for per_position in (False, True):
             for reverse in (False, True):
                 shape = (length, D, N) if per_position else A_SHARED
-                args = _blocked_case(3600 + case, LEAD, length, D, N, shape,
-                                     skip=case % 3 == 0)
-                y = selective_scan(*args[:5], d_skip=args[5],
-                                   reverse=reverse).data
+                args = _blocked_case(3600 + case, LEAD, length, D, N, shape)
+                y = selective_scan(*args, reverse=reverse).data
                 y_ref = _broadcast_oracle(*args, reverse)
                 rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
                 worst = max(worst, rel)
@@ -349,13 +347,12 @@ def test_blocked_scan_extreme_delta_a_matches_oracle():
     from scanseg.scan import BLOCK
     length = 2 * BLOCK + 19
     for reverse in (False, True):
-        args = _blocked_case(37, LEAD, length, D, N, A_SHARED, skip=True,
-                             extreme=True)
+        args = _blocked_case(37, LEAD, length, D, N, A_SHARED, extreme=True)
         a_bar = np.exp(args[4][..., None] * args[1])
         assert np.all(a_bar[..., 0::2, 0, :] == 1.0)
         assert np.all(a_bar[..., 1::2, 0, :] == 0.0)
         ts = [Tensor(v, requires_grad=True) for v in args]
-        y = selective_scan(*ts[:5], d_skip=ts[5], reverse=reverse)
+        y = selective_scan(*ts, reverse=reverse)
         y_ref = _broadcast_oracle(*args, reverse)
         rel = np.max(np.abs(y.data - y_ref) / (np.abs(y_ref) + 1e-12))
         assert rel <= 1e-10, rel
@@ -368,20 +365,19 @@ def test_reverse_gradients_equal_forward_scan_of_flipped_inputs():
     length = 2 * BLOCK + 19
     for per_position in (False, True):
         shape = (length, D, N) if per_position else A_SHARED
-        args = _blocked_case(38, LEAD, length, D, N, shape, skip=True)
+        args = _blocked_case(38, LEAD, length, D, N, shape)
         probe = rand(LEAD + (length, D), seed=39)
         grads = []
         for reverse in (False, True):
             ts = [Tensor(v, requires_grad=True) for v in args]
-            x, a, b, c, delta, d_skip = ts
+            x, a, b, c, delta = ts
             if reverse:
-                y = selective_scan(x, a, b, c, delta, d_skip=d_skip,
-                                   reverse=True)
+                y = selective_scan(x, a, b, c, delta, reverse=True)
             else:
                 ax = x.ndim - 2
                 fa = a.flip(0) if per_position else a
                 y = selective_scan(x.flip(ax), fa, b.flip(ax), c.flip(ax),
-                                   delta.flip(ax), d_skip=d_skip).flip(ax)
+                                   delta.flip(ax)).flip(ax)
             (y * Tensor(probe)).sum().backward()
             grads.append([y.data] + [t.grad for t in ts])
         for g_flip, g_rev in zip(*grads):
@@ -395,8 +391,8 @@ def test_forward_graph_holds_less_than_one_full_state_array():
     # beyond y, stays below one such array (8 MiB here).
     import tracemalloc
     lead, length, d, n = (4, 4), 1024, 16, 4
-    args = _blocked_case(40, lead, length, d, n, (4, 1, d, n), skip=False)
-    ts = [Tensor(v, requires_grad=True) for v in args[:5]]
+    args = _blocked_case(40, lead, length, d, n, (4, 1, d, n))
+    ts = [Tensor(v, requires_grad=True) for v in args]
     full = int(np.prod(lead)) * length * d * n * 8
     tracemalloc.start()
     try:

@@ -174,7 +174,7 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     # it with the shared parameters, flip the output back, and restore grid
     # order with direction 1's inverse permutation.  The permutations are
     # the test's own oracle tables.
-    from scanseg.scan import (SSMParams, discretize, make_input_params,
+    from scanseg.scan import (SSMParams, discretize, scan_inputs,
                               scan_sequential)
     params = SSMParams(channels=2, state=3, rng=SplitMix64(14))
     f = rand((3, 4, 2), seed=15)
@@ -183,10 +183,9 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     assert np.array_equal(seqs[1], seqs[0][::-1])
 
     def run(x):
-        b, c, delta = make_input_params(Tensor(x), params)
-        a_bar, b_bar = discretize(params.state_matrix().data, b.data,
-                                  delta.data)
-        return scan_sequential(x, a_bar, b_bar, c.data)
+        a, b, c, delta = (t.data[0] for t in scan_inputs(Tensor(x[None]),
+                                                         [params]))
+        return scan_sequential(x, *discretize(a[0], b, delta), c)
 
     y2 = run(seqs[1])
     grid_dir2 = np.take(y2, invs[1], axis=0)
@@ -198,7 +197,7 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
 def test_ss2d_underflowed_delta_matches_oracle():
     # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
     # every direction: a_bar = 1 and b_bar = 0 there, so the state holds.
-    from scanseg.scan import discretize, make_input_params, scan_sequential
+    from scanseg.scan import discretize, scan_inputs, scan_sequential
     blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(23))
     for p in blk.directions:
         p.delta_bias.data[0] = -1000.0
@@ -209,9 +208,10 @@ def test_ss2d_underflowed_delta_matches_oracle():
     seqs = cross_scan(Tensor(f)).data
     ys = []
     for seq, p in zip(seqs, blk.directions):
-        b, c, delta = (t.data for t in make_input_params(Tensor(seq), p))
+        a, b, c, delta = (t.data[0] for t in scan_inputs(Tensor(seq[None]),
+                                                         [p]))
         assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
-        a_bar, b_bar = discretize(p.state_matrix().data, b, delta)
+        a_bar, b_bar = discretize(a[0], b, delta)
         assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
         ys.append(scan_sequential(seq, a_bar, b_bar, c))
     expect = blk.out_norm(cross_merge(Tensor(np.stack(ys)), 3, 4)).data
