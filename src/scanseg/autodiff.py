@@ -215,9 +215,6 @@ class Tensor:
             lambda g: (_unbroadcast(g / b.data, a.data.shape),
                        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
-    def __rtruediv__(self, other):
-        return Tensor._ensure(other) / self
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -226,10 +223,6 @@ class Tensor:
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
         return Tensor._from_op(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self) -> "Tensor":
-        return Tensor._from_op(np.log(self.data), (self,),
-                               lambda g: (g / self.data,))
 
     # -- reductions -------------------------------------------------------------
 
@@ -259,22 +252,22 @@ class Tensor:
             x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
     def transpose(self, axes) -> "Tensor":
+        """Permuted view of the axes; its gradient is a view too."""
         axes = tuple(axes)
         if sorted(axes) != list(range(self.ndim)):
             raise DimensionError(
                 f"transpose axes {axes} are not a permutation of 0..{self.ndim - 1}")
         inv = tuple(np.argsort(axes))
-        return Tensor._from_op(
-            np.ascontiguousarray(self.data.transpose(axes)), (self,),
-            lambda g: (np.ascontiguousarray(g.transpose(inv)),))
+        return Tensor._from_op(self.data.transpose(axes), (self,),
+                               lambda g: (g.transpose(inv),))
 
     def flip(self, axis: int) -> "Tensor":
+        """Reversed view along ``axis``; its gradient is a view too."""
         if not -self.ndim <= axis < self.ndim:
             raise DimensionError(
                 f"flip axis {axis} out of range for shape {self.shape}")
-        return Tensor._from_op(
-            np.flip(self.data, axis=axis).copy(), (self,),
-            lambda g: (np.flip(g, axis=axis).copy(),))
+        return Tensor._from_op(np.flip(self.data, axis=axis), (self,),
+                               lambda g: (np.flip(g, axis=axis),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

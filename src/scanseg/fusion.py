@@ -2,9 +2,11 @@
 
 Each modality's features pass through their own linear layer and depthwise
 convolution, are flattened, and the two sequences are joined end to end.
-The joined sequence is scanned twice, front to back and back to front
-(``reverse=True``), so state flows across the modality boundary in both
-directions; the two outputs are summed.
+The joined sequence is scanned twice, front to back and back to front,
+so state flows across the modality boundary in both directions; the two
+outputs are summed.  The backward scan is the same forward scan over
+``Tensor.flip`` views of the inputs, its output flipped back, as SS2D
+builds its reversed directions.
 
 Parameter wiring is crossed between the modalities: along the first half
 (positions owned by the first modality) the transition quantities A, B,
@@ -98,5 +100,7 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
 
 def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,
                         c: Tensor, delta: Tensor) -> Tensor:
+    l = x.ndim - 2                          # a is (2L, C, N): its L is 0
     return (blk._scan_fn(x, a, b, c, delta)
-            + blk._scan_fn(x, a, b, c, delta, reverse=True))
+            + blk._scan_fn(x.flip(l), a.flip(0), b.flip(l), c.flip(l),
+                           delta.flip(l)).flip(l))

@@ -7,8 +7,9 @@ metric is max |analytic - numeric| / (|analytic| + 1e-8); ops and blocks
 must stay below 1e-4 at double precision, the full tiny model below 1e-3.
 
 ``check_params`` is the one finite-difference driver: it perturbs Tensor
-entries in place and rebuilds the loss.  ``check`` is a wrapper over it for
-a loss built from plain input arrays.
+entries in place and rebuilds the loss, recording no graph for these
+probes.  ``check`` is a wrapper over it for a loss built from plain input
+arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 
 
 @dataclass
@@ -94,10 +95,11 @@ def check_params(name: str,
             keep = flat[i]
             entry_err = float("inf")
             for h in steps:
-                flat[i] = keep + h
-                f_plus = loss_fn().item()
-                flat[i] = keep - h
-                f_minus = loss_fn().item()
+                with no_grad():
+                    flat[i] = keep + h
+                    f_plus = loss_fn().item()
+                    flat[i] = keep - h
+                    f_minus = loss_fn().item()
                 flat[i] = keep
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 err = abs(gflat[i] - numeric) / (abs(gflat[i]) + 1e-8)
@@ -131,7 +133,6 @@ def suite_ops() -> list[CheckResult]:
     add("div", lambda ts: (ts[0] / (ts[1] * ts[1] + 1.0)).sum(),
         [_rand((3, 3), 7), _rand((3, 3), 8)])
     add("exp", lambda ts: ts[0].exp().sum(), [_rand((3, 3), 9)])
-    add("log", lambda ts: (ts[0] * ts[0] + 1.0).log().sum(), [_rand((3, 3), 10)])
     add("sigmoid", lambda ts: (sigmoid(ts[0]) * ts[0]).sum(), [_rand((4, 2), 11)])
     add("silu", lambda ts: silu(ts[0]).sum(), [_rand((4, 3), 12)])
     add("softplus", lambda ts: softplus(ts[0]).sum(), [_rand((4, 3), 13)])
@@ -197,26 +198,23 @@ def suite_scan() -> list[CheckResult]:
          _rand((6, 3), 49), _rand((6, 2), 50)], step=1e-5))
 
     # Three blocks (L = 2*BLOCK + 19: two full blocks and a partial one),
-    # forward and reversed, on a seeded subset of entries.
+    # on a seeded subset of entries.
     length = 2 * BLOCK + 19
     lead, d, n = (4, 4), 8, 4
-    for reverse in (False, True):
-        seed = 70 + 5 * reverse
-        ts = [Tensor(_rand(s, seed + i), requires_grad=True)
-              for i, s in enumerate((lead + (length, d), (d, n),
-                                     lead + (length, n), lead + (length, n),
-                                     lead + (length, d)))]
-        w = Tensor(_rand(lead + (length, d), seed + 5))
+    ts = [Tensor(_rand(s, 70 + i), requires_grad=True)
+          for i, s in enumerate((lead + (length, d), (d, n),
+                                 lead + (length, n), lead + (length, n),
+                                 lead + (length, d)))]
+    w = Tensor(_rand(lead + (length, d), 75))
 
-        def loss_fn(ts=ts, w=w, reverse=reverse):
-            x, a, b, c, delta = ts
-            return (selective_scan(x, -a.exp(), b, c, softplus(delta),
-                                   reverse=reverse) * w).sum()
+    def blocks_loss():
+        x, a, b, c, delta = ts
+        return (selective_scan(x, -a.exp(), b, c, softplus(delta)) * w).sum()
 
-        name = "selective-scan-blocks" + "-reverse" * reverse
-        results.append(check_params(
-            name, loss_fn, [(f"input{i}", t) for i, t in enumerate(ts)],
-            step=1e-5, entries_per_param=12))
+    results.append(check_params(
+        "selective-scan-blocks", blocks_loss,
+        [(f"input{i}", t) for i, t in enumerate(ts)],
+        step=1e-5, entries_per_param=12))
     return results
 
 

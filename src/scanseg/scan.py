@@ -34,9 +34,10 @@ saved state, runs the adjoint in place, and reduces the block's share of
 the gradients for x, A, B, C and delta.  The adjoint is carried as
 nu_k = a_bar_k * lambda_k, where lambda_k = g_k C_k + nu_{k+1} is dL/dh_k:
 nu_k = a_bar_k * nu_{k+1} + a_bar_k * g_k C_k is the forward recurrence run
-back to front, and dL/d(delta*A)_k = nu_k * h_{k-1}.  ``reverse=True``
-scans from the last position to the first by running the same code on
-flipped views, so it copies nothing.
+back to front, and dL/d(delta*A)_k = nu_k * h_{k-1}.  The op scans one
+way only, first position to last.  A caller that scans back to front
+passes ``Tensor.flip`` views of its inputs and flips y back, which copies
+nothing.
 
 Inside a block the recurrence runs as a plain loop, ``_scan_loop``: two
 numpy calls per position on contiguous (..., N, D) slices.  It is the op's
@@ -168,13 +169,14 @@ def _check_op_shapes(x, a, b, c, delta):
             f"delta {delta} (A must broadcast to {full})")
 
 
-def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
-                   reverse: bool = False) -> Tensor:
+def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
+                   delta: Tensor) -> Tensor:
     """Differentiable selective scan that discretizes inside.
 
     x and delta are (..., L, D), B and C (..., L, N); A broadcasts to
-    (..., L, D, N).  delta must be >= 0.  ``reverse`` scans from the last
-    position to the first.  Returns y of shape (..., L, D).
+    (..., L, D, N).  delta must be >= 0.  The scan runs from the first
+    position to the last; inputs may be strided views, flipped ones too.
+    Returns y of shape (..., L, D).
     """
     xt, at, bt, ct, dt = map(Tensor._ensure, (x, a, b, c, delta))
     xd, ad, bd, cd, dd = xt.data, at.data, bt.data, ct.data, dt.data
@@ -183,11 +185,10 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
         raise DomainError("delta must be non-negative")
     lead, (length, d) = xd.shape[:-2], xd.shape[-2:]
     n = bd.shape[-1]
-    step = -1 if reverse else 1
 
     def tm(v, axis=-2):
-        """Time-major view of v in scan order: (L, ...) with L first."""
-        return np.moveaxis(v, axis, 0)[::step]
+        """Time-major view of v: (L, ...) with L first."""
+        return np.moveaxis(v, axis, 0)
 
     # States are kept as (N, D) per position so that the elementwise work
     # runs along D, the longer contiguous axis.  A becomes (L or 1, ..., N, D):
@@ -227,7 +228,7 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
         g_tm = tm(g)
         gx, gdelta = np.empty(xd.shape), np.empty(xd.shape)
         gb, gc = np.empty(bd.shape), np.empty(cd.shape)
-        ga = np.zeros(a_tm.shape)              # time-major, in scan order
+        ga = np.zeros(a_tm.shape)              # time-major
         gx_tm, gdelta_tm, gb_tm, gc_tm = tm(gx), tm(gdelta), tm(gb), tm(gc)
         nu0 = np.zeros(lead + (n, d))          # nu at the next block's start
         for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
@@ -255,7 +256,7 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor, delta: Tensor,
             np.matmul(h, g_tm[s:e, ..., :, None], out=gc_tm[s:e, ..., :, None])
             ga_blk = ga[s:e] if per_position else ga
             ga_blk += _unbroadcast(gz * dl, ga_blk.shape)
-        ga = np.swapaxes(np.moveaxis(ga[::step], 0, -3), -1, -2)
+        ga = np.swapaxes(np.moveaxis(ga, 0, -3), -1, -2)
         return gx, ga.reshape(ad.shape), gb, gc, gdelta
 
     return Tensor._from_op(y, (xt, at, bt, ct, dt), backward)

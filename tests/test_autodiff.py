@@ -161,6 +161,8 @@ def test_structural_inverses_bitwise():
     t = Tensor(a)
     assert np.array_equal(t.flip(0).flip(0).data, a)
     assert np.array_equal(t.transpose((1, 0)).transpose((1, 0)).data, a)
+    assert np.shares_memory(t.flip(0).data, a)                      # views
+    assert np.shares_memory(t.transpose((1, 0)).data, a)
 
 
 def test_flip_axis_out_of_range():
@@ -307,7 +309,6 @@ OP_CASES = [
     ("div", lambda ts: (ts[0] / (ts[1] * ts[1] + 1.0)).sum(), [(3, 3), (3, 3)]),
     ("neg", lambda ts: (-ts[0] * ts[0]).sum(), [(4,)]),
     ("exp", lambda ts: ts[0].exp().sum(), [(3, 3)]),
-    ("log", lambda ts: (ts[0] * ts[0] + 1.0).log().sum(), [(3, 3)]),
     ("sigmoid", lambda ts: (sigmoid(ts[0]) * ts[0]).sum(), [(4, 2)]),
     ("silu", lambda ts: silu(ts[0]).sum(), [(4, 3)]),
     ("softplus", lambda ts: softplus(ts[0]).sum(), [(4, 3)]),

@@ -93,7 +93,7 @@ def test_single_position_matches_hand_composed_two_step_scan():
 
 def test_stub_identity_scan_doubles_joined_sequence():
     blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(11))
-    blk._scan_fn = lambda x, a, b, c, delta, reverse=False: x
+    blk._scan_fn = lambda x, a, b, c, delta: x
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
@@ -101,6 +101,50 @@ def test_stub_identity_scan_doubles_joined_sequence():
     x, a, b, c, delta = _joined_scan_inputs(blk, seq_a, seq_b)
     y = _bidirectional_scan(blk, x, a, b, c, delta)
     assert np.allclose(y.data, 2.0 * x.data, atol=1e-15)
+
+
+def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
+    # Per-modality L = 266: the joined 2L spans more than two scan blocks.
+    # The back-to-front pass runs on flipped views of the caller's arrays;
+    # it must agree with the oracle, with two scans of copied inputs, and
+    # leave the arrays as they were.
+    from scanseg.scan import BLOCK, scan_sequential, selective_scan
+    lead, length, d, n = (2,), 2 * 266, 4, 3
+    assert length > 2 * BLOCK
+    r = SplitMix64(60)
+    x = -2.0 + 4.0 * r.uniform_array(lead + (length, d))
+    a = -0.05 - 2.0 * r.uniform_array((length, d, n))    # per position
+    b = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
+    c = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
+    delta = 0.01 + r.uniform_array(lead + (length, d))
+    probe = rand(lead + (length, d), seed=61)
+    arrays = (x, a, b, c, delta)
+    kept = [v.copy() for v in arrays]
+    axes = (1, 0, 1, 1, 1)                              # each array's L axis
+
+    blk = MMFFBlock(channels=d, state=n, rng=SplitMix64(62))
+    ts = [Tensor(v, requires_grad=True) for v in arrays]
+    y = _bidirectional_scan(blk, *ts)
+    (y * Tensor(probe)).sum().backward()
+
+    a_bar = np.exp(delta[..., None] * a)
+    b_bar = delta[..., None] * b[..., None, :]
+    flipped = [np.flip(v, 1).copy() for v in (x, a_bar, b_bar, c)]
+    expect = (scan_sequential(x, a_bar, b_bar, c)
+              + np.flip(scan_sequential(*flipped), 1))
+    rel = np.max(np.abs(y.data - expect) / (np.abs(expect) + 1e-12))
+    assert rel <= 1e-10, rel
+
+    fwd = [Tensor(v.copy(), requires_grad=True) for v in arrays]
+    rev = [Tensor(np.flip(v, ax).copy(), requires_grad=True)
+           for v, ax in zip(arrays, axes)]
+    (selective_scan(*fwd) * Tensor(probe)).sum().backward()
+    (selective_scan(*rev) * Tensor(np.flip(probe, 1).copy())).sum().backward()
+    for t, f, rv, ax in zip(ts, fwd, rev, axes):
+        want = f.grad + np.flip(rv.grad, ax)
+        assert np.max(np.abs(t.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert all(np.array_equal(v, k) for v, k in zip(arrays, kept))
 
 
 def test_underflowed_delta_matches_oracle():

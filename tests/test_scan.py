@@ -308,17 +308,11 @@ def _blocked_case(seed, lead, length, d, n, a_shape, extreme=False):
     return x, a, b, c, delta
 
 
-def _broadcast_oracle(x, a, b, c, delta, reverse):
-    """scan_sequential with A broadcast to (..., L, D, N) as the op takes it;
-    ``reverse`` scans the flipped arrays and flips the result back."""
+def _broadcast_oracle(x, a, b, c, delta):
+    """scan_sequential with A broadcast to (..., L, D, N) as the op takes it."""
     a_bar = np.exp(delta[..., None] * a)
     b_bar = delta[..., None] * b[..., None, :]
-    if not reverse:
-        return scan_sequential(x, a_bar, b_bar, c)
-    a_bar = np.broadcast_to(a_bar, b_bar.shape)
-    y = scan_sequential(np.flip(x, -2), np.flip(a_bar, -3), np.flip(b_bar, -3),
-                        np.flip(c, -2))
-    return np.flip(y, -2)
+    return scan_sequential(x, a_bar, b_bar, c)
 
 
 # lead, D, N and the shape of a shared A of the blocked-scan tests.
@@ -330,14 +324,13 @@ def test_blocked_scan_matches_oracle_across_blocks():
     worst, case = 0.0, 0
     for length in (1, BLOCK // 2 + 3, BLOCK, 2 * BLOCK + 19, 3 * BLOCK + 5):
         for per_position in (False, True):
-            for reverse in (False, True):
-                shape = (length, D, N) if per_position else A_SHARED
-                args = _blocked_case(3600 + case, LEAD, length, D, N, shape)
-                y = selective_scan(*args, reverse=reverse).data
-                y_ref = _broadcast_oracle(*args, reverse)
-                rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
-                worst = max(worst, rel)
-                case += 1
+            shape = (length, D, N) if per_position else A_SHARED
+            args = _blocked_case(3600 + case, LEAD, length, D, N, shape)
+            y = selective_scan(*args).data
+            y_ref = _broadcast_oracle(*args)
+            rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
+            worst = max(worst, rel)
+            case += 1
     assert worst <= 1e-10, worst
 
 
@@ -346,43 +339,17 @@ def test_blocked_scan_extreme_delta_a_matches_oracle():
     # exactly 0 on odd ones; outputs and gradients stay finite.
     from scanseg.scan import BLOCK
     length = 2 * BLOCK + 19
-    for reverse in (False, True):
-        args = _blocked_case(37, LEAD, length, D, N, A_SHARED, extreme=True)
-        a_bar = np.exp(args[4][..., None] * args[1])
-        assert np.all(a_bar[..., 0::2, 0, :] == 1.0)
-        assert np.all(a_bar[..., 1::2, 0, :] == 0.0)
-        ts = [Tensor(v, requires_grad=True) for v in args]
-        y = selective_scan(*ts, reverse=reverse)
-        y_ref = _broadcast_oracle(*args, reverse)
-        rel = np.max(np.abs(y.data - y_ref) / (np.abs(y_ref) + 1e-12))
-        assert rel <= 1e-10, rel
-        y.sum().backward()
-        assert all(np.all(np.isfinite(t.grad)) for t in ts)
-
-
-def test_reverse_gradients_equal_forward_scan_of_flipped_inputs():
-    from scanseg.scan import BLOCK
-    length = 2 * BLOCK + 19
-    for per_position in (False, True):
-        shape = (length, D, N) if per_position else A_SHARED
-        args = _blocked_case(38, LEAD, length, D, N, shape)
-        probe = rand(LEAD + (length, D), seed=39)
-        grads = []
-        for reverse in (False, True):
-            ts = [Tensor(v, requires_grad=True) for v in args]
-            x, a, b, c, delta = ts
-            if reverse:
-                y = selective_scan(x, a, b, c, delta, reverse=True)
-            else:
-                ax = x.ndim - 2
-                fa = a.flip(0) if per_position else a
-                y = selective_scan(x.flip(ax), fa, b.flip(ax), c.flip(ax),
-                                   delta.flip(ax)).flip(ax)
-            (y * Tensor(probe)).sum().backward()
-            grads.append([y.data] + [t.grad for t in ts])
-        for g_flip, g_rev in zip(*grads):
-            scale = np.max(np.abs(g_flip))
-            assert np.max(np.abs(g_flip - g_rev)) <= 1e-12 * scale
+    args = _blocked_case(37, LEAD, length, D, N, A_SHARED, extreme=True)
+    a_bar = np.exp(args[4][..., None] * args[1])
+    assert np.all(a_bar[..., 0::2, 0, :] == 1.0)
+    assert np.all(a_bar[..., 1::2, 0, :] == 0.0)
+    ts = [Tensor(v, requires_grad=True) for v in args]
+    y = selective_scan(*ts)
+    y_ref = _broadcast_oracle(*args)
+    rel = np.max(np.abs(y.data - y_ref) / (np.abs(y_ref) + 1e-12))
+    assert rel <= 1e-10, rel
+    y.sum().backward()
+    assert all(np.all(np.isfinite(t.grad)) for t in ts)
 
 
 def test_forward_graph_holds_less_than_one_full_state_array():
