@@ -1,11 +1,18 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
-Tensors wrap float64 numpy arrays.  Every operation records its parents and
-a backward closure on the output node; the differentiation graph is this
-implicit parent structure.  ``backward()`` on a scalar loss walks the graph
-in reverse topological order and accumulates (sums) chain-rule
+Tensors wrap float64 numpy arrays.  Each tensor also has a small graph
+``Node``: whether it takes a gradient, its parents' nodes, the backward
+closure and ``grad``.  The differentiation graph links nodes only, and a
+node never refers to a tensor or to its data; each closure captures exactly
+the arrays and shapes its backward reads.  So an intermediate array that no
+backward reads is freed as soon as forward drops its tensor, not when
+backward reaches its consumer.  ``backward()`` on a scalar loss walks the
+graph in reverse topological order and accumulates (sums) chain-rule
 contributions into ``grad`` buffers, so parameters shared between several
 consumers — e.g. the two encoder streams — receive the sum of both paths.
+
+``Tensor.grad``, ``Tensor._parents`` (the parents' nodes) and
+``Tensor._backward_fn`` read and assign the fields of the tensor's node.
 
 A recorded graph supports exactly one backward pass, and the walk releases
 it as it goes: each node's closure and parent links are dropped once the
@@ -64,18 +71,38 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+class Node:
+    """What backward needs of one tensor; see the module docstring."""
+
+    __slots__ = ("requires_grad", "grad", "_parents", "_backward_fn")
+
+    def __init__(self, requires_grad: bool, grad=None, parents: tuple = (),
+                 backward_fn=None):
+        self.requires_grad = requires_grad
+        self.grad = grad
+        self._parents = parents
+        self._backward_fn = backward_fn
+
+
+def _node_field(name: str) -> property:
+    return property(lambda t: getattr(t._node, name),
+                    lambda t, value: setattr(t._node, name, value))
+
+
 class Tensor:
     """N-dimensional float64 array participating in the reverse-mode graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_consumed")
+    __slots__ = ("data", "_node", "_consumed")
+
+    requires_grad = _node_field("requires_grad")
+    grad = _node_field("grad")
+    _parents = _node_field("_parents")
+    _backward_fn = _node_field("_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
-        self._parents: tuple = ()
-        self._backward_fn = None
+        self._node = Node(bool(requires_grad),
+                          np.zeros_like(self.data) if requires_grad else None)
         self._consumed = False
 
     # -- construction helpers ------------------------------------------------
@@ -84,15 +111,12 @@ class Tensor:
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"], backward_fn):
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = _recording and any(p.requires_grad for p in parents)
-        out.grad = None
         out._consumed = False
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
+        nodes = tuple(p._node for p in parents)
+        if _recording and any(n.requires_grad for n in nodes):
+            out._node = Node(True, None, nodes, backward_fn)
         else:
-            out._parents = ()
-            out._backward_fn = None
+            out._node = Node(False)
         return out
 
     @property
@@ -125,13 +149,14 @@ class Tensor:
                 "graph already consumed by a previous backward call; "
                 "rebuild the forward pass before differentiating again")
         self._consumed = True
-        if not self.requires_grad:
+        root = self._node
+        if not root.requires_grad:
             return
 
         # Iterative post-order DFS; recursion would overflow on long chains.
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -145,12 +170,13 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        if root.grad is None:
+            root.grad = np.zeros_like(self.data)
+        root.grad = root.grad + np.ones_like(self.data)
 
-        # Popping releases each node, with its data, once nothing else
-        # refers to it; a non-leaf's grad is dropped once it has been used.
+        # Popping releases each node, with the arrays its closure captured,
+        # once nothing else refers to it; a non-leaf's grad is dropped once
+        # it has been used.
         while topo:
             node = topo.pop()
             fn = node._backward_fn
@@ -165,7 +191,7 @@ class Tensor:
                 parent.grad = g if parent.grad is None else parent.grad + g
             node._backward_fn = None
             node._parents = ()
-            if node is not self:
+            if node is not root:
                 node.grad = None
 
     # -- elementwise arithmetic ----------------------------------------------
@@ -176,11 +202,10 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._ensure(other)
-        a, b = self, other
-        out = Tensor._from_op(
-            a.data + b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-        return out
+        sa, sb = self.data.shape, other.data.shape
+        return Tensor._from_op(
+            self.data + other.data, (self, other),
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
     __radd__ = __add__
 
@@ -189,31 +214,30 @@ class Tensor:
 
     def __sub__(self, other):
         other = Tensor._ensure(other)
-        a, b = self, other
+        sa, sb = self.data.shape, other.data.shape
         return Tensor._from_op(
-            a.data - b.data, (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+            self.data - other.data, (self, other),
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
     def __rsub__(self, other):
         return Tensor._ensure(other) - self
 
     def __mul__(self, other):
         other = Tensor._ensure(other)
-        a, b = self, other
+        a, b = self.data, other.data
         return Tensor._from_op(
-            a.data * b.data, (a, b),
-            lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                       _unbroadcast(g * a.data, b.data.shape)))
+            a * b, (self, other),
+            lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._ensure(other)
-        a, b = self, other
+        a, b = self.data, other.data
         return Tensor._from_op(
-            a.data / b.data, (a, b),
-            lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                       _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+            a / b, (self, other),
+            lambda g: (_unbroadcast(g / b, a.shape),
+                       _unbroadcast(-g * a / (b * b), b.shape)))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -227,16 +251,16 @@ class Tensor:
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        x = self
+        shape = self.data.shape
 
         def backward(g):
             if axis is None:
-                return (np.broadcast_to(g, x.data.shape).copy(),)
+                return (np.broadcast_to(g, shape).copy(),)
             gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, x.data.shape).copy(),)
+            return (np.broadcast_to(gg, shape).copy(),)
 
         return Tensor._from_op(
-            np.sum(x.data, axis=axis, keepdims=keepdims), (x,), backward)
+            np.sum(self.data, axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -247,9 +271,9 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        x = self
+        old = self.data.shape
         return Tensor._from_op(
-            x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
+            self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     def transpose(self, axes) -> "Tensor":
         """Permuted view of the axes; its gradient is a view too."""
@@ -280,12 +304,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} vs {b.shape}")
 
+    ad, bd = a.data, b.data
+
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return ga, gb
 
-    return Tensor._from_op(a.data @ b.data, (a, b), backward)
+    return Tensor._from_op(ad @ bd, (a, b), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -296,7 +322,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(g):
         return tuple(
             np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors)))
+            for i in range(len(sizes)))
 
     return Tensor._from_op(
         np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
@@ -309,6 +335,7 @@ def split(t: Tensor, sizes: Iterable[int], axis: int = 0) -> list[Tensor]:
         raise DimensionError(
             f"split sizes {sizes} do not cover extent {t.data.shape[axis]} "
             f"of axis {axis}")
+    shape = t.data.shape
     outs = []
     start = 0
     for size in sizes:
@@ -317,7 +344,7 @@ def split(t: Tensor, sizes: Iterable[int], axis: int = 0) -> list[Tensor]:
         sl = tuple(sl)
 
         def backward(g, sl=sl):
-            full = np.zeros_like(t.data)
+            full = np.zeros(shape)
             full[sl] = g
             return (full,)
 
@@ -338,9 +365,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def silu(x: Tensor) -> Tensor:
     x = Tensor._ensure(x)
-    s = _stable_sigmoid(x.data)
+    xd = x.data
+    s = _stable_sigmoid(xd)
     return Tensor._from_op(
-        x.data * s, (x,), lambda g: (g * (s + x.data * s * (1.0 - s)),))
+        xd * s, (x,), lambda g: (g * (s + xd * s * (1.0 - s)),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -351,9 +379,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     x = Tensor._ensure(x)
+    xd = x.data
     # The sigmoid serves only backward, so it is computed there.
-    return Tensor._from_op(np.logaddexp(0.0, x.data), (x,),
-                           lambda g: (g * _stable_sigmoid(x.data),))
+    return Tensor._from_op(np.logaddexp(0.0, xd), (x,),
+                           lambda g: (g * _stable_sigmoid(xd),))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -378,16 +407,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * istd
+    gd = gamma.data
 
     def backward(g):
-        gxhat = g * gamma.data
+        gxhat = g * gd
         gx = istd * (gxhat
                      - np.mean(gxhat, axis=-1, keepdims=True)
                      - xhat * np.mean(gxhat * xhat, axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
         return gx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)
 
-    return Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+    return Tensor._from_op(xhat * gd + beta.data, (x, gamma, beta), backward)
 
 
 def depthwise_conv2d(x: Tensor, k: Tensor) -> Tensor:
@@ -410,18 +440,19 @@ def depthwise_conv2d(x: Tensor, k: Tensor) -> Tensor:
     h, w = x.shape[-3], x.shape[-2]
     pad = [(0, 0)] * (x.ndim - 3) + [(ph, ph), (pw, pw), (0, 0)]
     xp = np.pad(x.data, pad)
+    kd = k.data
     out = np.zeros_like(x.data)
     for dy in range(kh):
         for dx in range(kw):
-            out += k.data[:, dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
+            out += kd[:, dy, dx] * xp[..., dy:dy + h, dx:dx + w, :]
 
     def backward(g):
         gxp = np.zeros_like(xp)
-        gk = np.zeros_like(k.data)
+        gk = np.zeros_like(kd)
         spatial = tuple(range(g.ndim - 1))
         for dy in range(kh):
             for dx in range(kw):
-                gxp[..., dy:dy + h, dx:dx + w, :] += k.data[:, dy, dx] * g
+                gxp[..., dy:dy + h, dx:dx + w, :] += kd[:, dy, dx] * g
                 gk[:, dy, dx] = np.sum(
                     g * xp[..., dy:dy + h, dx:dx + w, :], axis=spatial)
         return gxp[..., ph:ph + h, pw:pw + w, :].copy(), gk

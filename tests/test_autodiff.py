@@ -291,6 +291,61 @@ def test_softplus_sigmoid_only_in_backward(monkeypatch):
     assert len(calls) == 1 and np.array_equal(x.grad, real(x.data))
 
 
+def test_dropped_intermediate_freed_before_backward():
+    # The add and the sum read only shapes, so the product's array is freed
+    # as soon as the caller drops its tensor, while the loss still waits
+    # for backward.
+    import weakref
+    x = Tensor(rand((3, 4), seed=32), requires_grad=True)
+    w = Tensor(rand((4, 2), seed=33), requires_grad=True)
+    b = Tensor(rand((2,), seed=34), requires_grad=True)
+    h = matmul(x, w)
+    freed = weakref.ref(h.data)
+    loss = (h + b).sum()
+    del h
+    assert freed() is None
+    loss.backward()
+    assert np.allclose(x.grad, np.ones((3, 2)) @ w.data.T, rtol=0, atol=1e-12)
+    assert np.allclose(w.grad, x.data.T @ np.ones((3, 2)), rtol=0, atol=1e-12)
+    assert np.array_equal(b.grad, [3.0, 3.0])
+
+
+def _node_count(root) -> int:
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+def test_parent_links_reach_every_operand():
+    # Benchmark traces count graph nodes by walking ``_parents``: the root
+    # plus one node per distinct operand, constants included (16 here).
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    g = Tensor(np.ones(2), requires_grad=True)
+    h = silu(matmul(x, w))
+    top, bottom = split(concat([layer_norm(h, g, Tensor(np.zeros(2))), h],
+                               axis=0), [2, 2])
+    assert _node_count((top * bottom * 2.0 - 1.0).sum()) == 16
+
+
+def test_assigned_backward_fn_is_the_one_backward_runs():
+    # Timing wrappers and the gradcheck negative control replace an
+    # output's closure after the op has recorded it.
+    x = Tensor(rand((4,), seed=35), requires_grad=True)
+    y = silu(x)
+    orig = y._backward_fn
+    y._backward_fn = lambda g: tuple(-gg for gg in orig(g))
+    assert y._backward_fn is not orig
+    y.sum().backward()
+    s = 1.0 / (1.0 + np.exp(-x.data))
+    assert np.allclose(x.grad, -(s + x.data * s * (1.0 - s)), rtol=0,
+                       atol=1e-12)
+
+
 def test_forward_deterministic():
     x = rand((5, 5), seed=27)
     w = rand((5, 5), seed=28)

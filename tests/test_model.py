@@ -241,6 +241,53 @@ def test_full_scale_config_validates():
     assert FULL_CONFIG.resolution[1] % div == 0
 
 
+def _tensors_reached(fn) -> list:
+    """Tensors a closure reaches through its cells, looking inside tuples,
+    lists, dicts and the cells of the functions it captured."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:        # a cell not yet assigned
+                    pass
+    return found
+
+
+def test_backward_closures_hold_arrays_not_tensors():
+    # The graph links nodes; each closure keeps only the arrays it reads,
+    # so no intermediate tensor (with its array) outlives forward.
+    from scanseg.losses import loss_saliency
+    model = Model(TOY_CONFIG, seed=0)
+    logits = model(Tensor(rand((2, 3, 32, 32), seed=40)),
+                   Tensor(rand((2, 1, 32, 32), seed=41)))
+    mask = (rand((2, 1, 32, 32), seed=42) > 0.5).astype(np.float64)
+    loss = loss_saliency(logits, Tensor(mask))[0]
+    closures, seen, todo = 0, set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.extend(node._parents)
+        if node._backward_fn is not None:
+            closures += 1
+            held = _tensors_reached(node._backward_fn)
+            assert not held, (node._backward_fn, held)
+    assert closures > 500
+
+
 # Pinned outputs: logits of TOY_CONFIG (seed 0) on a fixed seeded 32x32 batch
 # and the per-parameter gradient norms of the saliency loss on that batch,
 # recorded once (``python tests/test_model.py --record``) before the

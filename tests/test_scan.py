@@ -373,6 +373,21 @@ def test_forward_graph_holds_less_than_one_full_state_array():
     assert all(t.grad is not None for t in ts)
 
 
+def test_backward_does_not_keep_y():
+    # The adjoint reads the inputs and the block states, never y: once the
+    # caller drops the output tensor, its array is freed before backward.
+    import weakref
+    ts = [Tensor(v, requires_grad=True)
+          for v in _blocked_case(41, (2,), 300, 4, 3, (4, 3))]
+    y = selective_scan(*ts)
+    freed = weakref.ref(y.data)
+    loss = y.sum()
+    del y
+    assert freed() is None
+    loss.backward()
+    assert all(np.all(np.isfinite(t.grad)) for t in ts)
+
+
 # ---------------------------------------------------------------- properties
 
 def test_stability_long_scan_no_nan():
