@@ -379,10 +379,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     x = Tensor._ensure(x)
-    xd = x.data
-    # The sigmoid serves only backward, so it is computed there.
-    return Tensor._from_op(np.logaddexp(0.0, xd), (x,),
-                           lambda g: (g * _stable_sigmoid(xd),))
+    out = np.logaddexp(0.0, x.data)
+    # Backward reads only the output, which callers keep anyway (the scan
+    # keeps delta): sigmoid(x) = 1 - exp(-softplus(x)), computed there.
+    return Tensor._from_op(out, (x,), lambda g: (g * -np.expm1(-out),))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -6,6 +6,12 @@ discretizes inside.  The recurrence is linear in sequence length, so the
 fitted log-log slope of wall time against L should sit near 1; the bench
 reports that exponent when more than one length is measured.  Error
 columns compare each row against the oracle on the same inputs.
+
+``run_model_shapes`` times the op at the shapes the model runs
+(``MODEL_SHAPES``): forward, and forward plus backward, each row with its
+elements per step, prod(lead) * N * D, the width of one position's
+update.  Narrow steps are bound by per-step overhead, wide ones by the
+elementwise work.
 """
 
 from __future__ import annotations
@@ -15,14 +21,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .blocks import check_extent
 from .errors import ConfigError
 from .rng import SplitMix64
 from .scan import discretize, scan_sequential, selective_scan
 
-__all__ = ["BenchRow", "run_bench", "fit_exponent", "format_table", "to_csv"]
+__all__ = ["BenchRow", "run_bench", "fit_exponent", "format_table", "to_csv",
+           "ShapeRow", "run_model_shapes", "format_shape_table"]
 
 IMPLS = ("sequential", "op")
+
+# (leading dims, L, D) of the selective_scan calls one op of each benchmark
+# workload makes (perfbench/baseline/seed.md); N is 4 throughout.  Leading
+# dims are batch x direction, directions alone for one eval image, and
+# nothing for fusion's joined scans at eval.
+MODEL_SHAPES = (
+    ((4, 4), 64, 16), ((4, 4), 16, 32), ((4, 4), 256, 8),          # train-32
+    ((4,), 128, 16), ((4,), 32, 32),
+    ((4, 4), 1024, 16), ((4, 4), 256, 32), ((4, 4), 4096, 8),     # train-128
+    ((4,), 2048, 16), ((4,), 512, 32),
+    ((4,), 4096, 16), ((4,), 1024, 32), ((4,), 16384, 8),         # eval-256
+    ((), 8192, 16), ((), 2048, 32),
+)
+MODEL_STATE = 4
 
 
 @dataclass
@@ -36,13 +58,28 @@ class BenchRow:
     max_rel_err: float
 
 
-def _case(length: int, n: int, d: int, seed: int):
+@dataclass
+class ShapeRow:
+    lead: tuple
+    L: int
+    N: int
+    D: int
+    mode: str                  # "fwd" or "fwd+bwd"
+    wall_time: float
+    step_elements: int         # prod(lead) * N * D
+
+    @property
+    def elements_per_sec(self) -> float:
+        return self.step_elements * self.L / self.wall_time
+
+
+def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
     r = SplitMix64(seed)
-    x = -1.0 + 2.0 * r.uniform_array((length, d))
+    x = -1.0 + 2.0 * r.uniform_array(lead + (length, d))
     a = -0.05 - 2.0 * r.uniform_array((d, n))
-    b = -1.0 + 2.0 * r.uniform_array((length, n))
-    delta = 0.01 + r.uniform_array((length, d))
-    c = -1.0 + 2.0 * r.uniform_array((length, n))
+    b = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
+    delta = 0.01 + r.uniform_array(lead + (length, d))
+    c = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
     return x, a, b, c, delta
 
 
@@ -82,6 +119,29 @@ def run_bench(lengths, n: int, d: int, impls=IMPLS,
     return rows
 
 
+def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
+    """Best-of-3 wall time of the op's forward, and of its forward plus
+    backward, at each (lead, L, D) of ``MODEL_SHAPES``; A is shared, (D, N).
+    """
+    rows, n = [], MODEL_STATE
+    for i, (lead, length, d) in enumerate(MODEL_SHAPES):
+        arrays = _case(length, n, d, seed + i, lead)
+
+        def fwd():
+            return selective_scan(*arrays)
+
+        def fwd_bwd():
+            ts = [Tensor(v, requires_grad=True) for v in arrays]
+            selective_scan(*ts).sum().backward()
+
+        width = int(np.prod(lead, dtype=np.int64)) * n * d
+        for mode, fn in (("fwd", fwd), ("fwd+bwd", fwd_bwd)):
+            rows.append(ShapeRow(lead=lead, L=length, N=n, D=d,
+                                 mode=mode, wall_time=_time_call(fn)[0],
+                                 step_elements=width))
+    return rows
+
+
 def fit_exponent(rows: list[BenchRow], impl: str) -> float | None:
     pts = [(r.L, r.wall_time) for r in rows if r.impl == impl]
     if len(pts) < 2:
@@ -112,3 +172,15 @@ def to_csv(rows: list[BenchRow]) -> str:
         lines.append(f"{r.L},{r.N},{r.D},{r.impl},{r.wall_time:.9g},"
                      f"{r.elements_per_sec:.9g},{r.max_rel_err:.9g}")
     return "\n".join(lines) + "\n"
+
+
+def format_shape_table(rows: list[ShapeRow]) -> str:
+    head = (f"{'lead':>6} {'L':>6} {'N':>3} {'D':>3} {'mode':>8} "
+            f"{'elems/step':>10} {'wall[s]':>10} {'elems/s':>10}")
+    lines = ["selective_scan at model shapes", head, "-" * len(head)]
+    for r in rows:
+        lead = "x".join(map(str, r.lead)) or "()"
+        lines.append(f"{lead:>6} {r.L:>6} {r.N:>3} {r.D:>3} {r.mode:>8} "
+                     f"{r.step_elements:>10} {r.wall_time:>10.6f} "
+                     f"{r.elements_per_sec:>10.3e}")
+    return "\n".join(lines)

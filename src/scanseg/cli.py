@@ -270,12 +270,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_scan_bench(args) -> int:
-    from .bench import IMPLS, fit_exponent, format_table, run_bench, to_csv
+    from .bench import (IMPLS, fit_exponent, format_shape_table,
+                        format_table, run_bench, run_model_shapes, to_csv)
     t0 = time.perf_counter()
     rows = run_bench(args.lengths, n=args.state_dim, d=args.channels,
                      seed=args.seed)
     exponents = {impl: fit_exponent(rows, impl) for impl in IMPLS}
-    table = format_table(rows, exponents)
+    table = (format_table(rows, exponents) + "\n\n"
+             + format_shape_table(run_model_shapes(seed=args.seed)))
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "scan_bench.csv")
     txt_path = os.path.join(args.out_dir, "scan_bench.txt")
@@ -352,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("scan-bench",
-                       help="time the scan oracle and the selective-scan op")
+                       help="time the scan oracle and the selective-scan op, "
+                            "also at the model's shapes")
     p.add_argument("--lengths", type=int_list,
                    default="1024,2048,4096,8192,16384")
     p.add_argument("--state-dim", type=int, default=4)

@@ -44,6 +44,13 @@ numpy calls per position on contiguous (..., N, D) slices.  It is the op's
 one kernel: a chunked prefix kernel was measured at the model's step
 widths (prod(lead) * D * N from 64 to 2048) and did not beat it end to end.
 
+``BLOCK`` is chosen by measurement, with ``scan-bench``'s model-shape rows
+and the benchmark's peak memory.  A training step's memory peaks inside a
+scan backward, whose per-block (T, ..., N, D) temporaries shrink with the
+block: 128 positions halve them against 256, ran as fast or faster at the
+training shapes and slightly slower at the narrowest eval ones.  y does not
+depend on the block length.
+
 The array reference is ``discretize``, which keeps the op's delta >= 0
 rule, followed by ``scan_sequential``, an allocate-per-step loop over
 (..., L, D, N) arrays that shares no code with the op.
@@ -63,7 +70,7 @@ __all__ = [
     "selective_scan",
 ]
 
-BLOCK = 256   # positions per block; one state per block is kept for backward
+BLOCK = 128   # positions per block; one state per block is kept for backward
 
 
 class SSMParams(Module):

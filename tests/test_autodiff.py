@@ -137,16 +137,19 @@ def test_layer_norm_gradients():
 
 # ---------------------------------------------------------------- activations
 
+# The sigmoid under silu, sigmoid and softplus at its extremes: signed zeros
+# and tiny values, exp overflow (709/710) and underflow (-745 is subnormal,
+# -746 is 0) of the naive forms, infinities, nan.
+SIGMOID_EXTREMES = np.array([0.0, -0.0, 1e-300, -1e-300, 709.0, 710.0, 800.0,
+                             np.inf, -745.0, -746.0, -800.0, -np.inf, np.nan])
+
+
 def test_silu_values():
     assert silu(Tensor(0.0)).item() == 0.0
     assert abs(silu(Tensor(1.0)).item() - 0.7310585786300049) < 1e-15
-    # The sigmoid under silu, sigmoid and softplus at its extremes: signed
-    # zeros and tiny values, exp overflow (709/710) and underflow
-    # (-745 is subnormal, -746 is 0) of the naive forms, infinities, nan.
-    xs = np.array([0.0, -0.0, 1e-300, -1e-300, 709.0, 710.0, 800.0, np.inf,
-                   -745.0, -746.0, -800.0, -np.inf, np.nan])
     expect = [0.5] * 4 + [1.0] * 4 + [np.exp(-745.0), 0.0, 0.0, 0.0, np.nan]
-    assert np.array_equal(sigmoid(Tensor(xs)).data, expect, equal_nan=True)
+    assert np.array_equal(sigmoid(Tensor(SIGMOID_EXTREMES)).data, expect,
+                          equal_nan=True)
 
 
 def test_structural_inverses_bitwise():
@@ -276,19 +279,57 @@ def test_backward_on_no_grad_scalar_is_a_no_op():
     assert np.array_equal(x.grad, np.zeros(3))
 
 
+def _softplus_grad(xs):
+    x = Tensor(xs, requires_grad=True)
+    softplus(x).sum().backward()
+    return x.grad
+
+
 def test_softplus_sigmoid_only_in_backward(monkeypatch):
+    # Forward does no sigmoid work: it calls neither _stable_sigmoid nor
+    # expm1, which backward uses.
     calls = []
-    real = ad._stable_sigmoid
+    real_sigmoid, real_expm1 = ad._stable_sigmoid, np.expm1
     monkeypatch.setattr(ad, "_stable_sigmoid",
-                        lambda v: calls.append(v) or real(v))
+                        lambda v: calls.append(v) or real_sigmoid(v))
+    monkeypatch.setattr(np, "expm1", lambda v: calls.append(v) or real_expm1(v))
     x = Tensor(rand((4, 3), seed=31, lo=-40.0, hi=40.0), requires_grad=True)
     with ad.no_grad():
         plain = softplus(x).data
-    assert calls == []
     y = softplus(x)
-    assert calls == [] and np.array_equal(y.data, plain)
+    assert calls == []
+    assert np.array_equal(plain, np.logaddexp(0.0, x.data))
+    assert np.array_equal(y.data, plain)
     y.sum().backward()
-    assert len(calls) == 1 and np.array_equal(x.grad, real(x.data))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # The gradient, 1 - exp(-softplus(x)), is the sigmoid: bitwise at the
+    # extremes, to rounding elsewhere.
+    with np.errstate(invalid="ignore"):                 # logaddexp of nan
+        grad = _softplus_grad(SIGMOID_EXTREMES)
+    assert np.array_equal(grad, ad._stable_sigmoid(SIGMOID_EXTREMES),
+                          equal_nan=True)
+    xs = rand((20000,), seed=37, lo=-700.0, hi=700.0)
+    s = ad._stable_sigmoid(xs)
+    assert np.all(np.abs(_softplus_grad(xs) - s) <= 1e-15 * s)
+
+
+def test_softplus_frees_its_input_before_backward():
+    # Backward reads only softplus's output, so its input is freed as soon
+    # as the caller drops that tensor, while the loss still waits for
+    # backward.
+    import weakref
+    x = Tensor(rand((3, 4), seed=35), requires_grad=True)
+    w = Tensor(rand((4, 2), seed=36), requires_grad=True)
+    h = matmul(x, w)
+    freed = weakref.ref(h.data)
+    s = ad._stable_sigmoid(h.data)
+    loss = softplus(h).sum()
+    del h
+    assert freed() is None
+    loss.backward()
+    assert np.allclose(x.grad, s @ w.data.T, rtol=0, atol=1e-12)
+    assert np.allclose(w.grad, x.data.T @ s, rtol=0, atol=1e-12)
 
 
 def test_dropped_intermediate_freed_before_backward():

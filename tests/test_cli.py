@@ -312,6 +312,18 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     csv = open(out / "scan_bench.csv").read().strip().split("\n")
     assert csv[0] == "L,N,D,impl,wall_time_s,elements_per_sec,max_rel_err"
     assert len(csv) == 5
+    # The op at every shape the benchmark's workloads run, forward and
+    # forward plus backward, each with its elements per step.
+    from scanseg.bench import MODEL_SHAPES
+    shape_rows = [line.split() for line in
+                  table.split("selective_scan at model shapes")[1]
+                  .strip().split("\n")[2:]]
+    expect = [["x".join(map(str, lead)) or "()", str(length), "4", str(d),
+               mode, str(int(np.prod(lead)) * 4 * d)]
+              for lead, length, d in MODEL_SHAPES
+              for mode in ("fwd", "fwd+bwd")]
+    assert [r[:6] for r in shape_rows] == expect
+    assert all(float(r[6]) > 0 for r in shape_rows)
 
     out2 = tmp_path / "bench1"
     assert run(["scan-bench", "--lengths", "256", "--out-dir", out2]) == 0
