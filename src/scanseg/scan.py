@@ -48,7 +48,7 @@ widths (prod(lead) * D * N from 64 to 2048) and did not beat it end to end.
 and the benchmark's peak memory.  A training step's memory peaks inside a
 scan backward, whose per-block (T, ..., N, D) temporaries shrink with the
 block: 128 positions halve them against 256, ran as fast or faster at the
-training shapes and slightly slower at the narrowest eval ones.  y does not
+training shapes and slightly slower at some narrow eval ones.  y does not
 depend on the block length.
 
 The array reference is ``discretize``, which keeps the op's delta >= 0
