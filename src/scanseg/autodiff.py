@@ -30,14 +30,14 @@ keep ``requires_grad=True``.  Inference runs in this scope.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, GraphError
 
 __all__ = [
-    "Tensor", "no_grad", "concat", "split", "stack", "matmul", "layer_norm",
+    "Tensor", "no_grad", "concat", "stack", "matmul", "layer_norm",
     "depthwise_conv2d", "silu", "softplus", "sigmoid", "log_softmax",
     "bilinear_resize",
 ]
@@ -328,34 +328,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def split(t: Tensor, sizes: Iterable[int], axis: int = 0) -> list[Tensor]:
-    """Exact inverse of concat: cut ``t`` into chunks of the given sizes."""
-    sizes = list(sizes)
-    if sum(sizes) != t.data.shape[axis]:
-        raise DimensionError(
-            f"split sizes {sizes} do not cover extent {t.data.shape[axis]} "
-            f"of axis {axis}")
-    shape = t.data.shape
-    outs = []
-    start = 0
-    for size in sizes:
-        sl = [slice(None)] * t.ndim
-        sl[axis] = slice(start, start + size)
-        sl = tuple(sl)
-
-        def backward(g, sl=sl):
-            full = np.zeros(shape)
-            full[sl] = g
-            return (full,)
-
-        outs.append(Tensor._from_op(t.data[sl], (t,), backward))
-        start += size
-    return outs
-
-
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
+    """``np.stack`` as one node; each input's gradient is a view of g."""
+    tensors = [Tensor._ensure(t) for t in tensors]
+    return Tensor._from_op(
+        np.stack([t.data for t in tensors], axis=axis), tensors,
+        lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

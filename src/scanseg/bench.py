@@ -11,13 +11,16 @@ columns compare each row against the oracle on the same inputs.
 (``MODEL_SHAPES``): forward, and forward plus backward, each row with its
 elements per step, prod(lead) * N * D, the width of one position's
 update.  Narrow steps are bound by per-step overhead, wide ones by the
-elementwise work.
+elementwise work.  A row's time is its best over several rounds, and a
+round times every row once (model shapes: both rows of one shape), so a
+slow spell of the host hits all rows alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,45 +86,47 @@ def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
     return x, a, b, c, delta
 
 
-def _time_call(fn, reps: int = 3) -> tuple[float, np.ndarray]:
-    out = fn()  # warmup; also the value used for the error column
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def _best_times(fns, rounds: int) -> list[float]:
+    """Each call's best wall time over ``rounds`` rounds of calling each."""
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def run_bench(lengths, n: int, d: int, impls=IMPLS,
               seed: int = 0) -> list[BenchRow]:
+    """Best of 5 rounds per (length, impl), after one warmup call each;
+    the oracle's call is the sequential row's warmup."""
     for name, value in [("N", n), ("D", d)] + [("L", v) for v in lengths]:
         check_extent(name, value)
-    rows = []
+    if set(impls) - set(IMPLS):
+        raise ConfigError(f"unknown implementation in {list(impls)}")
+    cases = []
     for i, length in enumerate(lengths):
         x, a, b, c, delta = _case(length, n, d, seed + i)
         a_bar, b_bar = discretize(a, b, delta)
-        oracle = scan_sequential(x, a_bar, b_bar, c)
+        fns = {"sequential": partial(scan_sequential, x, a_bar, b_bar, c),
+               "op": lambda xs=(x, a, b, c, delta): selective_scan(*xs).data}
+        oracle = fns["sequential"]()
         for impl in impls:
-            if impl == "sequential":
-                fn = lambda: scan_sequential(x, a_bar, b_bar, c)
-            elif impl == "op":
-                fn = lambda: selective_scan(x, a, b, c, delta).data
-            else:
-                raise ConfigError(f"unknown implementation '{impl}'")
-            wall, out = _time_call(fn)
+            out = oracle if impl == "sequential" else fns[impl]()
             err = float(np.max(np.abs(out - oracle)
                                / (np.abs(oracle) + 1e-12)))
-            rows.append(BenchRow(L=length, N=n, D=d, impl=impl,
-                                 wall_time=wall,
-                                 elements_per_sec=length * d / wall,
-                                 max_rel_err=err))
-    return rows
+            cases.append((length, impl, fns[impl], err))
+    walls = _best_times([case[2] for case in cases], rounds=5)
+    return [BenchRow(L=length, N=n, D=d, impl=impl, wall_time=wall,
+                     elements_per_sec=length * d / wall, max_rel_err=err)
+            for (length, impl, _, err), wall in zip(cases, walls)]
 
 
 def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
     """Best-of-3 wall time of the op's forward, and of its forward plus
-    backward, at each (lead, L, D) of ``MODEL_SHAPES``; A is shared, (D, N).
+    backward, after a warmup call each, at each (lead, L, D) of
+    ``MODEL_SHAPES``; A is shared, (D, N).
     """
     rows, n = [], MODEL_STATE
     for i, (lead, length, d) in enumerate(MODEL_SHAPES):
@@ -135,10 +140,12 @@ def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
             selective_scan(*ts).sum().backward()
 
         width = int(np.prod(lead, dtype=np.int64)) * n * d
-        for mode, fn in (("fwd", fwd), ("fwd+bwd", fwd_bwd)):
-            rows.append(ShapeRow(lead=lead, L=length, N=n, D=d,
-                                 mode=mode, wall_time=_time_call(fn)[0],
-                                 step_elements=width))
+        fwd()
+        fwd_bwd()
+        walls = _best_times((fwd, fwd_bwd), rounds=3)
+        rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, mode=mode,
+                             wall_time=wall, step_elements=width)
+                    for mode, wall in zip(("fwd", "fwd+bwd"), walls))
     return rows
 
 

@@ -16,16 +16,16 @@ features at the corresponding positions — and symmetrically for the second
 half.  The two sequences are stacked on a modality axis and go through
 ``scan.scan_inputs``, the generator SS2D uses too; flipping that axis of C
 crosses the readout, and a reshape joins the halves.  The summed scan
-output is split back into the two halves, each half is gated by a
-learnable per-channel scale (initialized to one), the halves are
-concatenated along channels, and a linear projection restores the input
-width.  The model applies one block per pyramid level; in
-self-fusion both inputs are the same RGB feature map.
+output's two halves are laid side by side along channels, position by
+position, and gated by a learnable per-channel scale for each half
+(initialized to one); a linear projection restores the input width.  The
+model applies one block per pyramid level; in self-fusion both inputs are
+the same RGB feature map.
 """
 
 from __future__ import annotations
 
-from .autodiff import Tensor, concat, split, stack
+from .autodiff import Tensor, concat, stack
 from .errors import DimensionError
 from .nn import DepthwiseConv2d, Linear, Module, param
 from .rng import SplitMix64
@@ -53,7 +53,6 @@ class MMFFBlock(Module):
         self.scale_a = param(np.ones(channels))
         self.scale_b = param(np.ones(channels))
         self.proj = Linear(2 * channels, channels, rng)
-        self._scan_fn = selective_scan  # swappable for stub-scan tests
 
     def _preprocess(self, f: Tensor, lin: Linear, conv: DepthwiseConv2d) -> Tensor:
         """(..., H, W, C) -> row-major sequence (..., L, C)."""
@@ -72,11 +71,15 @@ class MMFFBlock(Module):
 
         seq_a = self._preprocess(f_a, self.lin_a, self.conv_a)
         seq_b = self._preprocess(f_b, self.lin_b, self.conv_b)
-        y = _bidirectional_scan(self, *_joined_scan_inputs(self, seq_a, seq_b))
+        y = _bidirectional_scan(*_joined_scan_inputs(self, seq_a, seq_b))
 
-        half_a, half_b = split(y, [length, length], axis=y.ndim - 2)
-        fused = concat([half_a * self.scale_a, half_b * self.scale_b],
-                       axis=y.ndim - 1)
+        # (..., 2L, C) -> (..., 2, L, C) -> (..., L, 2, C) -> (..., L, 2C):
+        # each position's two halves side by side, as the scales are.
+        lead, k = y.shape[:-2], y.ndim - 2
+        halves = y.reshape(lead + (2, length, self.channels)).transpose(
+            tuple(range(k)) + (k + 1, k, k + 2))
+        fused = (halves.reshape(lead + (length, 2 * self.channels))
+                 * concat([self.scale_a, self.scale_b]))
         return self.proj(fused).reshape(f_a.shape)
 
 
@@ -98,9 +101,9 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
     return joined(seqs), a, joined(b), joined(c), joined(delta)
 
 
-def _bidirectional_scan(blk: MMFFBlock, x: Tensor, a: Tensor, b: Tensor,
-                        c: Tensor, delta: Tensor) -> Tensor:
+def _bidirectional_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
+                        delta: Tensor) -> Tensor:
     l = x.ndim - 2                          # a is (2L, C, N): its L is 0
-    return (blk._scan_fn(x, a, b, c, delta)
-            + blk._scan_fn(x.flip(l), a.flip(0), b.flip(l), c.flip(l),
-                           delta.flip(l)).flip(l))
+    return (selective_scan(x, a, b, c, delta)
+            + selective_scan(x.flip(l), a.flip(0), b.flip(l), c.flip(l),
+                             delta.flip(l)).flip(l))

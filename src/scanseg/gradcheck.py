@@ -121,7 +121,7 @@ def suite_ops() -> list[CheckResult]:
     """Every differentiable primitive against central differences."""
     from .autodiff import (bilinear_resize, concat, depthwise_conv2d,
                            layer_norm, log_softmax, matmul, sigmoid, silu,
-                           softplus, split, stack)
+                           softplus, stack)
     results = []
 
     def add(name, build, arrays, step=1e-5):
@@ -160,9 +160,6 @@ def suite_ops() -> list[CheckResult]:
     add("concat", lambda ts: (concat([ts[0], ts[1]], axis=1)
                               * concat([ts[1], ts[0]], axis=1)).sum(),
         [_rand((2, 3), 30), _rand((2, 3), 31)])
-    add("split", lambda ts: (split(ts[0], [2, 2], axis=0)[0]
-                             * split(ts[0], [2, 2], axis=0)[1]).sum(),
-        [_rand((4, 3), 32)])
     add("stack", lambda ts: (stack([ts[0], ts[1]])
                              * stack([ts[1], ts[0]])).sum(),
         [_rand((2, 2), 33), _rand((2, 2), 34)])

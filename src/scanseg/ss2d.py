@@ -9,6 +9,11 @@ too), then the four outputs are restored to grid order and summed.  The
 two diagonal corner orders named in the usual cross-scan formulation are
 realized as the row-/column-major pair with reversals.
 
+The layout is two numpy functions, ``_to_sequences`` (grid to the four
+sequences) and ``_to_grid`` (undo each order and sum), each the other's
+adjoint.  ``cross_scan`` and ``cross_merge`` record one graph node each,
+whose backward is the other function.
+
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
 features steer how the hidden state is read out.
@@ -16,7 +21,9 @@ features steer how the hidden state is read out.
 
 from __future__ import annotations
 
-from .autodiff import Tensor, concat, split
+import numpy as np
+
+from .autodiff import Tensor
 from .errors import DimensionError
 from .nn import LayerNorm, Module, ModuleList
 from .rng import SplitMix64
@@ -25,31 +32,35 @@ from .scan import SSMParams, scan_inputs, selective_scan
 __all__ = ["cross_scan", "cross_merge", "SS2DBlock", "ss2d_forward"]
 
 
-def _swap_hw(x: Tensor) -> Tensor:
-    """(..., H, W, C) -> (..., W, H, C)."""
-    nl = x.ndim - 3
-    return x.transpose(tuple(range(nl)) + (nl + 1, nl, nl + 2))
+def _to_sequences(f: np.ndarray) -> np.ndarray:
+    """(..., H, W, C) -> (..., 4, L, C): row-major, its reversal,
+    column-major, its reversal."""
+    seq_shape = f.shape[:-3] + (f.shape[-3] * f.shape[-2], f.shape[-1])
+    rows = f.reshape(seq_shape)
+    cols = np.swapaxes(f, -3, -2).reshape(seq_shape)
+    return np.stack([rows, rows[..., ::-1, :], cols, cols[..., ::-1, :]],
+                    axis=-3)
+
+
+def _to_grid(y: np.ndarray, h: int, w: int) -> np.ndarray:
+    """(..., 4, L, C) -> (..., H, W, C): undo each direction's order, sum."""
+    lead, c = y.shape[:-3], y.shape[-1]
+    rows = (y[..., 0, :, :] + y[..., 1, ::-1, :]).reshape(lead + (h, w, c))
+    cols = (y[..., 2, :, :] + y[..., 3, ::-1, :]).reshape(lead + (w, h, c))
+    return rows + np.swapaxes(cols, -3, -2)
 
 
 def cross_scan(f: Tensor) -> Tensor:
-    """(..., H, W, C) -> (..., 4, L, C): row-major, its reversal,
-    column-major, its reversal."""
-    seq_shape = f.shape[:-3] + (1, f.shape[-3] * f.shape[-2], f.shape[-1])
-    rows = f.reshape(seq_shape)
-    cols = _swap_hw(f).reshape(seq_shape)
-    axis_l = f.ndim - 2
-    return concat([rows, rows.flip(axis_l), cols, cols.flip(axis_l)],
-                  axis=f.ndim - 3)
+    """``_to_sequences`` as one node."""
+    h, w = f.shape[-3], f.shape[-2]
+    return Tensor._from_op(_to_sequences(f.data), (f,),
+                           lambda g: (_to_grid(g, h, w),))
 
 
 def cross_merge(y: Tensor, h: int, w: int) -> Tensor:
-    """(..., 4, L, C) -> (..., H, W, C): undo each direction's order, sum."""
-    axis_l = y.ndim - 2
-    y0, y1, y2, y3 = split(y, [1, 1, 1, 1], axis=y.ndim - 3)
-    lead, c = y.shape[:-3], y.shape[-1]
-    rows = (y0 + y1.flip(axis_l)).reshape(lead + (h, w, c))
-    cols = (y2 + y3.flip(axis_l)).reshape(lead + (w, h, c))
-    return rows + _swap_hw(cols)
+    """``_to_grid`` as one node."""
+    return Tensor._from_op(_to_grid(y.data, h, w), (y,),
+                           lambda g: (_to_sequences(g),))
 
 
 class SS2DBlock(Module):

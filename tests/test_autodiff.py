@@ -4,7 +4,7 @@ import pytest
 from scanseg import autodiff as ad
 from scanseg.autodiff import (Tensor, bilinear_resize, concat, depthwise_conv2d,
                               layer_norm, log_softmax, matmul, sigmoid, silu,
-                              softplus, split, stack)
+                              softplus, stack)
 from scanseg.errors import ConfigError, DimensionError, GraphError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
@@ -154,13 +154,15 @@ def test_silu_values():
 
 def test_structural_inverses_bitwise():
     a = rand((3, 4), seed=15)
-    b = rand((2, 4), seed=16)
-    ta, tb = Tensor(a), Tensor(b)
-    joined = concat([ta, tb], axis=0)
-    back = split(joined, [3, 2], axis=0)
-    assert np.array_equal(back[0].data, a)
-    assert np.array_equal(back[1].data, b)
-    assert all(np.shares_memory(p.data, joined.data) for p in back)  # views
+    b = rand((3, 4), seed=16)
+    s = stack([Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)],
+              axis=1)
+    assert np.array_equal(s.data[:, 0], a)
+    assert np.array_equal(s.data[:, 1], b)
+    g = rand(s.shape, seed=17)
+    back = s._backward_fn(g)
+    assert all(np.array_equal(p, g[:, i]) for i, p in enumerate(back))
+    assert all(np.shares_memory(p, g) for p in back)                # views
     t = Tensor(a)
     assert np.array_equal(t.flip(0).flip(0).data, a)
     assert np.array_equal(t.transpose((1, 0)).transpose((1, 0)).data, a)
@@ -363,14 +365,15 @@ def _node_count(root) -> int:
 
 def test_parent_links_reach_every_operand():
     # Benchmark traces count graph nodes by walking ``_parents``: the root
-    # plus one node per distinct operand, constants included (16 here).
+    # plus one node per distinct operand, constants included.  Here: x, w,
+    # g, the zero shift, matmul, silu, layer_norm, stack, flip, the first
+    # mul, 2.0, the second mul, 1.0, sub and sum, 15 in all.
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     g = Tensor(np.ones(2), requires_grad=True)
     h = silu(matmul(x, w))
-    top, bottom = split(concat([layer_norm(h, g, Tensor(np.zeros(2))), h],
-                               axis=0), [2, 2])
-    assert _node_count((top * bottom * 2.0 - 1.0).sum()) == 16
+    s = stack([layer_norm(h, g, Tensor(np.zeros(2))), h], axis=0)
+    assert _node_count((s.flip(0) * s * 2.0 - 1.0).sum()) == 15
 
 
 def test_assigned_backward_fn_is_the_one_backward_runs():
@@ -416,8 +419,6 @@ OP_CASES = [
     ("flip", lambda ts: (ts[0].flip(1) * ts[0]).sum(), [(3, 4)]),
     ("concat", lambda ts: (concat([ts[0], ts[1]], axis=1)
                            * concat([ts[1], ts[0]], axis=1)).sum(), [(2, 3), (2, 3)]),
-    ("split", lambda ts: (split(ts[0], [2, 2], axis=0)[0]
-                          * split(ts[0], [2, 2], axis=0)[1]).sum(), [(4, 3)]),
     ("stack", lambda ts: (stack([ts[0], ts[1]], axis=0)
                           * stack([ts[1], ts[0]], axis=0)).sum(), [(2, 2), (2, 2)]),
     ("bilinear", lambda ts: (bilinear_resize(ts[0], (5, 7))

@@ -91,15 +91,17 @@ def test_single_position_matches_hand_composed_two_step_scan():
     assert np.allclose(out, expect, atol=1e-12)
 
 
-def test_stub_identity_scan_doubles_joined_sequence():
+def test_stub_identity_scan_doubles_joined_sequence(monkeypatch):
+    import scanseg.fusion
+    monkeypatch.setattr(scanseg.fusion, "selective_scan",
+                        lambda x, a, b, c, delta: x)
     blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(11))
-    blk._scan_fn = lambda x, a, b, c, delta: x
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
     x, a, b, c, delta = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = _bidirectional_scan(blk, x, a, b, c, delta)
+    y = _bidirectional_scan(x, a, b, c, delta)
     assert np.allclose(y.data, 2.0 * x.data, atol=1e-15)
 
 
@@ -122,9 +124,8 @@ def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
     kept = [v.copy() for v in arrays]
     axes = (1, 0, 1, 1, 1)                              # each array's L axis
 
-    blk = MMFFBlock(channels=d, state=n, rng=SplitMix64(62))
     ts = [Tensor(v, requires_grad=True) for v in arrays]
-    y = _bidirectional_scan(blk, *ts)
+    y = _bidirectional_scan(*ts)
     (y * Tensor(probe)).sum().backward()
 
     a_bar = np.exp(delta[..., None] * a)
@@ -161,7 +162,7 @@ def test_underflowed_delta_matches_oracle():
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
     inputs = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = _bidirectional_scan(blk, *inputs).data
+    y = _bidirectional_scan(*inputs).data
     x, _, b, c, delta = (t.data for t in inputs)
     assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
     halves = [discretize(-np.exp(gen.a_log.data), b[s], delta[s])
@@ -185,8 +186,7 @@ def test_information_crossing_rgb_perturbation_reaches_x_half():
     def halves(fa, fb):
         seq_a = blk._preprocess(Tensor(fa), blk.lin_a, blk.conv_a)
         seq_b = blk._preprocess(Tensor(fb), blk.lin_b, blk.conv_b)
-        y = _bidirectional_scan(
-            blk, *_joined_scan_inputs(blk, seq_a, seq_b)).data
+        y = _bidirectional_scan(*_joined_scan_inputs(blk, seq_a, seq_b)).data
         return y[:4], y[4:]
 
     _, xh0 = halves(f_a, f_b)

@@ -274,7 +274,7 @@ def test_backward_closures_hold_arrays_not_tensors():
                    Tensor(rand((2, 1, 32, 32), seed=41)))
     mask = (rand((2, 1, 32, 32), seed=42) > 0.5).astype(np.float64)
     loss = loss_saliency(logits, Tensor(mask))[0]
-    closures, seen, todo = 0, set(), [loss]
+    seen, todo = set(), [loss]
     while todo:
         node = todo.pop()
         if id(node) in seen:
@@ -282,10 +282,10 @@ def test_backward_closures_hold_arrays_not_tensors():
         seen.add(id(node))
         todo.extend(node._parents)
         if node._backward_fn is not None:
-            closures += 1
             held = _tensors_reached(node._backward_fn)
             assert not held, (node._backward_fn, held)
-    assert closures > 500
+    # Not vacuous: the walk covered the whole model.
+    assert all(id(p._node) in seen for p in model.parameters())
 
 
 # Pinned outputs: logits of TOY_CONFIG (seed 0) on a fixed seeded 32x32 batch

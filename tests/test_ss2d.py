@@ -126,6 +126,27 @@ def test_cross_scan_gradients():
     assert res.passed, res.line()
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 2), (3, 3, 2), (2, 5, 3),
+                                   (2, 4, 3, 2), (3, 1, 1, 2)])
+def test_layout_pair_is_adjoint_and_one_node_each(shape):
+    h, w = shape[-3], shape[-2]
+    f = rand(shape, seed=8)
+    y = rand(shape[:-3] + (4, h * w, shape[-1]), seed=9)
+    lhs = np.sum(cross_scan(Tensor(f)).data * y)
+    rhs = np.sum(f * cross_merge(Tensor(y), h, w).data)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    # Each op is one node on its input, and its backward under a probe is
+    # the other op's forward of that probe.
+    tf, ty = Tensor(f, requires_grad=True), Tensor(y, requires_grad=True)
+    seqs, grid = cross_scan(tf), cross_merge(ty, h, w)
+    assert seqs._parents == (tf._node,) and grid._parents == (ty._node,)
+    (seqs * Tensor(y)).sum().backward()
+    (grid * Tensor(f)).sum().backward()
+    assert np.array_equal(tf.grad, cross_merge(Tensor(y), h, w).data)
+    assert np.array_equal(ty.grad, cross_scan(Tensor(f)).data)
+
+
 # ---------------------------------------------------------------- ss2d forward
 
 def test_ss2d_zero_input():
