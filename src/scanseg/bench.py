@@ -10,8 +10,10 @@ columns compare each row against the oracle on the same inputs.
 ``run_model_shapes`` times the op at the shapes the model runs
 (``MODEL_SHAPES``): forward, and forward plus backward, each row with its
 elements per step, prod(lead) * N * D, the width of one position's
-update.  Narrow steps are bound by per-step overhead, wide ones by the
-elementwise work.  A row's time is its best over several rounds, and a
+update, and its delta source as the model passes it: SS2D's calls give
+the (w_delta, delta_bias) pair and the op projects x to delta itself
+(``proj``), fusion's give delta (``given``).  Narrow steps are bound by
+per-step overhead, wide ones by the elementwise work.  A row's time is its best over several rounds, and a
 round times every row once (model shapes: both rows of one shape), so a
 slow spell of the host hits all rows alike.
 """
@@ -35,17 +37,21 @@ __all__ = ["BenchRow", "run_bench", "fit_exponent", "format_table", "to_csv",
 
 IMPLS = ("sequential", "op")
 
-# (leading dims, L, D) of the selective_scan calls one op of each benchmark
-# workload makes (perfbench/baseline/seed.md); N is 4 throughout.  Leading
-# dims are batch x direction, directions alone for one eval image, and
-# nothing for fusion's joined scans at eval.
+# (leading dims, L, D, delta source) of the selective_scan calls one op of
+# each benchmark workload makes (perfbench/baseline/seed.md); N is 4
+# throughout.  SS2D's leading dims are batch x direction, or its 4
+# directions alone for one eval image, and it passes the delta projection;
+# fusion's are the batch, or nothing at eval, and it passes delta.
 MODEL_SHAPES = (
-    ((4, 4), 64, 16), ((4, 4), 16, 32), ((4, 4), 256, 8),          # train-32
-    ((4,), 128, 16), ((4,), 32, 32),
-    ((4, 4), 1024, 16), ((4, 4), 256, 32), ((4, 4), 4096, 8),     # train-128
-    ((4,), 2048, 16), ((4,), 512, 32),
-    ((4,), 4096, 16), ((4,), 1024, 32), ((4,), 16384, 8),         # eval-256
-    ((), 8192, 16), ((), 2048, 32),
+    ((4, 4), 64, 16, "proj"), ((4, 4), 16, 32, "proj"),             # train-32
+    ((4, 4), 256, 8, "proj"),
+    ((4,), 128, 16, "given"), ((4,), 32, 32, "given"),
+    ((4, 4), 1024, 16, "proj"), ((4, 4), 256, 32, "proj"),          # train-128
+    ((4, 4), 4096, 8, "proj"),
+    ((4,), 2048, 16, "given"), ((4,), 512, 32, "given"),
+    ((4,), 4096, 16, "proj"), ((4,), 1024, 32, "proj"),             # eval-256
+    ((4,), 16384, 8, "proj"),
+    ((), 8192, 16, "given"), ((), 2048, 32, "given"),
 )
 MODEL_STATE = 4
 
@@ -67,6 +73,7 @@ class ShapeRow:
     L: int
     N: int
     D: int
+    delta: str                 # "proj" (the op projects x) or "given"
     mode: str                  # "fwd" or "fwd+bwd"
     wall_time: float
     step_elements: int         # prod(lead) * N * D
@@ -84,6 +91,26 @@ def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
     delta = 0.01 + r.uniform_array(lead + (length, d))
     c = -1.0 + 2.0 * r.uniform_array(lead + (length, n))
     return x, a, b, c, delta
+
+
+def _model_case(lead: tuple, length: int, d: int, source: str, seed: int):
+    """Op arguments of one ``MODEL_SHAPES`` row, x first.  A ``proj`` row
+    ends in w (K, D, D) and bias (K, 1, D), one pair per direction on the
+    lead's last axis, whose delta = softplus(x @ w + bias) averages
+    about 0.5, as a given delta does; a ``given`` row ends in delta."""
+    x, a, b, c, delta = _case(length, MODEL_STATE, d, seed, lead)
+    if source == "given":
+        return x, a, b, c, delta
+    r, k = SplitMix64(seed + 10_000), lead[-1]
+    w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
+    bias = -1.5 + 2.0 * r.uniform_array((k, 1, d))
+    return x, a, b, c, w, bias
+
+
+def _scan_call(args):
+    """``selective_scan`` on ``_model_case``'s arguments."""
+    return selective_scan(*args[:4], args[4] if len(args) == 5
+                          else tuple(args[4:]))
 
 
 def _best_times(fns, rounds: int) -> list[float]:
@@ -125,26 +152,26 @@ def run_bench(lengths, n: int, d: int, impls=IMPLS,
 
 def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
     """Best-of-3 wall time of the op's forward, and of its forward plus
-    backward, after a warmup call each, at each (lead, L, D) of
-    ``MODEL_SHAPES``; A is shared, (D, N).
+    backward, after a warmup call each, at each (lead, L, D, delta source)
+    of ``MODEL_SHAPES``; A is shared, (D, N).
     """
     rows, n = [], MODEL_STATE
-    for i, (lead, length, d) in enumerate(MODEL_SHAPES):
-        arrays = _case(length, n, d, seed + i, lead)
+    for i, (lead, length, d, source) in enumerate(MODEL_SHAPES):
+        arrays = _model_case(lead, length, d, source, seed + i)
 
         def fwd():
-            return selective_scan(*arrays)
+            return _scan_call(arrays)
 
         def fwd_bwd():
-            ts = [Tensor(v, requires_grad=True) for v in arrays]
-            selective_scan(*ts).sum().backward()
+            _scan_call([Tensor(v, requires_grad=True)
+                        for v in arrays]).sum().backward()
 
         width = int(np.prod(lead, dtype=np.int64)) * n * d
         fwd()
         fwd_bwd()
         walls = _best_times((fwd, fwd_bwd), rounds=3)
-        rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, mode=mode,
-                             wall_time=wall, step_elements=width)
+        rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, delta=source,
+                             mode=mode, wall_time=wall, step_elements=width)
                     for mode, wall in zip(("fwd", "fwd+bwd"), walls))
     return rows
 
@@ -182,12 +209,12 @@ def to_csv(rows: list[BenchRow]) -> str:
 
 
 def format_shape_table(rows: list[ShapeRow]) -> str:
-    head = (f"{'lead':>6} {'L':>6} {'N':>3} {'D':>3} {'mode':>8} "
-            f"{'elems/step':>10} {'wall[s]':>10} {'elems/s':>10}")
+    head = (f"{'lead':>6} {'L':>6} {'N':>3} {'D':>3} {'delta':>5} "
+            f"{'mode':>8} {'elems/step':>10} {'wall[s]':>10} {'elems/s':>10}")
     lines = ["selective_scan at model shapes", head, "-" * len(head)]
     for r in rows:
         lead = "x".join(map(str, r.lead)) or "()"
-        lines.append(f"{lead:>6} {r.L:>6} {r.N:>3} {r.D:>3} {r.mode:>8} "
-                     f"{r.step_elements:>10} {r.wall_time:>10.6f} "
-                     f"{r.elements_per_sec:>10.3e}")
+        lines.append(f"{lead:>6} {r.L:>6} {r.N:>3} {r.D:>3} {r.delta:>5} "
+                     f"{r.mode:>8} {r.step_elements:>10} "
+                     f"{r.wall_time:>10.6f} {r.elements_per_sec:>10.3e}")
     return "\n".join(lines)

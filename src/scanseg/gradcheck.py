@@ -212,6 +212,23 @@ def suite_scan() -> list[CheckResult]:
         "selective-scan-blocks", blocks_loss,
         [(f"input{i}", t) for i, t in enumerate(ts)],
         step=1e-5, entries_per_param=12))
+
+    # The same blocks with delta projected inside the op from x, through
+    # one (w_delta, delta_bias) pair per direction of the lead's last axis.
+    proj = [Tensor(_rand(lead + (length, d), 76), requires_grad=True),
+            Tensor(_rand((4, d, d), 77) / np.sqrt(d), requires_grad=True),
+            Tensor(_rand((4, 1, d), 78), requires_grad=True)]
+
+    def projected_loss():
+        x, w_delta, delta_bias = proj
+        a, b, c = ts[1:4]
+        return (selective_scan(x, -a.exp(), b, c, (w_delta, delta_bias))
+                * w).sum()
+
+    results.append(check_params(
+        "selective-scan-projected-delta-blocks", projected_loss,
+        list(zip(("x", "w_delta", "delta_bias"), proj)),
+        step=1e-5, entries_per_param=12))
     return results
 
 

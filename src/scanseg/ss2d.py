@@ -5,7 +5,10 @@ between the patch embedding and the segmentation head.  A map is flattened
 into four directional sequences — row-major from the top-left, its
 reversal, column-major from the top-left, and its reversal — each scanned
 by its own parameter set (through ``scan.scan_inputs``, fusion's generator
-too), then the four outputs are restored to grid order and summed.  The
+too), then the four outputs are restored to grid order and summed.  Each
+direction's delta is projected from its own sequence, so the scan gets the
+stacked (w_delta, delta_bias) pair and forms delta itself, in forward and
+again in backward: the graph keeps the four sequences and no delta.  The
 two diagonal corner orders named in the usual cross-scan formulation are
 realized as the row-/column-major pair with reversals.
 
@@ -86,7 +89,7 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
 
     B and delta derive from ``f``'s directional sequences; C derives from
     ``c_source``'s sequences when given (same traversal orders), else from
-    ``f``'s own.
+    ``f``'s own.  delta is formed inside ``selective_scan``.
     """
     if f.ndim < 3 or f.shape[-1] != block.channels:
         raise DimensionError(
@@ -97,6 +100,5 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
 
     seqs = cross_scan(f)                                   # (..., 4, L, C)
     cseqs = None if c_source is None else cross_scan(c_source)
-    a, b, c, delta = scan_inputs(seqs, block.directions, cseqs)
-    y = selective_scan(seqs, a, b, c, delta)
+    y = selective_scan(seqs, *scan_inputs(seqs, block.directions, cseqs))
     return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))

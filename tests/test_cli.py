@@ -313,17 +313,22 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     assert csv[0] == "L,N,D,impl,wall_time_s,elements_per_sec,max_rel_err"
     assert len(csv) == 5
     # The op at every shape the benchmark's workloads run, forward and
-    # forward plus backward, each with its elements per step.
+    # forward plus backward, each with its delta source and elements per
+    # step.  SS2D's rows, whose lead holds the 4 directions, pass the
+    # (w_delta, delta_bias) pair as the model does; fusion's pass delta.
     from scanseg.bench import MODEL_SHAPES
     shape_rows = [line.split() for line in
                   table.split("selective_scan at model shapes")[1]
                   .strip().split("\n")[2:]]
     expect = [["x".join(map(str, lead)) or "()", str(length), "4", str(d),
-               mode, str(int(np.prod(lead)) * 4 * d)]
-              for lead, length, d in MODEL_SHAPES
+               source, mode, str(int(np.prod(lead)) * 4 * d)]
+              for lead, length, d, source in MODEL_SHAPES
               for mode in ("fwd", "fwd+bwd")]
-    assert [r[:6] for r in shape_rows] == expect
-    assert all(float(r[6]) > 0 for r in shape_rows)
+    assert [r[:7] for r in shape_rows] == expect
+    assert all(float(r[7]) > 0 for r in shape_rows)
+    sources = {lead: {s for ld, *_, s in MODEL_SHAPES if ld == lead}
+               for lead in ((4, 4), ())}
+    assert sources == {(4, 4): {"proj"}, (): {"given"}}
 
     out2 = tmp_path / "bench1"
     assert run(["scan-bench", "--lengths", "256", "--out-dir", out2]) == 0

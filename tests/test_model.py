@@ -241,16 +241,16 @@ def test_full_scale_config_validates():
     assert FULL_CONFIG.resolution[1] % div == 0
 
 
-def _tensors_reached(fn) -> list:
-    """Tensors a closure reaches through its cells, looking inside tuples,
-    lists, dicts and the cells of the functions it captured."""
+def _reached(fn, kind) -> list:
+    """Objects of type ``kind`` a closure reaches through its cells, looking
+    inside tuples, lists, dicts and the cells of the functions it captured."""
     found, seen, todo = [], set(), [fn]
     while todo:
         obj = todo.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, Tensor):
+        if isinstance(obj, kind):
             found.append(obj)
         elif isinstance(obj, (tuple, list)):
             todo.extend(obj)
@@ -282,10 +282,40 @@ def test_backward_closures_hold_arrays_not_tensors():
         seen.add(id(node))
         todo.extend(node._parents)
         if node._backward_fn is not None:
-            held = _tensors_reached(node._backward_fn)
+            held = _reached(node._backward_fn, Tensor)
             assert not held, (node._backward_fn, held)
     # Not vacuous: the walk covered the whole model.
     assert all(id(p._node) in seen for p in model.parameters())
+
+
+def test_ss2d_graph_keeps_one_sequence_sized_buffer():
+    # The scan projects its own x to delta, in forward and again in
+    # backward, so the only (..., 4, L, C) buffer any closure keeps is the
+    # four-direction sequences; no full delta lives in the graph.
+    from scanseg.ss2d import SS2DBlock, cross_scan, ss2d_forward
+    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(25))
+    f = Tensor(rand((2, 3, 5, 2), seed=26), requires_grad=True)
+    out = ss2d_forward(f, blk)
+    buffers, seen, todo = {}, set(), [out._node]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.extend(node._parents)
+        if node._backward_fn is None:
+            continue
+        for arr in _reached(node._backward_fn, np.ndarray):
+            if arr.shape[-3:] != (4, 15, 2):
+                continue
+            root = arr
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            buffers[id(root)] = root
+    assert id(f._node) in seen
+    assert len(buffers) == 1, [b.shape for b in buffers.values()]
+    (root,) = buffers.values()
+    assert np.array_equal(root.reshape((2, 4, 15, 2)), cross_scan(f).data)
 
 
 # Pinned outputs: logits of TOY_CONFIG (seed 0) on a fixed seeded 32x32 batch

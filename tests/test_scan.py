@@ -7,8 +7,8 @@ from scanseg.autodiff import Tensor
 from scanseg.errors import DimensionError, DomainError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
-from scanseg.scan import (SSMParams, discretize, scan_inputs,
-                          scan_sequential, selective_scan)
+from scanseg.scan import (BLOCK, SSMParams, discretize, project_delta,
+                          scan_inputs, scan_sequential, selective_scan)
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -52,7 +52,7 @@ def test_input_params_zero_projection_constant_delta():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(2))
     p.w_delta.data[:] = 0.0
     x = Tensor(rand((1, 5, 3), seed=3))
-    delta = scan_inputs(x, [p])[3]
+    delta = project_delta(x, scan_inputs(x, [p])[3])
     expect = np.logaddexp(0.0, p.delta_bias.data)
     assert np.allclose(delta.data, np.broadcast_to(expect, (1, 5, 3)),
                        atol=1e-15)
@@ -60,7 +60,9 @@ def test_input_params_zero_projection_constant_delta():
 
 def test_input_params_zero_input():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(4))
-    _, b, c, delta = scan_inputs(Tensor(np.zeros((1, 4, 3))), [p])
+    x = Tensor(np.zeros((1, 4, 3)))
+    _, b, c, proj = scan_inputs(x, [p])
+    delta = project_delta(x, proj)
     assert np.array_equal(b.data, np.zeros((1, 4, 2)))
     assert np.array_equal(c.data, np.zeros((1, 4, 2)))
     assert np.all(delta.data > 0)
@@ -69,7 +71,8 @@ def test_input_params_zero_input():
 def test_input_params_match_hand_projection():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(5))
     x = rand((6, 3), seed=6)
-    _, b, c, delta = scan_inputs(Tensor(x[None]), [p])
+    _, b, c, proj = scan_inputs(Tensor(x[None]), [p])
+    delta = project_delta(Tensor(x[None]), proj)
     assert np.array_equal(b.data[0], x @ p.w_B.data)
     assert np.array_equal(c.data[0], x @ p.w_C.data)
     assert np.array_equal(delta.data[0],
@@ -82,7 +85,8 @@ def test_scan_inputs_match_per_set_projections():
     ps = [SSMParams(channels=3, state=2, rng=SplitMix64(s)) for s in (50, 51)]
     seqs = rand((2, 2, 5, 3), seed=52)
     c_seqs = rand((2, 2, 5, 3), seed=53)
-    a, b, c, delta = scan_inputs(Tensor(seqs), ps, Tensor(c_seqs))
+    a, b, c, proj = scan_inputs(Tensor(seqs), ps, Tensor(c_seqs))
+    delta = project_delta(Tensor(seqs), proj)
     assert a.shape == (2, 1, 3, 2)
     assert b.shape == c.shape == (2, 2, 5, 2) and delta.shape == seqs.shape
     for k, p in enumerate(ps):
@@ -252,6 +256,9 @@ def test_selective_scan_rejects_shape_mismatch():
         (x, np.zeros((3, 3)), b, c, delta),  # A's N differs from B's
         (x, a, b, c[:3], delta),             # C's L differs
         (x, a, np.stack([b, b]), c, delta),  # B has its own lead dim
+        (x, a, b, c, (np.zeros((3, 2)), np.zeros((1, 3)))),  # w not (D, D)
+        (x, a, b, c, (np.zeros((3, 3)), np.zeros((1, 2)))),  # bias not D
+        (x, a, b, c, (np.zeros((2, 3, 3)), np.zeros((1, 3)))),  # w adds a dim
     ]
     for args in bad:
         with pytest.raises(DimensionError):
@@ -291,6 +298,27 @@ def test_selective_scan_oracle_sweep():
                 worst = max(worst, rel)
                 case += 1
     assert worst <= 1e-10, worst
+
+
+def test_selective_scan_projected_delta_matches_oracle():
+    # K = 2 (w, bias) pairs, a batch axis and three blocks (two full, one
+    # partial): the op's own delta = softplus(x @ w + bias) gives the array
+    # oracle's y, and the same y, bitwise, as that delta passed in.
+    lead, k, length, d, n = (3,), 2, 2 * BLOCK + 19, 4, 3
+    r = SplitMix64(36)
+    x = -2.0 + 4.0 * r.uniform_array(lead + (k, length, d))
+    a = -0.05 - 2.0 * r.uniform_array((k, 1, d, n))
+    b = -1.0 + 2.0 * r.uniform_array(lead + (k, length, n))
+    c = -1.0 + 2.0 * r.uniform_array(lead + (k, length, n))
+    w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
+    bias = -4.0 + 3.0 * r.uniform_array((k, 1, d))
+    delta = np.logaddexp(0.0, x @ w + bias)
+    y = selective_scan(x, a, b, c, (w, bias)).data
+    assert np.array_equal(y, selective_scan(x, a, b, c, delta).data)
+    y_ref = scan_sequential(x, *discretize(a[:, 0], b, delta), c)
+    # Relative to the largest |y|: entry by entry, y near 0 reads ~1e-12.
+    rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
+    assert rel <= 1e-12, rel
 
 
 def _blocked_case(seed, lead, length, d, n, a_shape, extreme=False):

@@ -195,8 +195,8 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     # it with the shared parameters, flip the output back, and restore grid
     # order with direction 1's inverse permutation.  The permutations are
     # the test's own oracle tables.
-    from scanseg.scan import (SSMParams, discretize, scan_inputs,
-                              scan_sequential)
+    from scanseg.scan import (SSMParams, discretize, project_delta,
+                              scan_inputs, scan_sequential)
     params = SSMParams(channels=2, state=3, rng=SplitMix64(14))
     f = rand((3, 4, 2), seed=15)
     invs = [np.argsort(p) for p in oracle_perms(3, 4)]
@@ -204,8 +204,10 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     assert np.array_equal(seqs[1], seqs[0][::-1])
 
     def run(x):
-        a, b, c, delta = (t.data[0] for t in scan_inputs(Tensor(x[None]),
-                                                         [params]))
+        xt = Tensor(x[None])
+        a, b, c, proj = scan_inputs(xt, [params])
+        a, b, c, delta = (t.data[0] for t in (a, b, c,
+                                              project_delta(xt, proj)))
         return scan_sequential(x, *discretize(a[0], b, delta), c)
 
     y2 = run(seqs[1])
@@ -218,7 +220,8 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
 def test_ss2d_underflowed_delta_matches_oracle():
     # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
     # every direction: a_bar = 1 and b_bar = 0 there, so the state holds.
-    from scanseg.scan import discretize, scan_inputs, scan_sequential
+    from scanseg.scan import (discretize, project_delta, scan_inputs,
+                              scan_sequential)
     blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(23))
     for p in blk.directions:
         p.delta_bias.data[0] = -1000.0
@@ -229,8 +232,10 @@ def test_ss2d_underflowed_delta_matches_oracle():
     seqs = cross_scan(Tensor(f)).data
     ys = []
     for seq, p in zip(seqs, blk.directions):
-        a, b, c, delta = (t.data[0] for t in scan_inputs(Tensor(seq[None]),
-                                                         [p]))
+        st = Tensor(seq[None])
+        a, b, c, proj = scan_inputs(st, [p])
+        a, b, c, delta = (t.data[0] for t in (a, b, c,
+                                              project_delta(st, proj)))
         assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
         a_bar, b_bar = discretize(a[0], b, delta)
         assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
