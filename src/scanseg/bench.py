@@ -10,10 +10,12 @@ columns compare each row against the oracle on the same inputs.
 ``run_model_shapes`` times the op at the shapes the model runs
 (``MODEL_SHAPES``): forward, and forward plus backward, each row with its
 elements per step, prod(lead) * N * D, the width of one position's
-update, and its delta source as the model passes it: SS2D's calls give
-the (w_delta, delta_bias) pair and the op projects x to delta itself
-(``proj``), fusion's give delta (``given``).  Narrow steps are bound by
-per-step overhead, wide ones by the elementwise work.  A row's time is its best over several rounds, and a
+update, and the source of its B, C and delta as the model passes them:
+SS2D's calls give the projections (w_B,), (w_C,) and (w_delta,
+delta_bias) of x, which the op forms itself (``proj``), and an A per
+direction; fusion's give B, C and delta arrays (``given``) and an A per
+position.  Narrow steps are bound by per-step overhead, wide ones by the
+elementwise work.  A row's time is its best over several rounds, and a
 round times every row once (model shapes: both rows of one shape), so a
 slow spell of the host hits all rows alike.
 """
@@ -37,11 +39,11 @@ __all__ = ["BenchRow", "run_bench", "fit_exponent", "format_table", "to_csv",
 
 IMPLS = ("sequential", "op")
 
-# (leading dims, L, D, delta source) of the selective_scan calls one op of
-# each benchmark workload makes (perfbench/baseline/seed.md); N is 4
-# throughout.  SS2D's leading dims are batch x direction, or its 4
-# directions alone for one eval image, and it passes the delta projection;
-# fusion's are the batch, or nothing at eval, and it passes delta.
+# (leading dims, L, D, source of B, C and delta) of the selective_scan
+# calls one op of each benchmark workload makes (perfbench/baseline/seed.md);
+# N is 4 throughout.  SS2D's leading dims are batch x direction, or its 4
+# directions alone for one eval image, and it passes projections; fusion's
+# are the batch, or nothing at eval, and it passes arrays.
 MODEL_SHAPES = (
     ((4, 4), 64, 16, "proj"), ((4, 4), 16, 32, "proj"),             # train-32
     ((4, 4), 256, 8, "proj"),
@@ -73,7 +75,8 @@ class ShapeRow:
     L: int
     N: int
     D: int
-    delta: str                 # "proj" (the op projects x) or "given"
+    source: str                # of B, C and delta: "proj" (the op
+                               # projects x) or "given"
     mode: str                  # "fwd" or "fwd+bwd"
     wall_time: float
     step_elements: int         # prod(lead) * N * D
@@ -94,23 +97,31 @@ def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
 
 
 def _model_case(lead: tuple, length: int, d: int, source: str, seed: int):
-    """Op arguments of one ``MODEL_SHAPES`` row, x first.  A ``proj`` row
-    ends in w (K, D, D) and bias (K, 1, D), one pair per direction on the
-    lead's last axis, whose delta = softplus(x @ w + bias) averages
-    about 0.5, as a given delta does; a ``given`` row ends in delta."""
+    """``selective_scan``'s arguments for one ``MODEL_SHAPES`` row, as the
+    model passes them.  A ``given`` row passes A per position, (L, D, N),
+    and B, C and delta arrays.  A ``proj`` row passes one A, (w_B,), (w_C,)
+    and (w_delta, delta_bias) per direction on the lead's last axis, A at
+    rank x.ndim + 1; its delta = softplus(x @ w_delta + delta_bias)
+    averages about 0.5, as a given delta does."""
     x, a, b, c, delta = _case(length, MODEL_STATE, d, seed, lead)
+    r, k, n = SplitMix64(seed + 10_000), lead[-1:], MODEL_STATE
     if source == "given":
+        a = -0.05 - 2.0 * r.uniform_array((length, d, n))
         return x, a, b, c, delta
-    r, k = SplitMix64(seed + 10_000), lead[-1]
-    w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
-    bias = -1.5 + 2.0 * r.uniform_array((k, 1, d))
-    return x, a, b, c, w, bias
+    a = -0.05 - 2.0 * r.uniform_array(
+        (1,) * (len(lead) - 1) + k + (1, d, n))
+    w_b, w_c, w_delta = ((-1.0 + 2.0 * r.uniform_array(k + (d, m)))
+                         / np.sqrt(d) for m in (n, n, d))
+    bias = -1.5 + 2.0 * r.uniform_array(k + (1, d))
+    return x, a, (w_b,), (w_c,), (w_delta, bias)
 
 
-def _scan_call(args):
-    """``selective_scan`` on ``_model_case``'s arguments."""
-    return selective_scan(*args[:4], args[4] if len(args) == 5
-                          else tuple(args[4:]))
+def _with_grad(args):
+    """Op arguments with each array a Tensor that takes a gradient."""
+    def tensor(v):
+        return Tensor(v, requires_grad=True)
+    return [tuple(map(tensor, v)) if isinstance(v, tuple) else tensor(v)
+            for v in args]
 
 
 def _best_times(fns, rounds: int) -> list[float]:
@@ -152,25 +163,24 @@ def run_bench(lengths, n: int, d: int, impls=IMPLS,
 
 def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
     """Best-of-3 wall time of the op's forward, and of its forward plus
-    backward, after a warmup call each, at each (lead, L, D, delta source)
-    of ``MODEL_SHAPES``; A is shared, (D, N).
+    backward, after a warmup call each, at each (lead, L, D, source) of
+    ``MODEL_SHAPES``.
     """
     rows, n = [], MODEL_STATE
     for i, (lead, length, d, source) in enumerate(MODEL_SHAPES):
-        arrays = _model_case(lead, length, d, source, seed + i)
+        args = _model_case(lead, length, d, source, seed + i)
 
         def fwd():
-            return _scan_call(arrays)
+            return selective_scan(*args)
 
         def fwd_bwd():
-            _scan_call([Tensor(v, requires_grad=True)
-                        for v in arrays]).sum().backward()
+            selective_scan(*_with_grad(args)).sum().backward()
 
         width = int(np.prod(lead, dtype=np.int64)) * n * d
         fwd()
         fwd_bwd()
         walls = _best_times((fwd, fwd_bwd), rounds=3)
-        rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, delta=source,
+        rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, source=source,
                              mode=mode, wall_time=wall, step_elements=width)
                     for mode, wall in zip(("fwd", "fwd+bwd"), walls))
     return rows
@@ -209,12 +219,12 @@ def to_csv(rows: list[BenchRow]) -> str:
 
 
 def format_shape_table(rows: list[ShapeRow]) -> str:
-    head = (f"{'lead':>6} {'L':>6} {'N':>3} {'D':>3} {'delta':>5} "
+    head = (f"{'lead':>6} {'L':>6} {'N':>3} {'D':>3} {'source':>6} "
             f"{'mode':>8} {'elems/step':>10} {'wall[s]':>10} {'elems/s':>10}")
     lines = ["selective_scan at model shapes", head, "-" * len(head)]
     for r in rows:
         lead = "x".join(map(str, r.lead)) or "()"
-        lines.append(f"{lead:>6} {r.L:>6} {r.N:>3} {r.D:>3} {r.delta:>5} "
+        lines.append(f"{lead:>6} {r.L:>6} {r.N:>3} {r.D:>3} {r.source:>6} "
                      f"{r.mode:>8} {r.step_elements:>10} "
                      f"{r.wall_time:>10.6f} {r.elements_per_sec:>10.3e}")
     return "\n".join(lines)

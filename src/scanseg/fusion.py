@@ -16,9 +16,10 @@ features at the corresponding positions — and symmetrically for the second
 half.  The two sequences are stacked on a modality axis and go through
 ``scan.scan_inputs``, the generator SS2D uses too; flipping that axis of C
 crosses the readout, and a reshape joins the halves.  The joined sequence
-switches generator halfway along L, so no one (w_delta, delta_bias) pair
-projects it as SS2D's scans project theirs: delta is formed before the
-join, by ``scan.project_delta``, and passed to the scans.  The summed scan
+switches generator halfway along L, and its C is crossed, so no one
+projection of it gives B, C or delta as SS2D's scans project theirs: all
+three are formed before the join, by ``scan.project``, and passed to the
+scans as arrays.  The summed scan
 output's two halves are laid side by side along channels, position by
 position, and gated by a learnable per-channel scale for each half
 (initialized to one); a linear projection restores the input width.  The
@@ -32,7 +33,7 @@ from .autodiff import Tensor, concat, stack
 from .errors import DimensionError
 from .nn import DepthwiseConv2d, Linear, Module, param
 from .rng import SplitMix64
-from .scan import SSMParams, project_delta, scan_inputs, selective_scan
+from .scan import SSMParams, project, scan_inputs, selective_scan
 
 import numpy as np
 
@@ -90,8 +91,8 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
     """Joined sequence x and its crossed A (per position), B, C, delta."""
     axis_k, length = seq_a.ndim - 2, seq_a.shape[-2]
     seqs = stack([seq_a, seq_b], axis=axis_k)              # (..., 2, L, C)
-    a, b, c, proj = scan_inputs(seqs, (blk.gen_a, blk.gen_b))
-    delta = project_delta(seqs, proj)
+    a, *projs = scan_inputs(seqs, (blk.gen_a, blk.gen_b))
+    b, c, delta = (project(seqs, p) for p in projs)
     # Crossed readout: the first half is read out through C generated from
     # the second modality, and vice versa.
     c = c.flip(axis_k)

@@ -229,6 +229,22 @@ def suite_scan() -> list[CheckResult]:
         "selective-scan-projected-delta-blocks", projected_loss,
         list(zip(("x", "w_delta", "delta_bias"), proj)),
         step=1e-5, entries_per_param=12))
+
+    # SS2D's call: B, C and delta all projected inside the op from x, so
+    # x's gradient sums all three projections' shares.
+    bc = [Tensor(_rand(lead + (length, d), 79), requires_grad=True),
+          Tensor(_rand((4, d, n), 80) / np.sqrt(d), requires_grad=True),
+          Tensor(_rand((4, d, n), 81) / np.sqrt(d), requires_grad=True)]
+
+    def projected_bc_loss():
+        x, w_b, w_c = bc
+        return (selective_scan(x, -ts[1].exp(), (w_b,), (w_c,),
+                               tuple(proj[1:])) * w).sum()
+
+    results.append(check_params(
+        "selective-scan-projected-bc-blocks", projected_bc_loss,
+        list(zip(("x", "w_B", "w_C"), bc)),
+        step=1e-5, entries_per_param=12))
     return results
 
 

@@ -17,10 +17,12 @@ content-dependent.  delta comes out of a softplus, which returns exactly 0
 below about -745; zero is the rule's limit (a_bar = 1, b_bar = 0: the state
 holds), so delta >= 0 is the domain and only a negative delta is rejected.
 
-``scan_inputs`` is the one generator of A, B, C and delta's projection: it
-projects K sequences, each through its own ``SSMParams`` (SS2D's four
-directions, fusion's two modalities), and returns delta as the pair
-(w_delta, delta_bias) of delta = softplus(x @ w_delta + delta_bias).
+``scan_inputs`` is the one generator of A and of the projections of B, C
+and delta: K sequences, each through its own ``SSMParams`` (SS2D's four
+directions, fusion's two modalities).  It returns B as (w_B,), the
+projection B = x @ w_B, C likewise, and delta as (w_delta, delta_bias),
+delta = softplus(x @ w_delta + delta_bias).  ``project`` forms the array a
+projection stands for as graph ops.
 
 ``selective_scan`` is the differentiable op: it takes x, A, B, C and delta
 and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
@@ -41,20 +43,26 @@ The op scans one way only, first position to last.  A caller that scans
 back to front passes ``Tensor.flip`` views of its inputs and flips y back,
 which copies nothing.
 
-delta is passed in one of two ways.  Fusion passes a (..., L, D) delta,
-which the graph keeps.  SS2D passes the pair (w_delta, delta_bias), since
-its delta is projected from the op's own x, and the op forms delta =
-softplus(x @ w + bias) itself.  Forward forms the whole projection at once,
-with the numpy calls of the graph ops it replaces, and drops it when it
-returns.  Backward recomputes each block's delta from that block of x:
-this is the recompute rule of Mamba's fused scan (Gu & Dao,
-arXiv:2312.00752, section 3.3.2; Chen et al., arXiv:1604.06174), so the
-op keeps no delta, only x and the small (D, D) and (1, D) pair.  The
-block's gdelta then goes through the softplus, gpre = gdelta *
-sigmoid(pre) with sigmoid(pre) = 1 - exp(-delta), and gives x_blk^T gpre
-to w's gradient, the sum of gpre to the bias's and gpre w^T to x's.  Each
-block's delta comes from one place, a slice of the given delta or that
-recompute, and one block body serves both.
+B, C and delta are each passed in one of two ways.  Fusion passes arrays,
+which the graph keeps: its joined sequence switches generator halfway
+along L and its C is crossed, so no projection of its x gives them.  SS2D
+passes the projections, since its B, C and delta are projected from the
+op's own x (C from a second map when the decoder gives one, as an array).
+The op then forms each block's B = x_blk @ w_B, C = x_blk @ w_C and delta
+= softplus(x_blk @ w + bias) from that block of x, in forward and again in
+backward: this is the recompute rule of Mamba's fused scan (Gu & Dao,
+arXiv:2312.00752, section 3.3.2; Chen et al., arXiv:1604.06174), so the op
+keeps none of them, only x and the small weights.  With OpenBLAS at the
+model's shapes, the block matmuls give the same bits, row by row, as one
+matmul over all of x.  In backward a projection's gradient gp gives x^T
+gp to w's gradient, the sum of gp to the bias's and gp w^T to x's.  For
+delta this happens block by block, after the softplus: gpre = gdelta *
+sigmoid(pre), with sigmoid(pre) = 1 - exp(-delta).  B's and C's gradients
+are only N wide, so they are kept whole and pass to w_B and w_C once,
+over all positions, with the bits ``project``'s matmul would give.  One
+function, ``block_inputs``, is the source of each block's B, C and delta,
+a slice of the given array or that recompute, and one block body serves
+both sources.
 
 Inside a block the recurrence runs as a plain loop, ``_scan_loop``: two
 numpy calls per position on contiguous (..., N, D) slices.  It is the op's
@@ -83,7 +91,7 @@ from .nn import Module, param
 from .rng import SplitMix64
 
 __all__ = [
-    "SSMParams", "scan_inputs", "project_delta", "discretize",
+    "SSMParams", "scan_inputs", "project", "discretize",
     "scan_sequential", "selective_scan",
 ]
 
@@ -112,26 +120,41 @@ class SSMParams(Module):
 
 
 def scan_inputs(seqs: Tensor, params, c_seqs: Tensor | None = None):
-    """A, B, C and the delta projection for K sequences, sequence k
-    through ``params[k]``.
+    """A and the projections of B, C and delta for K sequences, sequence k
+    through ``params[k]``, in ``selective_scan``'s argument order.
 
-    ``seqs`` is (..., K, L, D).  B and delta derive from ``seqs``; C derives
-    from ``c_seqs`` (same shape) when given, else from ``seqs``.  Returns A
-    (K, 1, D, N), B and C (..., K, L, N) and the pair (w_delta (K, D, D),
-    delta_bias (K, 1, D)): ``selective_scan`` takes the pair in place of
-    delta and projects ``seqs`` itself, and ``project_delta`` forms delta
-    = softplus(seqs @ w_delta + delta_bias) as graph ops.
+    ``seqs`` is (..., K, L, D).  Returns A (1, ..., K, 1, D, N), at rank
+    seqs.ndim + 1; B's projection (w_B,) with w_B (K, D, N); C's, (w_C,),
+    or, when ``c_seqs`` (same shape) is given, C = c_seqs @ w_C as an
+    array, since it does not project the scan's x; and delta's,
+    (w_delta (K, D, D), delta_bias (K, 1, D)).  ``project`` forms the
+    arrays a projection stands for as graph ops.
     """
     k, (d, n) = len(params), params[0].a_log.shape
+    if seqs.ndim < 3 or seqs.shape[-3:] != (k, seqs.shape[-2], d):
+        raise DimensionError(
+            f"sequences {seqs.shape} do not match {k} parameter sets of "
+            f"width {d}: expected (..., {k}, L, {d})")
 
     def stacked(attr):
         return stack([getattr(p, attr) for p in params], axis=0)
 
-    b = matmul(seqs, stacked("w_B"))
-    c = matmul(seqs if c_seqs is None else c_seqs, stacked("w_C"))
-    proj = (stacked("w_delta"), stacked("delta_bias").reshape(k, 1, d))
-    a = (-stacked("a_log").exp()).reshape((k, 1, d, n))
-    return a, b, c, proj
+    c = (stacked("w_C"),)
+    if c_seqs is not None:
+        c = project(c_seqs, c)
+    a = (-stacked("a_log").exp()).reshape(
+        (1,) * (seqs.ndim - 3) + (k, 1, d, n))
+    delta = (stacked("w_delta"), stacked("delta_bias").reshape(k, 1, d))
+    return a, (stacked("w_B"),), c, delta
+
+
+def project(seqs: Tensor, proj) -> Tensor:
+    """The array a projection of ``seqs`` stands for, as graph ops: seqs @ w
+    for (w,), a B or C, and softplus(seqs @ w + bias) for (w, bias), a
+    delta.  For a caller whose scan cannot take the projection itself."""
+    w, *bias = proj
+    pre = matmul(seqs, w)
+    return softplus(pre + bias[0]) if bias else pre
 
 
 def discretize(a, b, delta):
@@ -183,25 +206,35 @@ def scan_sequential(x, a_bar, b_bar, c):
     return np.einsum("...ln,...ldn->...ld", ca, hs)
 
 
-def _check_op_shapes(x, a, b, c, delta):
-    """``delta`` is delta's shape, or the pair of shapes (w, bias)."""
-    full = x + b[-1:]
+def _check_op_shapes(x, a, sources):
+    """``sources`` holds B's, C's and delta's: an array's shape, or the
+    shapes of a projection of x, (w,) for B and C and (w, bias) for delta."""
+    def value(src, arity):
+        """The shape of the array a source stands for."""
+        if not (src and isinstance(src[0], tuple)):
+            return src
+        w, *bias = src
+        if len(src) != arity or w[-2] != x[-1]:
+            raise ValueError
+        shape = np.broadcast_shapes(x[:-2], w[:-2]) + (x[-2], w[-1])
+        if bias and np.broadcast_shapes(shape, bias[0]) != shape:
+            raise ValueError
+        return shape
+
     try:
-        if delta and isinstance(delta[0], tuple):
-            w, bias = delta
-            delta_ok = (w[-2:] == x[-1:] * 2 and np.broadcast_shapes(
-                x, w[:-2] + x[-2:], bias) == x)
-        else:
-            delta_ok = delta == x
-        ok = (len(x) >= 2 and b[:-1] == x[:-1] and c == b and delta_ok
+        b, c, delta = map(value, sources, (1, 1, 2))
+        full = x + b[-1:]
+        ok = (len(x) >= 2 and b[:-1] == x[:-1] and c == b and delta == x
               and np.broadcast_shapes(a, full) == full)
-    except ValueError:
+    except (ValueError, IndexError):
         ok = False
     if not ok:
+        b, c, delta = sources
         raise DimensionError(
             f"selective_scan shapes disagree: x {x}, A {a}, B {b}, C {c}, "
-            f"delta {delta} (A must broadcast to {full}, and delta must "
-            f"match x or be a (w, bias) projection of x to its shape)")
+            f"delta {delta} (A must broadcast to {x} + (N,); B and C must "
+            f"be (..., L, N), or (w,) with x @ w of that shape; delta must "
+            f"match x, or be (w, bias) with x @ w + bias of x's shape)")
 
 
 def _reduce_to(out, p, q):
@@ -214,54 +247,53 @@ def _reduce_to(out, p, q):
         out.shape)
 
 
-def project_delta(seqs: Tensor, proj) -> Tensor:
-    """delta = softplus(seqs @ w + bias) for ``proj`` = (w, bias), as graph
-    ops: the delta a caller passes when it cannot pass the pair itself."""
-    w, bias = proj
-    return softplus(matmul(seqs, w) + bias)
-
-
-def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
-                   delta) -> Tensor:
+def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
     """Differentiable selective scan that discretizes inside.
 
-    x is (..., L, D), B and C (..., L, N); A broadcasts to (..., L, D, N).
-    ``delta`` is either a (..., L, D) Tensor with delta >= 0, or the pair
-    (w, bias) of a projection of x: w broadcasts to (..., D, D), bias to
-    (..., 1, D), and the op forms delta = softplus(x @ w + bias) itself,
-    keeping no delta for backward.  The scan runs from the first position
+    x is (..., L, D); A broadcasts to (..., L, D, N).  B and C are each a
+    (..., L, N) Tensor or a projection (w,) of x, read as x @ w, with w
+    broadcasting to (..., D, N).  delta is a (..., L, D) Tensor with delta
+    >= 0 or a projection (w, bias), read as softplus(x @ w + bias), with w
+    broadcasting to (..., D, D) and bias to (..., 1, D).  The op forms a
+    projected B, C or delta block by block, in forward and again in
+    backward, and keeps none of it.  The scan runs from the first position
     to the last; inputs may be strided views, flipped ones too.  Returns y
     of shape (..., L, D).
     """
-    projected = isinstance(delta, tuple)
-    ins = tuple(map(Tensor._ensure,
-                    (x, a, b, c) + (delta if projected else (delta,))))
-    xd, ad, bd, cd = (t.data for t in ins[:4])
-    dds = [t.data for t in ins[4:]]
-    _check_op_shapes(xd.shape, ad.shape, bd.shape, cd.shape,
-                     tuple(v.shape for v in dds) if projected
-                     else dds[0].shape)
+    projected = [isinstance(v, tuple) for v in (b, c, delta)]
+    groups = [tuple(map(Tensor._ensure, v if p else (v,)))
+              for v, p in zip((b, c, delta), projected)]
+    xt, at = Tensor._ensure(x), Tensor._ensure(a)
+    xd, ad = xt.data, at.data
+    datas = [tuple(t.data for t in grp) for grp in groups]   # B, C, delta
+    _check_op_shapes(xd.shape, ad.shape,
+                     [tuple(v.shape for v in dd) if p else dd[0].shape
+                      for dd, p in zip(datas, projected)])
+    if not projected[2] and np.any(datas[2][0] < 0):
+        raise DomainError("delta must be non-negative")
     lead, (length, d) = xd.shape[:-2], xd.shape[-2:]
-    n = bd.shape[-1]
+    n = datas[0][0].shape[-1]
 
     def tm(v, axis=-2):
         """Time-major view of v: (L, ...) with L first."""
         return np.moveaxis(v, axis, 0)
 
-    # The one source of each block's delta, (T, ..., D) time-major: a
-    # recompute from x, or a slice of the given delta.
-    if projected:
-        wd, biasd = dds
+    given = [None if p else tm(dd[0]) for dd, p in zip(datas, projected)]
 
-        def block_delta(s, e):
-            return tm(np.logaddexp(0.0, xd[..., s:e, :] @ wd + biasd))
-    else:
-        if np.any(dds[0] < 0):
-            raise DomainError("delta must be non-negative")
-        d_tm = tm(dds[0])
-
-        def block_delta(s, e):
-            return d_tm[s:e]
+    def block_inputs(s, e):
+        """B, C and delta of positions s..e-1, time-major (T, ..., .): the
+        one source of each, a slice of the given array or a recompute from
+        x's block."""
+        x_blk = xd[..., s:e, :]
+        out = []
+        for v_tm, (w, *bias) in zip(given, datas):
+            if v_tm is not None:
+                out.append(v_tm[s:e])
+            elif bias:
+                out.append(tm(np.logaddexp(0.0, x_blk @ w + bias[0])))
+            else:
+                out.append(tm(x_blk @ w))
+        return out
 
     # States are kept as (N, D) per position so that the elementwise work
     # runs along D, the longer contiguous axis.  A becomes (L or 1, ..., N, D):
@@ -270,13 +302,13 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
         ad.reshape((1,) * (xd.ndim + 1 - ad.ndim) + ad.shape), -1, -2)
     a_tm = tm(a_nd, -3)
     per_position = a_tm.shape[0] > 1
-    x_tm, b_tm, c_tm = tm(xd), tm(bd), tm(cd)
+    x_tm = tm(xd)
     bounds = [(s, min(s + BLOCK, length)) for s in range(0, length, BLOCK)]
 
     def a_block(s, e):
         return a_tm[s:e] if per_position else a_tm
 
-    def block_states(delta_blk, a_blk, s, e, h0):
+    def block_states(b_blk, delta_blk, a_blk, s, e, h0):
         """delta, delta*x, a_bar and the states h of positions s..e-1;
         the first two (T, ..., 1, D), the others (T, ..., N, D)."""
         dl = delta_blk[..., None, :]
@@ -285,40 +317,50 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
         # through contiguous (..., N, D) slices.
         a_bar = np.multiply(dl, a_blk, order="C")
         np.exp(a_bar, out=a_bar)
-        h = np.multiply(dx, b_tm[s:e, ..., :, None], order="C")
+        h = np.multiply(dx, b_blk[..., :, None], order="C")
         _scan_loop(a_bar, h, h0)
         return dl, dx, a_bar, h
 
-    # Forward forms the whole delta at once; only this frame holds it.
-    delta_fwd = block_delta(0, length)
     y = np.empty(xd.shape)
     y_tm = tm(y)
     starts = []                               # the state entering each block
     h0 = np.zeros(lead + (n, d))
     for s, e in bounds:
         starts.append(h0)
-        h = block_states(delta_fwd[s:e], a_block(s, e), s, e, h0)[-1]
-        np.matmul(c_tm[s:e, ..., None, :], h, out=y_tm[s:e, ..., None, :])
+        b_blk, c_blk, delta_blk = block_inputs(s, e)
+        h = block_states(b_blk, delta_blk, a_block(s, e), s, e, h0)[-1]
+        np.matmul(c_blk[..., None, :], h, out=y_tm[s:e, ..., None, :])
         h0 = h[-1].copy()
 
     def backward(g):
         g_tm = tm(g)
-        gx, gb, gc = np.empty(xd.shape), np.empty(bd.shape), np.empty(cd.shape)
+        gx = np.empty(xd.shape)
+        gb, gc = np.empty(lead + (length, n)), np.empty(lead + (length, n))
         ga = np.zeros(a_tm.shape)              # time-major
         gx_tm, gb_tm, gc_tm = tm(gx), tm(gb), tm(gc)
-        if projected:
-            gw, gbias = np.zeros(wd.shape), np.zeros(biasd.shape)
-            w_t = np.swapaxes(wd, -1, -2)
-        else:
-            gdelta = np.empty(xd.shape)
-            gdelta_tm = tm(gdelta)
+        gdelta = None if projected[2] else np.empty(xd.shape)
+        gproj = [p and tuple(np.zeros(v.shape) for v in dd)
+                 for dd, p in zip(datas, projected)]
+
+        def through(i, gp, s, e):
+            """Pass gp, the gradient of positions s..e-1 of the array source
+            i's projection stands for, (..., T, .), to the projection:
+            x_blk^T gp to w's gradient, the sum of gp to the bias's and
+            gp w^T to x's."""
+            (w, *bias), (gw, *gbias) = datas[i], gproj[i]
+            gw += _unbroadcast(np.swapaxes(xd[..., s:e, :], -1, -2) @ gp,
+                               w.shape)
+            if bias:
+                gbias[0] += _unbroadcast(gp, bias[0].shape)
+            gx[..., s:e, :] += gp @ np.swapaxes(w, -1, -2)
+
         nu0 = np.zeros(lead + (n, d))          # nu at the next block's start
         for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
-            delta_blk = block_delta(s, e)
+            b_blk, c_blk, delta_blk = block_inputs(s, e)
             a_blk = np.ascontiguousarray(a_block(s, e))
-            dl, dx, a_bar, h = block_states(delta_blk, a_blk, s, e, h0)
+            dl, dx, a_bar, h = block_states(b_blk, delta_blk, a_blk, s, e, h0)
             gs = g_tm[s:e, ..., None, :]
-            lam = np.multiply(c_tm[s:e, ..., :, None], gs, order="C")
+            lam = np.multiply(c_blk[..., :, None], gs, order="C")
             # lam starts as dL/dh_k through y_k alone.  nu_k = a_bar_k *
             # lambda_k, where lambda_k = lam_k + nu_{k+1} is the full
             # adjoint: the same recurrence, run back to front.
@@ -330,24 +372,28 @@ def selective_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
             gz = nu                                # dL/d(delta*A) = nu_k h_{k-1}
             gz[1:] *= h[:-1]
             gz[0] *= h0
-            lam_b = np.matmul(b_tm[s:e, ..., None, :], lam)
+            lam_b = np.matmul(b_blk[..., None, :], lam)
             np.multiply(lam_b, dl, out=gx_tm[s:e, ..., None, :])
-            gd = np.empty(delta_blk.shape) if projected else gdelta_tm[s:e]
+            gd = (np.empty(delta_blk.shape) if projected[2]
+                  else tm(gdelta)[s:e])
             np.einsum("...nd,...nd->...d", gz, a_blk, out=gd)
             gd += lam_b[..., 0, :] * x_tm[s:e]
             np.matmul(lam, np.swapaxes(dx, -1, -2),
                       out=gb_tm[s:e, ..., :, None])
             np.matmul(h, g_tm[s:e, ..., :, None], out=gc_tm[s:e, ..., :, None])
             _reduce_to(ga[s:e] if per_position else ga, gz, delta_blk)
-            if projected:
+            if projected[2]:
                 # Through the softplus: d/dpre = sigmoid(pre) = 1 - exp(-delta).
-                gpre = np.moveaxis(gd * -np.expm1(-delta_blk), 0, -2)
-                gw += _unbroadcast(
-                    np.swapaxes(xd[..., s:e, :], -1, -2) @ gpre, wd.shape)
-                gbias += _unbroadcast(gpre, biasd.shape)
-                gx[..., s:e, :] += gpre @ w_t
+                through(2, np.moveaxis(gd * -np.expm1(-delta_blk), 0, -2),
+                        s, e)
+        # B's and C's gradients are N wide, small beside x's, so they are
+        # kept whole and pass to a projection once, over all positions: the
+        # bits ``project``'s matmul gives them.
+        for i, gv in enumerate((gb, gc)):
+            if projected[i]:
+                through(i, gv, 0, length)
         ga = np.swapaxes(np.moveaxis(ga, 0, -3), -1, -2)
-        grads = (gx, ga.reshape(ad.shape), gb, gc)
-        return grads + ((gw, gbias) if projected else (gdelta,))
+        return (gx, ga.reshape(ad.shape)) + sum(
+            (gp or (gv,) for gp, gv in zip(gproj, (gb, gc, gdelta))), ())
 
-    return Tensor._from_op(y, ins, backward)
+    return Tensor._from_op(y, (xt, at) + sum(groups, ()), backward)

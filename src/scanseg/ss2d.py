@@ -6,9 +6,11 @@ into four directional sequences — row-major from the top-left, its
 reversal, column-major from the top-left, and its reversal — each scanned
 by its own parameter set (through ``scan.scan_inputs``, fusion's generator
 too), then the four outputs are restored to grid order and summed.  Each
-direction's delta is projected from its own sequence, so the scan gets the
-stacked (w_delta, delta_bias) pair and forms delta itself, in forward and
-again in backward: the graph keeps the four sequences and no delta.  The
+direction's B, C and delta are projected from its own sequence, so the
+scan gets the stacked projections, (w_B,), (w_C,) and (w_delta,
+delta_bias), and forms them itself, block by block, in forward and again
+in backward: of the scan's inputs the graph keeps the four sequences and
+the weights only, and the scan is the one holder of the sequences.  The
 two diagonal corner orders named in the usual cross-scan formulation are
 realized as the row-/column-major pair with reversals.
 
@@ -19,7 +21,8 @@ whose backward is the other function.
 
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
-features steer how the hidden state is read out.
+features steer how the hidden state is read out.  That C is formed as
+graph ops and passed to the scan as an array.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
 
     B and delta derive from ``f``'s directional sequences; C derives from
     ``c_source``'s sequences when given (same traversal orders), else from
-    ``f``'s own.  delta is formed inside ``selective_scan``.
+    ``f``'s own.  What derives from ``f`` is formed inside
+    ``selective_scan``.
     """
     if f.ndim < 3 or f.shape[-1] != block.channels:
         raise DimensionError(

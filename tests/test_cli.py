@@ -313,13 +313,15 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     assert csv[0] == "L,N,D,impl,wall_time_s,elements_per_sec,max_rel_err"
     assert len(csv) == 5
     # The op at every shape the benchmark's workloads run, forward and
-    # forward plus backward, each with its delta source and elements per
-    # step.  SS2D's rows, whose lead holds the 4 directions, pass the
-    # (w_delta, delta_bias) pair as the model does; fusion's pass delta.
-    from scanseg.bench import MODEL_SHAPES
-    shape_rows = [line.split() for line in
-                  table.split("selective_scan at model shapes")[1]
-                  .strip().split("\n")[2:]]
+    # forward plus backward, each with the source of its B, C and delta
+    # and its elements per step.  SS2D's rows, whose lead holds the 4
+    # directions, pass projections of x as the model does; fusion's pass
+    # arrays.
+    from scanseg.bench import MODEL_SHAPES, _model_case
+    shape_table = table.split("selective_scan at model shapes")[1].strip()
+    assert shape_table.split("\n")[0].split()[:5] == ["lead", "L", "N",
+                                                      "D", "source"]
+    shape_rows = [line.split() for line in shape_table.split("\n")[2:]]
     expect = [["x".join(map(str, lead)) or "()", str(length), "4", str(d),
                source, mode, str(int(np.prod(lead)) * 4 * d)]
               for lead, length, d, source in MODEL_SHAPES
@@ -329,6 +331,17 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     sources = {lead: {s for ld, *_, s in MODEL_SHAPES if ld == lead}
                for lead in ((4, 4), ())}
     assert sources == {(4, 4): {"proj"}, (): {"given"}}
+    for lead, length, d, source in MODEL_SHAPES:
+        x, a, *bcd = _model_case(lead, length, d, source, seed=0)
+        if source == "proj":
+            # (w_B,), (w_C,), (w_delta, delta_bias), and A per direction at
+            # rank x.ndim + 1, from which traced runs read N.
+            assert [len(v) for v in bcd] == [1, 1, 2]
+            assert a.shape == (1,) * (len(lead) - 1) + (4, 1, d, 4)
+        else:
+            assert [v.shape for v in bcd] == [lead + (length, m)
+                                              for m in (4, 4, d)]
+            assert a.shape == (length, d, 4)
 
     out2 = tmp_path / "bench1"
     assert run(["scan-bench", "--lengths", "256", "--out-dir", out2]) == 0

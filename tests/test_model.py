@@ -318,6 +318,31 @@ def test_ss2d_graph_keeps_one_sequence_sized_buffer():
     assert np.array_equal(root.reshape((2, 4, 15, 2)), cross_scan(f).data)
 
 
+def test_ss2d_graph_keeps_no_b_or_c():
+    # Without a C source the scan projects B and C from its own x, in
+    # forward and again in backward: no closure keeps a (..., 4, L, N)
+    # array.  N = 3 differs from the width C = 2, so only B- or C-shaped
+    # buffers match.
+    from scanseg.ss2d import SS2DBlock, ss2d_forward
+    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(27))
+    f = Tensor(rand((2, 3, 5, 2), seed=28), requires_grad=True)
+    out = ss2d_forward(f, blk)
+    held, seen, todo = [], set(), [out._node]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.extend(node._parents)
+        if node._backward_fn is not None:
+            held += [a.shape for a in _reached(node._backward_fn, np.ndarray)
+                     if a.shape[-3:] == (4, 15, 3)]
+    assert id(f._node) in seen
+    assert not held, held
+    out.sum().backward()
+    assert all(p.grad is not None for p in blk.parameters())
+
+
 # Pinned outputs: logits of TOY_CONFIG (seed 0) on a fixed seeded 32x32 batch
 # and the per-parameter gradient norms of the saliency loss on that batch,
 # recorded once (``python tests/test_model.py --record``) before the

@@ -7,7 +7,7 @@ from scanseg.autodiff import Tensor
 from scanseg.errors import DimensionError, DomainError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
-from scanseg.scan import (BLOCK, SSMParams, discretize, project_delta,
+from scanseg.scan import (BLOCK, SSMParams, discretize, project,
                           scan_inputs, scan_sequential, selective_scan)
 
 
@@ -52,7 +52,7 @@ def test_input_params_zero_projection_constant_delta():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(2))
     p.w_delta.data[:] = 0.0
     x = Tensor(rand((1, 5, 3), seed=3))
-    delta = project_delta(x, scan_inputs(x, [p])[3])
+    delta = project(x, scan_inputs(x, [p])[3])
     expect = np.logaddexp(0.0, p.delta_bias.data)
     assert np.allclose(delta.data, np.broadcast_to(expect, (1, 5, 3)),
                        atol=1e-15)
@@ -61,8 +61,8 @@ def test_input_params_zero_projection_constant_delta():
 def test_input_params_zero_input():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(4))
     x = Tensor(np.zeros((1, 4, 3)))
-    _, b, c, proj = scan_inputs(x, [p])
-    delta = project_delta(x, proj)
+    _, *projs = scan_inputs(x, [p])
+    b, c, delta = (project(x, q) for q in projs)
     assert np.array_equal(b.data, np.zeros((1, 4, 2)))
     assert np.array_equal(c.data, np.zeros((1, 4, 2)))
     assert np.all(delta.data > 0)
@@ -71,8 +71,8 @@ def test_input_params_zero_input():
 def test_input_params_match_hand_projection():
     p = SSMParams(channels=3, state=2, rng=SplitMix64(5))
     x = rand((6, 3), seed=6)
-    _, b, c, proj = scan_inputs(Tensor(x[None]), [p])
-    delta = project_delta(Tensor(x[None]), proj)
+    _, *projs = scan_inputs(Tensor(x[None]), [p])
+    b, c, delta = (project(Tensor(x[None]), q) for q in projs)
     assert np.array_equal(b.data[0], x @ p.w_B.data)
     assert np.array_equal(c.data[0], x @ p.w_C.data)
     assert np.array_equal(delta.data[0],
@@ -81,17 +81,20 @@ def test_input_params_match_hand_projection():
 
 def test_scan_inputs_match_per_set_projections():
     # K = 2 distinct parameter sets, a leading batch axis and a separate
-    # C source: each set's slice is its own plain projection, bitwise.
+    # C source: each set's slice is its own plain projection, bitwise.  C
+    # comes as an array, B and delta as projections of the sequences, and
+    # A at the rank of the (..., L, D, N) maps it broadcasts to.
     ps = [SSMParams(channels=3, state=2, rng=SplitMix64(s)) for s in (50, 51)]
     seqs = rand((2, 2, 5, 3), seed=52)
     c_seqs = rand((2, 2, 5, 3), seed=53)
-    a, b, c, proj = scan_inputs(Tensor(seqs), ps, Tensor(c_seqs))
-    delta = project_delta(Tensor(seqs), proj)
-    assert a.shape == (2, 1, 3, 2)
+    a, b_proj, c, delta_proj = scan_inputs(Tensor(seqs), ps, Tensor(c_seqs))
+    assert isinstance(c, Tensor) and len(b_proj) == 1 and len(delta_proj) == 2
+    b, delta = (project(Tensor(seqs), q) for q in (b_proj, delta_proj))
+    assert a.shape == (1, 2, 1, 3, 2)
     assert b.shape == c.shape == (2, 2, 5, 2) and delta.shape == seqs.shape
     for k, p in enumerate(ps):
         x = seqs[:, k]
-        assert np.array_equal(a.data[k, 0], -np.exp(p.a_log.data))
+        assert np.array_equal(a.data[0, k, 0], -np.exp(p.a_log.data))
         assert np.array_equal(b.data[:, k], x @ p.w_B.data)
         assert np.array_equal(c.data[:, k], c_seqs[:, k] @ p.w_C.data)
         assert np.array_equal(
@@ -259,6 +262,9 @@ def test_selective_scan_rejects_shape_mismatch():
         (x, a, b, c, (np.zeros((3, 2)), np.zeros((1, 3)))),  # w not (D, D)
         (x, a, b, c, (np.zeros((3, 3)), np.zeros((1, 2)))),  # bias not D
         (x, a, b, c, (np.zeros((2, 3, 3)), np.zeros((1, 3)))),  # w adds a dim
+        (x, a, (np.zeros((2, 2)),), c, delta),   # B's w is not (D, N)
+        (x, a, b, (np.zeros((3, 3)),), delta),   # C's w gives N = 3
+        (x, a, b, (np.zeros((3, 2)), np.zeros((1, 2))), delta),  # C biased
     ]
     for args in bad:
         with pytest.raises(DimensionError):
@@ -317,6 +323,27 @@ def test_selective_scan_projected_delta_matches_oracle():
     assert np.array_equal(y, selective_scan(x, a, b, c, delta).data)
     y_ref = scan_sequential(x, *discretize(a[:, 0], b, delta), c)
     # Relative to the largest |y|: entry by entry, y near 0 reads ~1e-12.
+    rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
+    assert rel <= 1e-12, rel
+
+
+def test_selective_scan_projected_bc_matches_oracle():
+    # SS2D's call: K = 2 sets of (w_B, w_C, w_delta, delta_bias), a batch
+    # axis and three blocks.  The op's own B = x @ w_B and C = x @ w_C give
+    # the array oracle's y, and the same y, bitwise, as those B and C
+    # passed in, with A at the rank of the maps it broadcasts to.
+    lead, k, length, d, n = (3,), 2, 2 * BLOCK + 19, 4, 3
+    r = SplitMix64(38)
+    x = -2.0 + 4.0 * r.uniform_array(lead + (k, length, d))
+    a = -0.05 - 2.0 * r.uniform_array((1, k, 1, d, n))
+    w_b, w_c = ((-1.0 + 2.0 * r.uniform_array((k, d, n))) / np.sqrt(d)
+                for _ in range(2))
+    w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
+    bias = -4.0 + 3.0 * r.uniform_array((k, 1, d))
+    b, c, delta = x @ w_b, x @ w_c, np.logaddexp(0.0, x @ w + bias)
+    y = selective_scan(x, a, (w_b,), (w_c,), (w, bias)).data
+    assert np.array_equal(y, selective_scan(x, a, b, c, (w, bias)).data)
+    y_ref = scan_sequential(x, *discretize(a[0, :, 0], b, delta), c)
     rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
     assert rel <= 1e-12, rel
 

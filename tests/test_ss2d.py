@@ -195,8 +195,8 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     # it with the shared parameters, flip the output back, and restore grid
     # order with direction 1's inverse permutation.  The permutations are
     # the test's own oracle tables.
-    from scanseg.scan import (SSMParams, discretize, project_delta,
-                              scan_inputs, scan_sequential)
+    from scanseg.scan import (SSMParams, discretize, project, scan_inputs,
+                              scan_sequential)
     params = SSMParams(channels=2, state=3, rng=SplitMix64(14))
     f = rand((3, 4, 2), seed=15)
     invs = [np.argsort(p) for p in oracle_perms(3, 4)]
@@ -205,10 +205,9 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
 
     def run(x):
         xt = Tensor(x[None])
-        a, b, c, proj = scan_inputs(xt, [params])
-        a, b, c, delta = (t.data[0] for t in (a, b, c,
-                                              project_delta(xt, proj)))
-        return scan_sequential(x, *discretize(a[0], b, delta), c)
+        a, *projs = scan_inputs(xt, [params])
+        b, c, delta = (project(xt, q).data[0] for q in projs)
+        return scan_sequential(x, *discretize(a.data[0, 0], b, delta), c)
 
     y2 = run(seqs[1])
     grid_dir2 = np.take(y2, invs[1], axis=0)
@@ -220,8 +219,7 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
 def test_ss2d_underflowed_delta_matches_oracle():
     # A delta_bias of -1000 makes softplus return exactly 0 on channel 0 of
     # every direction: a_bar = 1 and b_bar = 0 there, so the state holds.
-    from scanseg.scan import (discretize, project_delta, scan_inputs,
-                              scan_sequential)
+    from scanseg.scan import discretize, project, scan_inputs, scan_sequential
     blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(23))
     for p in blk.directions:
         p.delta_bias.data[0] = -1000.0
@@ -233,11 +231,10 @@ def test_ss2d_underflowed_delta_matches_oracle():
     ys = []
     for seq, p in zip(seqs, blk.directions):
         st = Tensor(seq[None])
-        a, b, c, proj = scan_inputs(st, [p])
-        a, b, c, delta = (t.data[0] for t in (a, b, c,
-                                              project_delta(st, proj)))
+        a, *projs = scan_inputs(st, [p])
+        b, c, delta = (project(st, q).data[0] for q in projs)
         assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
-        a_bar, b_bar = discretize(a[0], b, delta)
+        a_bar, b_bar = discretize(a.data[0, 0], b, delta)
         assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
         ys.append(scan_sequential(seq, a_bar, b_bar, c))
     expect = blk.out_norm(cross_merge(Tensor(np.stack(ys)), 3, 4)).data
