@@ -336,9 +336,23 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))            # in (0, 1]: never overflows
+def _stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(x) from e = exp(-|x|), which is in (0, 1] and never
+    overflows; a caller that has e already passes it."""
+    if e is None:
+        e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _softplus_e(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(x) = max(x, 0) + log1p(e) and e = exp(-|x|), from one exp.
+    e also gives softplus's slope, ``_stable_sigmoid(x, e)``."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.log1p(e)
+    out += np.maximum(x, 0.0)
+    return out, e
 
 
 def silu(x: Tensor) -> Tensor:
@@ -357,7 +371,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     x = Tensor._ensure(x)
-    out = np.logaddexp(0.0, x.data)
+    out = _softplus_e(x.data)[0]
     # Backward reads only the output, which callers keep anyway (the scan
     # keeps delta): sigmoid(x) = 1 - exp(-softplus(x)), computed there.
     return Tensor._from_op(out, (x,), lambda g: (g * -np.expm1(-out),))

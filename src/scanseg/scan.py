@@ -57,7 +57,9 @@ model's shapes, the block matmuls give the same bits, row by row, as one
 matmul over all of x.  In backward a projection's gradient gp gives x^T
 gp to w's gradient, the sum of gp to the bias's and gp w^T to x's.  For
 delta this happens block by block, after the softplus: gpre = gdelta *
-sigmoid(pre), with sigmoid(pre) = 1 - exp(-delta).  B's and C's gradients
+sigmoid(pre).  The softplus is max(pre, 0) + log1p(e) with e =
+exp(-|pre|) (``autodiff._softplus_e``), and the sigmoid reads the same e,
+so a block's delta and its slope take one exp.  B's and C's gradients
 are only N wide, so they are kept whole and pass to w_B and w_C once,
 over all positions, with the bits ``project``'s matmul would give.  One
 function, ``block_inputs``, is the source of each block's B, C and delta,
@@ -85,7 +87,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _unbroadcast, matmul, softplus, stack
+from .autodiff import (Tensor, _softplus_e, _stable_sigmoid, _unbroadcast,
+                       matmul, softplus, stack)
 from .errors import DimensionError, DomainError
 from .nn import Module, param
 from .rng import SplitMix64
@@ -283,17 +286,21 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
     def block_inputs(s, e):
         """B, C and delta of positions s..e-1, time-major (T, ..., .): the
         one source of each, a slice of the given array or a recompute from
-        x's block."""
+        x's block.  Last, for a projected delta, the softplus's input pre
+        and its e = exp(-|pre|), (..., T, D), which give its slope."""
         x_blk = xd[..., s:e, :]
-        out = []
+        out, slope = [], None
         for v_tm, (w, *bias) in zip(given, datas):
             if v_tm is not None:
                 out.append(v_tm[s:e])
             elif bias:
-                out.append(tm(np.logaddexp(0.0, x_blk @ w + bias[0])))
+                pre = x_blk @ w + bias[0]
+                delta_blk, ex = _softplus_e(pre)
+                out.append(tm(delta_blk))
+                slope = pre, ex
             else:
                 out.append(tm(x_blk @ w))
-        return out
+        return out + [slope]
 
     # States are kept as (N, D) per position so that the elementwise work
     # runs along D, the longer contiguous axis.  A becomes (L or 1, ..., N, D):
@@ -327,7 +334,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
     h0 = np.zeros(lead + (n, d))
     for s, e in bounds:
         starts.append(h0)
-        b_blk, c_blk, delta_blk = block_inputs(s, e)
+        b_blk, c_blk, delta_blk, _ = block_inputs(s, e)
         h = block_states(b_blk, delta_blk, a_block(s, e), s, e, h0)[-1]
         np.matmul(c_blk[..., None, :], h, out=y_tm[s:e, ..., None, :])
         h0 = h[-1].copy()
@@ -356,7 +363,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
 
         nu0 = np.zeros(lead + (n, d))          # nu at the next block's start
         for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
-            b_blk, c_blk, delta_blk = block_inputs(s, e)
+            b_blk, c_blk, delta_blk, slope = block_inputs(s, e)
             a_blk = np.ascontiguousarray(a_block(s, e))
             dl, dx, a_bar, h = block_states(b_blk, delta_blk, a_blk, s, e, h0)
             gs = g_tm[s:e, ..., None, :]
@@ -383,8 +390,8 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
             np.matmul(h, g_tm[s:e, ..., :, None], out=gc_tm[s:e, ..., :, None])
             _reduce_to(ga[s:e] if per_position else ga, gz, delta_blk)
             if projected[2]:
-                # Through the softplus: d/dpre = sigmoid(pre) = 1 - exp(-delta).
-                through(2, np.moveaxis(gd * -np.expm1(-delta_blk), 0, -2),
+                # Through the softplus: d/dpre = sigmoid(pre), from its e.
+                through(2, np.moveaxis(gd, 0, -2) * _stable_sigmoid(*slope),
                         s, e)
         # B's and C's gradients are N wide, small beside x's, so they are
         # kept whole and pass to a projection once, over all positions: the

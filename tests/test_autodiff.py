@@ -316,6 +316,24 @@ def test_softplus_sigmoid_only_in_backward(monkeypatch):
     assert np.all(np.abs(_softplus_grad(xs) - s) <= 1e-15 * s)
 
 
+def test_softplus_one_exp_matches_logaddexp():
+    # One exp, e = exp(-|x|), gives softplus = max(x, 0) + log1p(e) within
+    # 2 ulp of np.logaddexp(0, x), bitwise at the extremes, and the sigmoid
+    # bitwise as _stable_sigmoid forms it on its own.
+    xs = np.concatenate([rand((20000,), seed=38, lo=-40.0, hi=40.0),
+                         rand((20000,), seed=39, lo=-700.0, hi=700.0)])
+    out, e = ad._softplus_e(xs)
+    ref = np.logaddexp(0.0, xs)
+    assert np.all(np.abs(out - ref) <= 2 * np.spacing(ref))
+    assert np.array_equal(ad._stable_sigmoid(xs, e), ad._stable_sigmoid(xs))
+    with np.errstate(invalid="ignore"):
+        out, e = ad._softplus_e(SIGMOID_EXTREMES)
+        ref = np.logaddexp(0.0, SIGMOID_EXTREMES)
+    assert np.array_equal(out, ref, equal_nan=True)
+    assert np.array_equal(ad._stable_sigmoid(SIGMOID_EXTREMES, e),
+                          ad._stable_sigmoid(SIGMOID_EXTREMES), equal_nan=True)
+
+
 def test_softplus_frees_its_input_before_backward():
     # Backward reads only softplus's output, so its input is freed as soon
     # as the caller drops that tensor, while the loss still waits for

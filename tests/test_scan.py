@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scanseg.autodiff import Tensor
+from scanseg.autodiff import Tensor, _softplus_e
 from scanseg.errors import DimensionError, DomainError
 from scanseg.gradcheck import check
 from scanseg.rng import SplitMix64
@@ -76,7 +76,7 @@ def test_input_params_match_hand_projection():
     assert np.array_equal(b.data[0], x @ p.w_B.data)
     assert np.array_equal(c.data[0], x @ p.w_C.data)
     assert np.array_equal(delta.data[0],
-                          np.logaddexp(0.0, x @ p.w_delta.data + p.delta_bias.data))
+                          _softplus_e(x @ p.w_delta.data + p.delta_bias.data)[0])
 
 
 def test_scan_inputs_match_per_set_projections():
@@ -99,7 +99,7 @@ def test_scan_inputs_match_per_set_projections():
         assert np.array_equal(c.data[:, k], c_seqs[:, k] @ p.w_C.data)
         assert np.array_equal(
             delta.data[:, k],
-            np.logaddexp(0.0, x @ p.w_delta.data + p.delta_bias.data))
+            _softplus_e(x @ p.w_delta.data + p.delta_bias.data)[0])
 
 
 def test_input_params_channel_mismatch():
@@ -309,7 +309,8 @@ def test_selective_scan_oracle_sweep():
 def test_selective_scan_projected_delta_matches_oracle():
     # K = 2 (w, bias) pairs, a batch axis and three blocks (two full, one
     # partial): the op's own delta = softplus(x @ w + bias) gives the array
-    # oracle's y, and the same y, bitwise, as that delta passed in.
+    # oracle's y, and the same y, bitwise, as that delta passed in, formed
+    # with the op's softplus.
     lead, k, length, d, n = (3,), 2, 2 * BLOCK + 19, 4, 3
     r = SplitMix64(36)
     x = -2.0 + 4.0 * r.uniform_array(lead + (k, length, d))
@@ -318,7 +319,7 @@ def test_selective_scan_projected_delta_matches_oracle():
     c = -1.0 + 2.0 * r.uniform_array(lead + (k, length, n))
     w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
     bias = -4.0 + 3.0 * r.uniform_array((k, 1, d))
-    delta = np.logaddexp(0.0, x @ w + bias)
+    delta = _softplus_e(x @ w + bias)[0]
     y = selective_scan(x, a, b, c, (w, bias)).data
     assert np.array_equal(y, selective_scan(x, a, b, c, delta).data)
     y_ref = scan_sequential(x, *discretize(a[:, 0], b, delta), c)
