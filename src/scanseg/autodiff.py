@@ -372,8 +372,8 @@ def sigmoid(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     x = Tensor._ensure(x)
     out = _softplus_e(x.data)[0]
-    # Backward reads only the output, which callers keep anyway (the scan
-    # keeps delta): sigmoid(x) = 1 - exp(-softplus(x)), computed there.
+    # Backward reads only the output, which callers keep anyway (fusion's
+    # scans keep delta): sigmoid(x) = 1 - exp(-softplus(x)), computed there.
     return Tensor._from_op(out, (x,), lambda g: (g * -np.expm1(-out),))
 
 

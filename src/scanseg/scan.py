@@ -54,14 +54,15 @@ backward: this is the recompute rule of Mamba's fused scan (Gu & Dao,
 arXiv:2312.00752, section 3.3.2; Chen et al., arXiv:1604.06174), so the op
 keeps none of them, only x and the small weights.  With OpenBLAS at the
 model's shapes, the block matmuls give the same bits, row by row, as one
-matmul over all of x.  In backward a projection's gradient gp gives x^T
-gp to w's gradient, the sum of gp to the bias's and gp w^T to x's.  For
-delta this happens block by block, after the softplus: gpre = gdelta *
-sigmoid(pre).  The softplus is max(pre, 0) + log1p(e) with e =
-exp(-|pre|) (``autodiff._softplus_e``), and the sigmoid reads the same e,
-so a block's delta and its slope take one exp.  B's and C's gradients
-are only N wide, so they are kept whole and pass to w_B and w_C once,
-over all positions, with the bits ``project``'s matmul would give.  One
+matmul over all of x.  In backward, block by block, a
+projection's gradient gp gives x_blk^T gp to w's gradient, the sum of gp
+to the bias's and gp w^T to x's; delta's goes through the softplus first,
+gpre = gdelta * sigmoid(pre).  The softplus is max(pre, 0) + log1p(e)
+with e = exp(-|pre|) (``autodiff._softplus_e``), and the sigmoid reads
+the same e, so a block's delta and its slope take one exp.  Summed block
+by block, w_B's and w_C's gradients differ from one matmul's over all
+positions by rounding only; keeping B's and C's gradients whole to match
+that matmul's bits would hold 4 MiB more at the train-128 peak.  One
 function, ``block_inputs``, is the source of each block's B, C and delta,
 a slice of the given array or that recompute, and one block body serves
 both sources.
@@ -342,19 +343,21 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
     def backward(g):
         g_tm = tm(g)
         gx = np.empty(xd.shape)
-        gb, gc = np.empty(lead + (length, n)), np.empty(lead + (length, n))
         ga = np.zeros(a_tm.shape)              # time-major
-        gx_tm, gb_tm, gc_tm = tm(gx), tm(gb), tm(gc)
-        gdelta = None if projected[2] else np.empty(xd.shape)
-        gproj = [p and tuple(np.zeros(v.shape) for v in dd)
+        gx_tm = tm(gx)
+        given_g = [None if p else np.empty(dd[0].shape)
+                   for dd, p in zip(datas, projected)]
+        # A projection's gradients: w's and the bias's, summed over blocks.
+        gproj = [tuple(map(np.zeros_like, dd)) if p else None
                  for dd, p in zip(datas, projected)]
 
-        def through(i, gp, s, e):
-            """Pass gp, the gradient of positions s..e-1 of the array source
-            i's projection stands for, (..., T, .), to the projection:
-            x_blk^T gp to w's gradient, the sum of gp to the bias's and
-            gp w^T to x's."""
+        def through(i, gv, s, e):
+            """Pass gv, the time-major gradient of block s..e-1 of the array
+            source i's projection stands for, to the projection: with gp =
+            gv as (..., T, .), x_blk^T gp to w's gradient, the sum of gp to
+            the bias's and gp w^T to x's."""
             (w, *bias), (gw, *gbias) = datas[i], gproj[i]
+            gp = np.moveaxis(gv, 0, -2)
             gw += _unbroadcast(np.swapaxes(xd[..., s:e, :], -1, -2) @ gp,
                                w.shape)
             if bias:
@@ -381,26 +384,22 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
             gz[0] *= h0
             lam_b = np.matmul(b_blk[..., None, :], lam)
             np.multiply(lam_b, dl, out=gx_tm[s:e, ..., None, :])
-            gd = (np.empty(delta_blk.shape) if projected[2]
-                  else tm(gdelta)[s:e])
+            gb, gc, gd = (np.empty(v.shape) if gv is None else tm(gv)[s:e]
+                          for v, gv in zip((b_blk, c_blk, delta_blk), given_g))
             np.einsum("...nd,...nd->...d", gz, a_blk, out=gd)
             gd += lam_b[..., 0, :] * x_tm[s:e]
-            np.matmul(lam, np.swapaxes(dx, -1, -2),
-                      out=gb_tm[s:e, ..., :, None])
-            np.matmul(h, g_tm[s:e, ..., :, None], out=gc_tm[s:e, ..., :, None])
+            np.matmul(lam, np.swapaxes(dx, -1, -2), out=gb[..., :, None])
+            np.matmul(h, g_tm[s:e, ..., :, None], out=gc[..., :, None])
             _reduce_to(ga[s:e] if per_position else ga, gz, delta_blk)
             if projected[2]:
                 # Through the softplus: d/dpre = sigmoid(pre), from its e.
-                through(2, np.moveaxis(gd, 0, -2) * _stable_sigmoid(*slope),
-                        s, e)
-        # B's and C's gradients are N wide, small beside x's, so they are
-        # kept whole and pass to a projection once, over all positions: the
-        # bits ``project``'s matmul gives them.
-        for i, gv in enumerate((gb, gc)):
-            if projected[i]:
-                through(i, gv, 0, length)
+                gd = gd * tm(_stable_sigmoid(*slope))
+            for i, gv in enumerate((gb, gc, gd)):
+                if projected[i]:
+                    through(i, gv, s, e)
         ga = np.swapaxes(np.moveaxis(ga, 0, -3), -1, -2)
         return (gx, ga.reshape(ad.shape)) + sum(
-            (gp or (gv,) for gp, gv in zip(gproj, (gb, gc, gdelta))), ())
+            (gp if gp is not None else (gv,)
+             for gp, gv in zip(gproj, given_g)), ())
 
     return Tensor._from_op(y, (xt, at) + sum(groups, ()), backward)
