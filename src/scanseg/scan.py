@@ -345,10 +345,10 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
         gx = np.empty(xd.shape)
         ga = np.zeros(a_tm.shape)              # time-major
         gx_tm = tm(gx)
-        given_g = [None if p else np.empty(dd[0].shape)
-                   for dd, p in zip(datas, projected)]
-        # A projection's gradients: w's and the bias's, summed over blocks.
-        gproj = [tuple(map(np.zeros_like, dd)) if p else None
+        # Each source's gradients as returned: a given array's, filled
+        # block by block, or its projection's w's and bias's, summed.
+        grads = [tuple(map(np.zeros_like, dd)) if p
+                 else (np.empty(dd[0].shape),)
                  for dd, p in zip(datas, projected)]
 
         def through(i, gv, s, e):
@@ -356,7 +356,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
             source i's projection stands for, to the projection: with gp =
             gv as (..., T, .), x_blk^T gp to w's gradient, the sum of gp to
             the bias's and gp w^T to x's."""
-            (w, *bias), (gw, *gbias) = datas[i], gproj[i]
+            (w, *bias), (gw, *gbias) = datas[i], grads[i]
             gp = np.moveaxis(gv, 0, -2)
             gw += _unbroadcast(np.swapaxes(xd[..., s:e, :], -1, -2) @ gp,
                                w.shape)
@@ -384,8 +384,9 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
             gz[0] *= h0
             lam_b = np.matmul(b_blk[..., None, :], lam)
             np.multiply(lam_b, dl, out=gx_tm[s:e, ..., None, :])
-            gb, gc, gd = (np.empty(v.shape) if gv is None else tm(gv)[s:e]
-                          for v, gv in zip((b_blk, c_blk, delta_blk), given_g))
+            gb, gc, gd = (np.empty(v.shape) if p else tm(gs[0])[s:e]
+                          for v, gs, p in zip((b_blk, c_blk, delta_blk),
+                                              grads, projected))
             np.einsum("...nd,...nd->...d", gz, a_blk, out=gd)
             gd += lam_b[..., 0, :] * x_tm[s:e]
             np.matmul(lam, np.swapaxes(dx, -1, -2), out=gb[..., :, None])
@@ -398,8 +399,6 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
                 if projected[i]:
                     through(i, gv, s, e)
         ga = np.swapaxes(np.moveaxis(ga, 0, -3), -1, -2)
-        return (gx, ga.reshape(ad.shape)) + sum(
-            (gp if gp is not None else (gv,)
-             for gp, gv in zip(gproj, given_g)), ())
+        return (gx, ga.reshape(ad.shape)) + sum(grads, ())
 
     return Tensor._from_op(y, (xt, at) + sum(groups, ()), backward)
