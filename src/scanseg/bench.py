@@ -8,16 +8,20 @@ reports that exponent when more than one length is measured.  Error
 columns compare each row against the oracle on the same inputs.
 
 ``run_model_shapes`` times the op at the shapes the model runs
-(``MODEL_SHAPES``): forward, and forward plus backward, each row with its
-elements per step, prod(lead) * N * D, the width of one position's
-update, and the source of its B, C and delta as the model passes them:
-SS2D's calls give the projections (w_B,), (w_C,) and (w_delta,
-delta_bias) of x, which the op forms itself (``proj``), and an A per
-direction; fusion's give B, C and delta arrays (``given``) and an A per
-position.  Narrow steps are bound by per-step overhead, wide ones by the
-elementwise work.  A row's time is its best over several rounds, and a
-round times every row once (model shapes: both rows of one shape), so a
-slow spell of the host hits all rows alike.
+(``MODEL_SHAPES``), each call scanning both ways as the model's do:
+forward, and forward plus backward, each row with its elements per step,
+2 * prod(lead) * N * D, the width of both ways' updates at one position,
+and the source of its B, C and delta as the model passes them.  SS2D's calls
+give, per way, the projections (w_B,), (w_C,) and (w_delta, delta_bias)
+of x, which the op forms itself (``proj``), and an A per sequence, over
+its row- and column-major sequences; fusion's give B, C and delta arrays
+(``given``) and an A per position, the same for both ways.  Narrow steps
+are bound by per-step overhead, wide ones by the elementwise work.  The
+length-sweep rows take their best over several rounds.  A model-shape
+row takes its median over ``SHAPE_ROUNDS`` rounds: a best-of-3 could not
+resolve a 10-20% change at one shape on a shared host.  A round times
+every row once (model shapes: both rows of one shape), so a slow spell of
+the host hits all rows alike.
 """
 
 from __future__ import annotations
@@ -41,21 +45,22 @@ IMPLS = ("sequential", "op")
 
 # (leading dims, L, D, source of B, C and delta) of the selective_scan
 # calls one op of each benchmark workload makes (perfbench/baseline/seed.md);
-# N is 4 throughout.  SS2D's leading dims are batch x direction, or its 4
-# directions alone for one eval image, and it passes projections; fusion's
+# N is 4 throughout.  SS2D's leading dims are batch x sequence, or its 2
+# sequences alone for one eval image, and it passes projections; fusion's
 # are the batch, or nothing at eval, and it passes arrays.
 MODEL_SHAPES = (
-    ((4, 4), 64, 16, "proj"), ((4, 4), 16, 32, "proj"),             # train-32
-    ((4, 4), 256, 8, "proj"),
+    ((4, 2), 64, 16, "proj"), ((4, 2), 16, 32, "proj"),             # train-32
+    ((4, 2), 256, 8, "proj"),
     ((4,), 128, 16, "given"), ((4,), 32, 32, "given"),
-    ((4, 4), 1024, 16, "proj"), ((4, 4), 256, 32, "proj"),          # train-128
-    ((4, 4), 4096, 8, "proj"),
+    ((4, 2), 1024, 16, "proj"), ((4, 2), 256, 32, "proj"),          # train-128
+    ((4, 2), 4096, 8, "proj"),
     ((4,), 2048, 16, "given"), ((4,), 512, 32, "given"),
-    ((4,), 4096, 16, "proj"), ((4,), 1024, 32, "proj"),             # eval-256
-    ((4,), 16384, 8, "proj"),
+    ((2,), 4096, 16, "proj"), ((2,), 1024, 32, "proj"),             # eval-256
+    ((2,), 16384, 8, "proj"),
     ((), 8192, 16, "given"), ((), 2048, 32, "given"),
 )
 MODEL_STATE = 4
+SHAPE_ROUNDS = 7
 
 
 @dataclass
@@ -79,7 +84,7 @@ class ShapeRow:
                                # projects x) or "given"
     mode: str                  # "fwd" or "fwd+bwd"
     wall_time: float
-    step_elements: int         # prod(lead) * N * D
+    step_elements: int         # 2 * prod(lead) * N * D: both ways
 
     @property
     def elements_per_sec(self) -> float:
@@ -98,41 +103,52 @@ def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
 
 def _model_case(lead: tuple, length: int, d: int, source: str, seed: int):
     """``selective_scan``'s arguments for one ``MODEL_SHAPES`` row, as the
-    model passes them.  A ``given`` row passes A per position, (L, D, N),
-    and B, C and delta arrays.  A ``proj`` row passes one A, (w_B,), (w_C,)
-    and (w_delta, delta_bias) per direction on the lead's last axis, A at
-    rank x.ndim + 1; its delta = softplus(x @ w_delta + delta_bias)
-    averages about 0.5, as a given delta does."""
+    model passes them: (x, A, B, C, delta) and the back way's (A, B, C,
+    delta).  A ``given`` row passes A per position, (L, D, N), and B, C
+    and delta arrays, the same for both ways.  A ``proj`` row passes, per
+    way, one A, (w_B,), (w_C,) and (w_delta, delta_bias) per sequence on
+    the lead's last axis, A at rank x.ndim + 1; its delta = softplus(x @
+    w_delta + delta_bias) averages about 0.5, as a given delta does."""
     x, a, b, c, delta = _case(length, MODEL_STATE, d, seed, lead)
     r, k, n = SplitMix64(seed + 10_000), lead[-1:], MODEL_STATE
     if source == "given":
         a = -0.05 - 2.0 * r.uniform_array((length, d, n))
-        return x, a, b, c, delta
-    a = -0.05 - 2.0 * r.uniform_array(
-        (1,) * (len(lead) - 1) + k + (1, d, n))
-    w_b, w_c, w_delta = ((-1.0 + 2.0 * r.uniform_array(k + (d, m)))
-                         / np.sqrt(d) for m in (n, n, d))
-    bias = -1.5 + 2.0 * r.uniform_array(k + (1, d))
-    return x, a, (w_b,), (w_c,), (w_delta, bias)
+        return (x, a, b, c, delta), (a, b, c, delta)
+
+    def way():
+        a = -0.05 - 2.0 * r.uniform_array(
+            (1,) * (len(lead) - 1) + k + (1, d, n))
+        w_b, w_c, w_delta = ((-1.0 + 2.0 * r.uniform_array(k + (d, m)))
+                             / np.sqrt(d) for m in (n, n, d))
+        bias = -1.5 + 2.0 * r.uniform_array(k + (1, d))
+        return a, (w_b,), (w_c,), (w_delta, bias)
+
+    return (x,) + way(), way()
 
 
 def _with_grad(args):
-    """Op arguments with each array a Tensor that takes a gradient."""
+    """Op arguments with each array a Tensor that takes a gradient; an
+    array passed twice, as fusion passes its arrays to both ways, becomes
+    one Tensor."""
+    made = {}
+
     def tensor(v):
-        return Tensor(v, requires_grad=True)
+        if id(v) not in made:
+            made[id(v)] = Tensor(v, requires_grad=True)
+        return made[id(v)]
     return [tuple(map(tensor, v)) if isinstance(v, tuple) else tensor(v)
             for v in args]
 
 
-def _best_times(fns, rounds: int) -> list[float]:
-    """Each call's best wall time over ``rounds`` rounds of calling each."""
-    best = [float("inf")] * len(fns)
+def _round_robin(fns, rounds: int) -> list[list[float]]:
+    """Each call's wall times over ``rounds`` rounds of calling each."""
+    times = [[] for _ in fns]
     for _ in range(rounds):
         for i, fn in enumerate(fns):
             t0 = time.perf_counter()
             fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
+            times[i].append(time.perf_counter() - t0)
+    return times
 
 
 def run_bench(lengths, n: int, d: int, impls=IMPLS,
@@ -155,33 +171,35 @@ def run_bench(lengths, n: int, d: int, impls=IMPLS,
             err = float(np.max(np.abs(out - oracle)
                                / (np.abs(oracle) + 1e-12)))
             cases.append((length, impl, fns[impl], err))
-    walls = _best_times([case[2] for case in cases], rounds=5)
+    walls = map(min, _round_robin([case[2] for case in cases], rounds=5))
     return [BenchRow(L=length, N=n, D=d, impl=impl, wall_time=wall,
                      elements_per_sec=length * d / wall, max_rel_err=err)
             for (length, impl, _, err), wall in zip(cases, walls)]
 
 
 def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
-    """Best-of-3 wall time of the op's forward, and of its forward plus
-    backward, after a warmup call each, at each (lead, L, D, source) of
-    ``MODEL_SHAPES``.
+    """Median wall time over ``SHAPE_ROUNDS`` round-robin rounds of the
+    op's forward, and of its forward plus backward, after a warmup call
+    each, at each (lead, L, D, source) of ``MODEL_SHAPES``.
     """
     rows, n = [], MODEL_STATE
     for i, (lead, length, d, source) in enumerate(MODEL_SHAPES):
-        args = _model_case(lead, length, d, source, seed + i)
+        args, back = _model_case(lead, length, d, source, seed + i)
 
         def fwd():
-            return selective_scan(*args)
+            return selective_scan(*args, back=back)
 
         def fwd_bwd():
-            selective_scan(*_with_grad(args)).sum().backward()
+            ts = _with_grad(args + back)
+            selective_scan(*ts[:5], back=ts[5:]).sum().backward()
 
-        width = int(np.prod(lead, dtype=np.int64)) * n * d
+        width = 2 * int(np.prod(lead, dtype=np.int64)) * n * d
         fwd()
         fwd_bwd()
-        walls = _best_times((fwd, fwd_bwd), rounds=3)
+        walls = map(np.median, _round_robin((fwd, fwd_bwd), SHAPE_ROUNDS))
         rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, source=source,
-                             mode=mode, wall_time=wall, step_elements=width)
+                             mode=mode, wall_time=float(wall),
+                             step_elements=width)
                     for mode, wall in zip(("fwd", "fwd+bwd"), walls))
     return rows
 

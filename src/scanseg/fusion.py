@@ -2,11 +2,11 @@
 
 Each modality's features pass through their own linear layer and depthwise
 convolution, are flattened, and the two sequences are joined end to end.
-The joined sequence is scanned twice, front to back and back to front,
-so state flows across the modality boundary in both directions; the two
-outputs are summed.  The backward scan is the same forward scan over
-``Tensor.flip`` views of the inputs, its output flipped back, as SS2D
-builds its reversed directions.
+The joined sequence is scanned front to back and back to front with the
+same A, B, C and delta, so state flows across the modality boundary in
+both directions, and the two outputs are summed.  Both scans are one
+``selective_scan`` call, the second as the op's back way, as SS2D reads
+its reversed directions.
 
 Parameter wiring is crossed between the modalities: along the first half
 (positions owned by the first modality) the transition quantities A, B,
@@ -19,12 +19,11 @@ crosses the readout, and a reshape joins the halves.  The joined sequence
 switches generator halfway along L, and its C is crossed, so no one
 projection of it gives B, C or delta as SS2D's scans project theirs: all
 three are formed before the join, by ``scan.project``, and passed to the
-scans as arrays.  The summed scan
-output's two halves are laid side by side along channels, position by
-position, and gated by a learnable per-channel scale for each half
-(initialized to one); a linear projection restores the input width.  The
-model applies one block per pyramid level; in self-fusion both inputs are
-the same RGB feature map.
+scan as arrays.  The summed scan output's two halves are laid side by
+side along channels, position by position, and gated by a learnable
+per-channel scale for each half (initialized to one); a linear projection
+restores the input width.  The model applies one block per pyramid level;
+in self-fusion both inputs are the same RGB feature map.
 """
 
 from __future__ import annotations
@@ -75,7 +74,8 @@ class MMFFBlock(Module):
 
         seq_a = self._preprocess(f_a, self.lin_a, self.conv_a)
         seq_b = self._preprocess(f_b, self.lin_b, self.conv_b)
-        y = _bidirectional_scan(*_joined_scan_inputs(self, seq_a, seq_b))
+        x, *args = _joined_scan_inputs(self, seq_a, seq_b)
+        y = selective_scan(x, *args, back=args)
 
         # (..., 2L, C) -> (..., 2, L, C) -> (..., L, 2, C) -> (..., L, 2C):
         # each position's two halves side by side, as the scales are.
@@ -105,10 +105,3 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
 
     return joined(seqs), a, joined(b), joined(c), joined(delta)
 
-
-def _bidirectional_scan(x: Tensor, a: Tensor, b: Tensor, c: Tensor,
-                        delta: Tensor) -> Tensor:
-    l = x.ndim - 2                          # a is (2L, C, N): its L is 0
-    return (selective_scan(x, a, b, c, delta)
-            + selective_scan(x.flip(l), a.flip(0), b.flip(l), c.flip(l),
-                             delta.flip(l)).flip(l))

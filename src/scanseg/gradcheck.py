@@ -245,6 +245,26 @@ def suite_scan() -> list[CheckResult]:
         "selective-scan-projected-bc-blocks", projected_bc_loss,
         list(zip(("x", "w_B", "w_C"), bc)),
         step=1e-5, entries_per_param=12))
+
+    # Both ways in one call, as SS2D makes it: the back way scans x from
+    # the last position to the first with its own A and projections, and
+    # x's gradient sums both ways' shares.
+    back = [Tensor(v, requires_grad=True) for v in (
+        _rand(lead + (length, d), 82), _rand((d, n), 83),
+        _rand((4, d, n), 84) / np.sqrt(d), _rand((4, d, n), 85) / np.sqrt(d),
+        _rand((4, d, d), 86) / np.sqrt(d), _rand((4, 1, d), 87))]
+
+    def both_ways_loss():
+        x, a, w_b, w_c, w_delta, delta_bias = back
+        return (selective_scan(
+            x, -ts[1].exp(), (bc[1],), (bc[2],), tuple(proj[1:]),
+            back=(-a.exp(), (w_b,), (w_c,), (w_delta, delta_bias))) * w).sum()
+
+    results.append(check_params(
+        "selective-scan-both-ways", both_ways_loss,
+        list(zip(("x", "back a", "back w_B", "back w_C", "back w_delta",
+                  "back delta_bias"), back)),
+        step=1e-5, entries_per_param=12))
     return results
 
 

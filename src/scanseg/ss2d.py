@@ -1,20 +1,26 @@
 """2D selective scan: cross-scan, four directional scans, cross-merge.
 
 Feature maps are channels-last, ``(..., H, W, C)``, here and in every block
-between the patch embedding and the segmentation head.  A map is flattened
-into four directional sequences — row-major from the top-left, its
-reversal, column-major from the top-left, and its reversal — each scanned
-by its own parameter set (through ``scan.scan_inputs``, fusion's generator
-too), then the four outputs are restored to grid order and summed.  Each
-direction's B, C and delta are projected from its own sequence, so the
-scan gets the stacked projections, (w_B,), (w_C,) and (w_delta,
-delta_bias), and forms them itself, block by block, in forward and again
-in backward: of the scan's inputs the graph keeps the four sequences and
-the weights only, and the scan is the one holder of the sequences.  The
-two diagonal corner orders named in the usual cross-scan formulation are
-realized as the row-/column-major pair with reversals.
+between the patch embedding and the segmentation head.  A map is read in
+four directions — row-major from the top-left, its reversal, column-major
+from the top-left, and its reversal — each scanned by its own parameter
+set (through ``scan.scan_inputs``, fusion's generator too), and the four
+outputs are restored to grid order and summed.  The cross-scan keeps two
+sequences, row-major and column-major, ``(..., 2, L, C)``; the reversals
+are the same sequences read back to front.  So SS2D makes one
+``selective_scan`` call over the pair: directions 0 and 2 are the op's
+front way, 1 and 3 its back way, and the op returns each sequence's two
+scans summed position by position (Vision Mamba's bidirectional scan, Zhu
+et al., arXiv:2401.09417, on VMamba's cross-scan, Liu et al.,
+arXiv:2401.10166).  Each direction's B, C and delta are projected from
+its own sequence, so the scan gets the stacked projections, (w_B,), (w_C,)
+and (w_delta, delta_bias), per way, and forms them itself, block by block,
+in forward and again in backward: of the scan's inputs the graph keeps
+the two sequences and the weights only.  The two diagonal corner orders
+named in the usual cross-scan formulation are realized as the
+row-/column-major pair with reversals.
 
-The layout is two numpy functions, ``_to_sequences`` (grid to the four
+The layout is two numpy functions, ``_to_sequences`` (grid to the two
 sequences) and ``_to_grid`` (undo each order and sum), each the other's
 adjoint.  ``cross_scan`` and ``cross_merge`` record one graph node each,
 whose backward is the other function.
@@ -22,7 +28,8 @@ whose backward is the other function.
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
 features steer how the hidden state is read out.  That C is formed as
-graph ops and passed to the scan as an array.
+graph ops and passed to the scan as an array, the back way's from the
+sequences read back to front.
 """
 
 from __future__ import annotations
@@ -39,20 +46,18 @@ __all__ = ["cross_scan", "cross_merge", "SS2DBlock", "ss2d_forward"]
 
 
 def _to_sequences(f: np.ndarray) -> np.ndarray:
-    """(..., H, W, C) -> (..., 4, L, C): row-major, its reversal,
-    column-major, its reversal."""
+    """(..., H, W, C) -> (..., 2, L, C): row-major, then column-major."""
     seq_shape = f.shape[:-3] + (f.shape[-3] * f.shape[-2], f.shape[-1])
     rows = f.reshape(seq_shape)
     cols = np.swapaxes(f, -3, -2).reshape(seq_shape)
-    return np.stack([rows, rows[..., ::-1, :], cols, cols[..., ::-1, :]],
-                    axis=-3)
+    return np.stack([rows, cols], axis=-3)
 
 
 def _to_grid(y: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(..., 4, L, C) -> (..., H, W, C): undo each direction's order, sum."""
+    """(..., 2, L, C) -> (..., H, W, C): undo each sequence's order, sum."""
     lead, c = y.shape[:-3], y.shape[-1]
-    rows = (y[..., 0, :, :] + y[..., 1, ::-1, :]).reshape(lead + (h, w, c))
-    cols = (y[..., 2, :, :] + y[..., 3, ::-1, :]).reshape(lead + (w, h, c))
+    rows = y[..., 0, :, :].reshape(lead + (h, w, c))
+    cols = y[..., 1, :, :].reshape(lead + (w, h, c))
     return rows + np.swapaxes(cols, -3, -2)
 
 
@@ -88,7 +93,7 @@ class SS2DBlock(Module):
 
 def ss2d_forward(f: Tensor, block: SS2DBlock,
                  c_source: Tensor | None = None) -> Tensor:
-    """Cross-scan, four selective scans, cross-merge.
+    """Cross-scan, one two-way selective scan, cross-merge.
 
     B and delta derive from ``f``'s directional sequences; C derives from
     ``c_source``'s sequences when given (same traversal orders), else from
@@ -102,7 +107,9 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
         raise DimensionError(
             f"c_source shape {c_source.shape} must equal f shape {f.shape}")
 
-    seqs = cross_scan(f)                                   # (..., 4, L, C)
+    seqs = cross_scan(f)                                   # (..., 2, L, C)
     cseqs = None if c_source is None else cross_scan(c_source)
-    y = selective_scan(seqs, *scan_inputs(seqs, block.directions, cseqs))
+    dirs = block.directions
+    y = selective_scan(seqs, *scan_inputs(seqs, dirs[0::2], cseqs),
+                       back=scan_inputs(seqs, dirs[1::2], cseqs, back=True))
     return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))

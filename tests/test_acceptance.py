@@ -99,19 +99,24 @@ def test_criterion_4_permutation_roundtrip():
     for h in range(1, 7):
         for w in range(1, 7):
             # Each direction's traversal order, read off the scan of a map
-            # whose pixels hold their row-major flat index.
+            # whose pixels hold their row-major flat index: the two
+            # sequences, and each read back to front, as the scan's back
+            # way reads it.
             grid = np.arange(float(h * w)).reshape(h, w, 1)
-            perms = cross_scan(Tensor(grid)).data[..., 0].astype(np.int64)
+            seqs = cross_scan(Tensor(grid)).data[..., 0].astype(np.int64)
+            assert seqs.shape == (2, h * w)
+            perms = [seqs[0], seqs[0][::-1], seqs[1], seqs[1][::-1]]
             for perm in perms:
                 inv = np.argsort(perm)
                 assert np.array_equal(inv[perm], np.arange(h * w))
                 assert np.array_equal(perm[inv], np.arange(h * w))
             f = SplitMix64(4000 + h * 7 + w).uniform_array((h, w, 3))
             out = cross_merge(cross_scan(Tensor(f)), h, w)
-            assert np.array_equal(out.data, 4.0 * f)
+            assert np.array_equal(out.data, 2.0 * f)
     report("criterion 4 (permutation round-trip)",
-           "all four directions invert exactly for (H,W) in [1,6]^2; "
-           "merge(scan(f)) == 4f bitwise")
+           "all four traversal orders (each sequence and its reversal) "
+           "invert exactly for (H,W) in [1,6]^2; merge(scan(f)) == 2f "
+           "bitwise")
 
 
 # --------------------------------------------------------- 5: metric oracles

@@ -314,34 +314,41 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     assert len(csv) == 5
     # The op at every shape the benchmark's workloads run, forward and
     # forward plus backward, each with the source of its B, C and delta
-    # and its elements per step.  SS2D's rows, whose lead holds the 4
-    # directions, pass projections of x as the model does; fusion's pass
-    # arrays.
+    # and its elements per step, both ways'.  Every call scans both ways,
+    # as the model's do.  SS2D's rows, whose lead holds its 2 sequences,
+    # pass projections of x for each way; fusion's pass arrays, the same
+    # ones for both ways.
     from scanseg.bench import MODEL_SHAPES, _model_case
     shape_table = table.split("selective_scan at model shapes")[1].strip()
     assert shape_table.split("\n")[0].split()[:5] == ["lead", "L", "N",
                                                       "D", "source"]
     shape_rows = [line.split() for line in shape_table.split("\n")[2:]]
     expect = [["x".join(map(str, lead)) or "()", str(length), "4", str(d),
-               source, mode, str(int(np.prod(lead)) * 4 * d)]
+               source, mode, str(2 * int(np.prod(lead)) * 4 * d)]
               for lead, length, d, source in MODEL_SHAPES
               for mode in ("fwd", "fwd+bwd")]
     assert [r[:7] for r in shape_rows] == expect
     assert all(float(r[7]) > 0 for r in shape_rows)
     sources = {lead: {s for ld, *_, s in MODEL_SHAPES if ld == lead}
-               for lead in ((4, 4), ())}
-    assert sources == {(4, 4): {"proj"}, (): {"given"}}
+               for lead in ((4, 2), (2,), ())}
+    assert sources == {(4, 2): {"proj"}, (2,): {"proj"}, (): {"given"}}
     for lead, length, d, source in MODEL_SHAPES:
-        x, a, *bcd = _model_case(lead, length, d, source, seed=0)
+        (x, a, *bcd), back = _model_case(lead, length, d, source, seed=0)
+        assert x.shape == lead + (length, d) and len(back) == 4
         if source == "proj":
-            # (w_B,), (w_C,), (w_delta, delta_bias), and A per direction at
-            # rank x.ndim + 1, from which traced runs read N.
-            assert [len(v) for v in bcd] == [1, 1, 2]
-            assert a.shape == (1,) * (len(lead) - 1) + (4, 1, d, 4)
+            # (w_B,), (w_C,), (w_delta, delta_bias) per way, and A per
+            # sequence at rank x.ndim + 1, from which traced runs read N.
+            for way_a, way_bcd in ((a, bcd), (back[0], back[1:])):
+                assert [len(v) for v in way_bcd] == [1, 1, 2]
+                assert [v[0].shape for v in way_bcd] == [
+                    lead[-1:] + (d, m) for m in (4, 4, d)]
+                assert way_a.shape == (1,) * (len(lead) - 1) + (2, 1, d, 4)
+            assert back[0] is not a
         else:
             assert [v.shape for v in bcd] == [lead + (length, m)
                                               for m in (4, 4, d)]
             assert a.shape == (length, d, 4)
+            assert all(u is v for u, v in zip(back, [a] + bcd))
 
     out2 = tmp_path / "bench1"
     assert run(["scan-bench", "--lengths", "256", "--out-dir", out2]) == 0

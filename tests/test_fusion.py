@@ -3,14 +3,21 @@ import pytest
 
 from scanseg.autodiff import Tensor
 from scanseg.errors import DimensionError
-from scanseg.fusion import MMFFBlock, _bidirectional_scan, _joined_scan_inputs
+from scanseg.fusion import MMFFBlock, _joined_scan_inputs
 from scanseg.gradcheck import check_params
 from scanseg.rng import SplitMix64
+from scanseg.scan import selective_scan
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
     r = SplitMix64(seed)
     return lo + (hi - lo) * r.uniform_array(shape)
+
+
+def both_ways(x, a, b, c, delta):
+    """The block's scan: front to back and back to front with the same A,
+    B, C and delta, as one call with a back way."""
+    return selective_scan(x, a, b, c, delta, back=(a, b, c, delta))
 
 
 def tie_modalities(blk: MMFFBlock) -> None:
@@ -92,25 +99,40 @@ def test_single_position_matches_hand_composed_two_step_scan():
 
 
 def test_stub_identity_scan_doubles_joined_sequence(monkeypatch):
+    # The block makes one scan call over the joined sequence, passing the
+    # same A, B, C and delta as both ways.  An identity scan each way sums
+    # to twice the joined sequence, and the block's output is formed from
+    # that: halves side by side, scaled, projected.
     import scanseg.fusion
-    monkeypatch.setattr(scanseg.fusion, "selective_scan",
-                        lambda x, a, b, c, delta: x)
+    calls = []
+
+    def stub(x, a, b, c, delta, back):
+        calls.append((x, (a, b, c, delta), back))
+        return x * 2.0
+
+    monkeypatch.setattr(scanseg.fusion, "selective_scan", stub)
     blk = MMFFBlock(channels=2, state=2, rng=SplitMix64(11))
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
+    out = blk(Tensor(f_a), Tensor(f_b)).data
+    ((x, front, back),) = calls
+    assert len(back) == 4 and all(u is v for u, v in zip(front, back))
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
-    x, a, b, c, delta = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = _bidirectional_scan(x, a, b, c, delta)
-    assert np.allclose(y.data, 2.0 * x.data, atol=1e-15)
+    joined = _joined_scan_inputs(blk, seq_a, seq_b)[0].data
+    assert np.array_equal(x.data, joined)
+    halves = (2.0 * joined).reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
+    scales = np.concatenate([blk.scale_a.data, blk.scale_b.data])
+    expect = (halves * scales) @ blk.proj.weight.data + blk.proj.bias.data
+    assert np.allclose(out, expect.reshape(2, 2, 2), atol=1e-15)
 
 
 def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
     # Per-modality L = 266: the joined 2L spans more than two scan blocks.
-    # The back-to-front pass runs on flipped views of the caller's arrays;
+    # The back-to-front pass is the op's back way over the caller's arrays;
     # it must agree with the oracle, with two scans of copied inputs, and
     # leave the arrays as they were.
-    from scanseg.scan import BLOCK, scan_sequential, selective_scan
+    from scanseg.scan import BLOCK, scan_sequential
     lead, length, d, n = (2,), 2 * 266, 4, 3
     assert length > 2 * BLOCK
     r = SplitMix64(60)
@@ -125,7 +147,7 @@ def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
     axes = (1, 0, 1, 1, 1)                              # each array's L axis
 
     ts = [Tensor(v, requires_grad=True) for v in arrays]
-    y = _bidirectional_scan(*ts)
+    y = both_ways(*ts)
     (y * Tensor(probe)).sum().backward()
 
     a_bar = np.exp(delta[..., None] * a)
@@ -162,7 +184,7 @@ def test_underflowed_delta_matches_oracle():
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
     inputs = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = _bidirectional_scan(*inputs).data
+    y = both_ways(*inputs).data
     x, _, b, c, delta = (t.data for t in inputs)
     assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
     halves = [discretize(-np.exp(gen.a_log.data), b[s], delta[s])
@@ -186,7 +208,7 @@ def test_information_crossing_rgb_perturbation_reaches_x_half():
     def halves(fa, fb):
         seq_a = blk._preprocess(Tensor(fa), blk.lin_a, blk.conv_a)
         seq_b = blk._preprocess(Tensor(fb), blk.lin_b, blk.conv_b)
-        y = _bidirectional_scan(*_joined_scan_inputs(blk, seq_a, seq_b)).data
+        y = both_ways(*_joined_scan_inputs(blk, seq_a, seq_b)).data
         return y[:4], y[4:]
 
     _, xh0 = halves(f_a, f_b)

@@ -288,46 +288,10 @@ def test_backward_closures_hold_arrays_not_tensors():
     assert all(id(p._node) in seen for p in model.parameters())
 
 
-def test_ss2d_graph_keeps_one_sequence_sized_buffer():
-    # The scan projects its own x to delta, in forward and again in
-    # backward, so the only (..., 4, L, C) buffer any closure keeps is the
-    # four-direction sequences; no full delta lives in the graph.
-    from scanseg.ss2d import SS2DBlock, cross_scan, ss2d_forward
-    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(25))
-    f = Tensor(rand((2, 3, 5, 2), seed=26), requires_grad=True)
-    out = ss2d_forward(f, blk)
-    buffers, seen, todo = {}, set(), [out._node]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        todo.extend(node._parents)
-        if node._backward_fn is None:
-            continue
-        for arr in _reached(node._backward_fn, np.ndarray):
-            if arr.shape[-3:] != (4, 15, 2):
-                continue
-            root = arr
-            while isinstance(root.base, np.ndarray):
-                root = root.base
-            buffers[id(root)] = root
-    assert id(f._node) in seen
-    assert len(buffers) == 1, [b.shape for b in buffers.values()]
-    (root,) = buffers.values()
-    assert np.array_equal(root.reshape((2, 4, 15, 2)), cross_scan(f).data)
-
-
-def test_ss2d_graph_keeps_no_b_or_c():
-    # Without a C source the scan projects B and C from its own x, in
-    # forward and again in backward: no closure keeps a (..., 4, L, N)
-    # array.  N = 3 differs from the width C = 2, so only B- or C-shaped
-    # buffers match.
-    from scanseg.ss2d import SS2DBlock, ss2d_forward
-    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(27))
-    f = Tensor(rand((2, 3, 5, 2), seed=28), requires_grad=True)
-    out = ss2d_forward(f, blk)
-    held, seen, todo = [], set(), [out._node]
+def _closure_arrays(root):
+    """Every array a backward closure reachable from ``root`` keeps, and the
+    ids of the nodes the walk reached."""
+    arrays, seen, todo = [], set(), [root._node]
     while todo:
         node = todo.pop()
         if id(node) in seen:
@@ -335,12 +299,77 @@ def test_ss2d_graph_keeps_no_b_or_c():
         seen.add(id(node))
         todo.extend(node._parents)
         if node._backward_fn is not None:
-            held += [a.shape for a in _reached(node._backward_fn, np.ndarray)
-                     if a.shape[-3:] == (4, 15, 3)]
+            arrays += _reached(node._backward_fn, np.ndarray)
+    return arrays, seen
+
+
+def test_ss2d_graph_keeps_one_sequence_sized_buffer():
+    # The scan projects its own x to delta, in forward and again in
+    # backward, and reads each sequence both ways, so the only
+    # (..., 2, L, C) buffer any closure keeps is the two cross-scan
+    # sequences; no full delta and no reversed copy lives in the graph.
+    from scanseg.ss2d import SS2DBlock, cross_scan, ss2d_forward
+    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(25))
+    f = Tensor(rand((2, 3, 5, 2), seed=26), requires_grad=True)
+    arrays, seen = _closure_arrays(ss2d_forward(f, blk))
+    buffers = {}
+    for arr in arrays:
+        if arr.shape[-2:] != (15, 2):
+            continue
+        root = arr
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        buffers[id(root)] = root
+    assert id(f._node) in seen
+    assert len(buffers) == 1, [b.shape for b in buffers.values()]
+    (root,) = buffers.values()
+    assert np.array_equal(root.reshape((2, 2, 15, 2)), cross_scan(f).data)
+
+
+def test_ss2d_graph_keeps_no_b_or_c():
+    # Without a C source the scan projects B and C from its own x, in
+    # forward and again in backward: no closure keeps a (..., L, N) array,
+    # in any layout.  N = 3 differs from the width C = 2, so only B- or
+    # C-shaped buffers match.
+    from scanseg.ss2d import SS2DBlock, ss2d_forward
+    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(27))
+    f = Tensor(rand((2, 3, 5, 2), seed=28), requires_grad=True)
+    out = ss2d_forward(f, blk)
+    arrays, seen = _closure_arrays(out)
+    held = [a.shape for a in arrays if a.shape[-2:] == (15, 3)]
     assert id(f._node) in seen
     assert not held, held
     out.sum().backward()
     assert all(p.grad is not None for p in blk.parameters())
+
+
+def test_model_graph_keeps_no_four_direction_sequences(monkeypatch):
+    # SS2D keeps its row- and column-major sequences, (..., 2, L, C), and
+    # its scan reads their reversals: no closure reachable from a whole
+    # TOY forward keeps a (..., 4, L, C) array for any SS2D call's L and C.
+    import scanseg.blocks
+    import scanseg.decoder
+    from scanseg.ss2d import ss2d_forward
+    calls = set()
+
+    def recording(f, block, c_source=None):
+        calls.add((f.shape[-3] * f.shape[-2], f.shape[-1]))
+        return ss2d_forward(f, block, c_source)
+
+    for module in (scanseg.blocks, scanseg.decoder):
+        monkeypatch.setattr(module, "ss2d_forward", recording)
+    model = Model(TOY_CONFIG, seed=0)
+    logits = model(Tensor(rand((2, 3, 32, 32), seed=43)),
+                   Tensor(rand((2, 1, 32, 32), seed=44)))
+    arrays, seen = _closure_arrays(logits)
+    assert len(calls) >= 3                  # both stages and the decoder
+    four = [a.shape for a in arrays
+            if a.ndim >= 3 and a.shape[-3] == 4 and a.shape[-2:] in calls]
+    two = [a for a in arrays
+           if a.ndim >= 3 and a.shape[-3] == 2 and a.shape[-2:] in calls]
+    assert not four, four
+    assert two                              # not vacuous: the pairs are kept
+    assert all(id(p._node) in seen for p in model.parameters())
 
 
 # Pinned outputs: logits of TOY_CONFIG (seed 0) on a fixed seeded 32x32 batch

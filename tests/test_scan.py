@@ -349,6 +349,129 @@ def test_selective_scan_projected_bc_matches_oracle():
     assert rel <= 1e-12, rel
 
 
+def _two_way_case(source, seed):
+    """x and each way's (A, B, C, delta) at batch 3 over three blocks (two
+    full, one partial), as fusion and SS2D pass them.  ``given``: arrays
+    and an A per position, (L, D, N).  ``proj``: K = 2 sequences, the
+    projections (w_B,), (w_C,) and (w_delta, delta_bias) and one A per
+    sequence at rank x.ndim + 1.  The two ways' values differ."""
+    length, d, n = 2 * BLOCK + 19, 4, 3
+    r = SplitMix64(seed)
+
+    def u(shape, lo=-1.0, hi=1.0):
+        return lo + (hi - lo) * r.uniform_array(shape)
+
+    if source == "given":
+        x = u((3, length, d), -2.0, 2.0)
+        ways = [(u((length, d, n), -2.05, -0.05), u((3, length, n)),
+                 u((3, length, n)), u((3, length, d), 0.01, 1.01))
+                for _ in range(2)]
+    else:
+        x = u((3, 2, length, d), -2.0, 2.0)
+        ways = [(u((1, 2, 1, d, n), -2.05, -0.05),
+                 (u((2, d, n)) / np.sqrt(d),), (u((2, d, n)) / np.sqrt(d),),
+                 (u((2, d, d)) / np.sqrt(d), u((2, 1, d), -4.0, -1.0)))
+                for _ in range(2)]
+    return x, ways
+
+
+def _flipped(source, a, b, c, delta):
+    """A way's arguments for a one-way call over x flipped along L."""
+    if source == "proj":
+        return a, b, c, delta
+    return (np.flip(a, 0),) + tuple(np.flip(v, -2) for v in (b, c, delta))
+
+
+def _tensors(v):
+    """v as Tensors that take a gradient, a projection's arrays each."""
+    if isinstance(v, tuple):
+        return tuple(Tensor(w, requires_grad=True) for w in v)
+    return Tensor(v, requires_grad=True)
+
+
+def _grads(v):
+    return [t.grad for t in (v if isinstance(v, tuple) else (v,))]
+
+
+@pytest.mark.parametrize("source", ["given", "proj"])
+def test_selective_scan_back_way_matches_flipped_call(source):
+    # The back way is a one-way scan over x flipped along L, its output
+    # flipped back: y, and every gradient, are bitwise those of the front
+    # call plus that flipped call.
+    x, (front, back) = _two_way_case(source, 39)
+    probe = SplitMix64(40).uniform_array(x.shape)
+    xt = Tensor(x, requires_grad=True)
+    ft, bt = [_tensors(v) for v in front], [_tensors(v) for v in back]
+    y = selective_scan(xt, *ft, back=bt)
+    (y * Tensor(probe)).sum().backward()
+
+    xf, xb = Tensor(x, requires_grad=True), Tensor(np.flip(x, -2),
+                                                   requires_grad=True)
+    rf = [_tensors(v) for v in front]
+    rb = [_tensors(v) for v in _flipped(source, *back)]
+    y_front = selective_scan(xf, *rf)
+    y_back = selective_scan(xb, *rb)
+    (y_front * Tensor(probe)).sum().backward()
+    (y_back * Tensor(np.flip(probe, -2))).sum().backward()
+    assert np.array_equal(y.data, y_front.data + np.flip(y_back.data, -2))
+    assert np.array_equal(xt.grad, xf.grad + np.flip(xb.grad, -2))
+    for got, want in zip(ft, rf):
+        assert all(map(np.array_equal, _grads(got), _grads(want)))
+    for i, (got, want) in enumerate(zip(bt, rb)):
+        want = _grads(want)
+        if source == "given":                 # back to position order
+            want = [np.flip(w, 0 if i == 0 else -2) for w in want]
+        assert all(map(np.array_equal, _grads(got), want))
+
+
+@pytest.mark.parametrize("source", ["given", "proj"])
+def test_selective_scan_back_way_matches_oracle(source):
+    # y = the front scan plus the back scan, read back to front and put
+    # back in position order, each through discretize + scan_sequential.
+    x, ways = _two_way_case(source, 41)
+
+    def arrays(a, b, c, delta, seqs):
+        if source == "given":
+            return a, b, c, delta
+        (w_b,), (w_c,), (w, bias) = b, c, delta
+        return (a[0, :, 0], seqs @ w_b, seqs @ w_c,
+                np.logaddexp(0.0, seqs @ w + bias))
+
+    def oracle(seqs, a, b, c, delta):
+        if a.ndim == 3 and a.shape[0] == seqs.shape[-2]:
+            return _op_oracle(seqs, a, b, c, delta)
+        return scan_sequential(seqs, *discretize(a, b, delta), c)
+
+    y = selective_scan(x, *ways[0], back=ways[1]).data
+    a, b, c, delta = arrays(*ways[1], x)
+    if source == "given":
+        a = np.flip(a, 0)
+    y_back = oracle(np.flip(x, -2), a,
+                    *(np.flip(v, -2) for v in (b, c, delta)))
+    y_ref = oracle(x, *arrays(*ways[0], x)) + np.flip(y_back, -2)
+    rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
+    assert rel <= 1e-12, rel
+
+
+def test_selective_scan_rejects_malformed_back():
+    x, (front, back) = _two_way_case("proj", 42)
+    a, b, c, delta = back
+    bad = [
+        np.zeros(4),                             # not a tuple
+        (a, b, c),                               # three entries
+        (a, b, c, delta, delta),                 # five
+        (a, b, x @ c[0], delta),                 # C an array, the front's not
+        (a, (np.zeros((2, 4, 2)),), c, delta),   # B's w gives N = 2
+        (a[..., :2], b, c, delta),               # A's N differs from B's
+        (a, b, c, (delta[0], delta[1][..., :2])),  # bias not D
+    ]
+    for back in bad:
+        with pytest.raises(DimensionError) as err:
+            selective_scan(x, *front, back=back)
+        message = str(err.value)
+        assert message and "\n" not in message, message
+
+
 def _blocked_case(seed, lead, length, d, n, a_shape, extreme=False):
     """Seeded op inputs; ``extreme`` makes delta*|A| reach 0 (a_bar = 1) and
     1e6 (a_bar underflows to exactly 0) on alternate positions of channel 0."""

@@ -21,6 +21,22 @@ def oracle_perms(h, w):
     return [rows, rows[::-1], cols, cols[::-1]]
 
 
+def traversals(seqs):
+    """The four directions' step-ordered sequences from cross_scan's pair,
+    (..., 2, L, C): each sequence, then it read back to front, as the
+    scan's back way reads it."""
+    rows, cols = seqs[..., 0, :, :], seqs[..., 1, :, :]
+    return [rows, rows[..., ::-1, :], cols, cols[..., ::-1, :]]
+
+
+def merged_layout(ys):
+    """Per-direction outputs in step order, (4, L, C), in the (2, L, C)
+    layout cross_merge takes: each back direction put back in position
+    order and added to its sequence's front one, as the scan returns
+    them."""
+    return np.stack([ys[0] + ys[1][::-1], ys[2] + ys[3][::-1]])
+
+
 def index_grid(h, w):
     """(H, W, 1) map whose pixels hold their row-major flat index."""
     return np.arange(float(h * w)).reshape(h, w, 1)
@@ -31,21 +47,30 @@ def index_grid(h, w):
 def test_layout_roundtrip_exhaustive():
     for h in range(1, 7):
         for w in range(1, 7):
-            seqs = cross_scan(Tensor(index_grid(h, w))).data[..., 0]
+            seqs = cross_scan(Tensor(index_grid(h, w))).data
+            assert seqs.shape == (2, h * w, 1)
             for d, perm in enumerate(oracle_perms(h, w)):
                 assert np.array_equal(np.sort(perm), np.arange(h * w))
-                assert np.array_equal(seqs[d], perm)
+                assert np.array_equal(traversals(seqs)[d][:, 0], perm)
                 # merging direction d alone puts step t back on pixel perm[t]
-                y = np.zeros((4, h * w, 1))
-                y[d, :, 0] = perm
-                out = cross_merge(Tensor(y), h, w).data
+                ys = np.zeros((4, h * w, 1))
+                ys[d, :, 0] = perm
+                out = cross_merge(Tensor(merged_layout(ys)), h, w).data
                 assert np.array_equal(out, index_grid(h, w))
 
 
 def test_layout_reversal_pairs():
-    seqs = cross_scan(Tensor(rand((3, 5, 2), seed=1))).data
-    assert np.array_equal(seqs[1], seqs[0][::-1])
-    assert np.array_equal(seqs[3], seqs[2][::-1])
+    # The cross-scan keeps the row- and column-major sequences only; the
+    # reversed directions are those sequences read back to front.
+    f = rand((3, 5, 2), seed=1)
+    seqs = cross_scan(Tensor(f)).data
+    assert seqs.shape == (2, 15, 2)
+    perms = oracle_perms(3, 5)
+    assert np.array_equal(perms[1], perms[0][::-1])
+    assert np.array_equal(perms[3], perms[2][::-1])
+    flat = f.reshape(15, 2)
+    for d, seq in enumerate(traversals(seqs)):
+        assert np.array_equal(seq, flat[perms[d]])
 
 
 def test_layout_2x2_convention():
@@ -54,8 +79,8 @@ def test_layout_2x2_convention():
     assert perms[1].tolist() == [3, 2, 1, 0]
     assert perms[2].tolist() == [0, 2, 1, 3]
     assert perms[3].tolist() == [3, 1, 2, 0]
-    y = np.stack([p.astype(float) for p in perms])[..., None]
-    out = cross_merge(Tensor(y), 2, 2).data
+    ys = np.stack([p.astype(float) for p in perms])[..., None]
+    out = cross_merge(Tensor(merged_layout(ys)), 2, 2).data
     assert np.array_equal(out, 4.0 * index_grid(2, 2))
 
 
@@ -64,7 +89,7 @@ def test_layout_2x2_convention():
 def test_cross_scan_single_pixel():
     f = Tensor(rand((1, 1, 3), seed=1))
     seqs = cross_scan(f)
-    assert seqs.shape == (4, 1, 3)
+    assert seqs.shape == (2, 1, 3)
     for s in seqs.data:
         assert np.array_equal(s[0], f.data[0, 0, :])
 
@@ -73,28 +98,28 @@ def test_cross_scan_constant_map():
     f = Tensor(np.full((3, 4, 2), 0.7))
     seqs = cross_scan(f).data
     assert np.allclose(seqs, 0.7)
-    assert np.array_equal(seqs[0], seqs[2])
+    assert np.array_equal(seqs[0], seqs[1])
 
 
 def test_cross_scan_orders_pixels():
     # H=2, W=2 with pixel values equal to their row-major flat index.
     seqs = cross_scan(Tensor(index_grid(2, 2))).data
     assert seqs[0, :, 0].tolist() == [0, 1, 2, 3]
-    assert seqs[1, :, 0].tolist() == [3, 2, 1, 0]
-    assert seqs[2, :, 0].tolist() == [0, 2, 1, 3]
-    assert seqs[3, :, 0].tolist() == [3, 1, 2, 0]
+    assert seqs[1, :, 0].tolist() == [0, 2, 1, 3]
+    orders = [seq[:, 0].tolist() for seq in traversals(seqs)]
+    assert orders == [[0, 1, 2, 3], [3, 2, 1, 0], [0, 2, 1, 3], [3, 1, 2, 0]]
 
 
-def test_merge_of_scan_is_four_times_input_bitwise():
+def test_merge_of_scan_is_twice_input_bitwise():
     f = rand((4, 5, 3), seed=2)
     out = cross_merge(cross_scan(Tensor(f)), 4, 5)
-    assert np.array_equal(out.data, 4.0 * f)
+    assert np.array_equal(out.data, 2.0 * f)
 
 
 def test_merge_single_nonzero_sequence():
     y = rand((6, 2), seed=3)
-    stacked = np.zeros((4, 6, 2))
-    stacked[2] = y
+    stacked = np.zeros((2, 6, 2))
+    stacked[1] = y
     out = cross_merge(Tensor(stacked), 2, 3)
     inv = np.argsort(oracle_perms(2, 3)[2])
     expect = y[inv].reshape(2, 3, 2)  # back to row-major order
@@ -104,7 +129,7 @@ def test_merge_single_nonzero_sequence():
 def test_merge_matches_gather_add_oracle():
     perms = oracle_perms(3, 3)
     ys = np.stack([rand((9, 2), seed=10 + i) for i in range(4)])
-    out = cross_merge(Tensor(ys), 3, 3).data
+    out = cross_merge(Tensor(merged_layout(ys)), 3, 3).data
     oracle = np.zeros((3, 3, 2))
     for d in range(4):
         for t in range(9):
@@ -115,14 +140,14 @@ def test_merge_matches_gather_add_oracle():
 
 def test_cross_scan_gradients():
     f = rand((3, 3, 2), seed=4)
-    r = rand((4, 9, 2), seed=5)
+    r = rand((2, 9, 2), seed=5)
     res = check("cross-scan",
                 lambda ts: (cross_scan(ts[0]) * Tensor(r)).sum(), [f])
     assert res.passed, res.line()
     r2 = rand((3, 3, 2), seed=6)
     res = check("cross-merge",
                 lambda ts: (cross_merge(ts[0], 3, 3) * Tensor(r2)).sum(),
-                [rand((4, 9, 2), seed=7)])
+                [rand((2, 9, 2), seed=7)])
     assert res.passed, res.line()
 
 
@@ -131,7 +156,7 @@ def test_cross_scan_gradients():
 def test_layout_pair_is_adjoint_and_one_node_each(shape):
     h, w = shape[-3], shape[-2]
     f = rand(shape, seed=8)
-    y = rand(shape[:-3] + (4, h * w, shape[-1]), seed=9)
+    y = rand(shape[:-3] + (2, h * w, shape[-1]), seed=9)
     lhs = np.sum(cross_scan(Tensor(f)).data * y)
     rhs = np.sum(f * cross_merge(Tensor(y), h, w).data)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -200,7 +225,7 @@ def test_ss2d_reversal_symmetry_with_tied_parameters():
     params = SSMParams(channels=2, state=3, rng=SplitMix64(14))
     f = rand((3, 4, 2), seed=15)
     invs = [np.argsort(p) for p in oracle_perms(3, 4)]
-    seqs = cross_scan(Tensor(f)).data
+    seqs = traversals(cross_scan(Tensor(f)).data)
     assert np.array_equal(seqs[1], seqs[0][::-1])
 
     def run(x):
@@ -227,7 +252,7 @@ def test_ss2d_underflowed_delta_matches_oracle():
     out = ss2d_forward(Tensor(f), blk).data
     assert np.all(np.isfinite(out))
 
-    seqs = cross_scan(Tensor(f)).data
+    seqs = traversals(cross_scan(Tensor(f)).data)
     ys = []
     for seq, p in zip(seqs, blk.directions):
         st = Tensor(seq[None])
@@ -237,7 +262,7 @@ def test_ss2d_underflowed_delta_matches_oracle():
         a_bar, b_bar = discretize(a.data[0, 0], b, delta)
         assert np.all(a_bar[:, 0] == 1.0) and np.all(b_bar[:, 0] == 0.0)
         ys.append(scan_sequential(seq, a_bar, b_bar, c))
-    expect = blk.out_norm(cross_merge(Tensor(np.stack(ys)), 3, 4)).data
+    expect = blk.out_norm(cross_merge(Tensor(merged_layout(ys)), 3, 4)).data
     rel = np.max(np.abs(out - expect) / (np.abs(expect) + 1e-12))
     assert rel <= 1e-10, rel
 
