@@ -11,17 +11,17 @@ columns compare each row against the oracle on the same inputs.
 (``MODEL_SHAPES``), each call scanning both ways as the model's do:
 forward, and forward plus backward, each row with its elements per step,
 2 * prod(lead) * N * D, the width of both ways' updates at one position,
-and the source of its B, C and delta as the model passes them.  SS2D's calls
-give, per way, the projections (w_B,), (w_C,) and (w_delta, delta_bias)
-of x, which the op forms itself (``proj``), and an A per sequence, over
-its row- and column-major sequences; fusion's give B, C and delta arrays
-(``given``) and an A per position, the same for both ways.  Narrow steps
-are bound by per-step overhead, wide ones by the elementwise work.  The
-length-sweep rows take their best over several rounds.  A model-shape
-row takes its median over ``SHAPE_ROUNDS`` rounds: a best-of-3 could not
-resolve a 10-20% change at one shape on a shared host.  A round times
-every row once (model shapes: both rows of one shape), so a slow spell of
-the host hits all rows alike.
+and the source of its B, C and delta as the model passes them.  SS2D's
+calls give, per way, the projections (w_B,), (w_C,) and (w_delta,
+delta_bias) of x, which the op forms itself (``proj``), and an A per
+sequence, over its row- and column-major sequences; fusion's give B, C
+and delta arrays (``given``) and an A per position, the same for both
+ways.  Narrow steps are bound by per-step overhead, wide ones by the
+elementwise work.  A length-sweep row takes its best over several rounds,
+a model-shape row its median over ``SHAPE_ROUNDS`` rounds, which one slow
+or one lucky round does not move.  A round times every row once (model
+shapes: both rows of one shape), so a slow spell of the host hits all
+rows alike.
 """
 
 from __future__ import annotations

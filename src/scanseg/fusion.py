@@ -104,4 +104,3 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
         return t.reshape(t.shape[:-3] + (2 * length, t.shape[-1]))
 
     return joined(seqs), a, joined(b), joined(c), joined(delta)
-

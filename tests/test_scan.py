@@ -463,6 +463,7 @@ def test_selective_scan_rejects_malformed_back():
         (a, b, x @ c[0], delta),                 # C an array, the front's not
         (a, (np.zeros((2, 4, 2)),), c, delta),   # B's w gives N = 2
         (a[..., :2], b, c, delta),               # A's N differs from B's
+        (a[..., :2], (b[0][..., :2],), (c[0][..., :2],), delta),  # N = 2
         (a, b, c, (delta[0], delta[1][..., :2])),  # bias not D
     ]
     for back in bad:
