@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, GraphError
+from .errors import ConfigError, DimensionError, GraphError
 
 __all__ = [
     "Tensor", "no_grad", "concat", "stack", "matmul", "layer_norm",
@@ -419,7 +419,6 @@ def depthwise_conv2d(x: Tensor, k: Tensor) -> Tensor:
     is no cross-channel mixing.
     """
     x, k = Tensor._ensure(x), Tensor._ensure(k)
-    from .errors import ConfigError
     if k.ndim != 3:
         raise DimensionError(f"depthwise kernel must be (C, kh, kw), got {k.shape}")
     c, kh, kw = k.shape

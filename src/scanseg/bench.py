@@ -4,18 +4,19 @@ Two rows per length: ``sequential``, the array oracle on inputs
 discretized beforehand, and ``op``, a ``selective_scan`` forward, which
 discretizes inside.  The recurrence is linear in sequence length, so the
 fitted log-log slope of wall time against L should sit near 1; the bench
-reports that exponent when more than one length is measured.  Error
-columns compare each row against the oracle on the same inputs.
+reports that exponent when at least two distinct lengths are measured.
+Error columns compare each row against the oracle on the same inputs.
 
 ``run_model_shapes`` times the op at the shapes the model runs
 (``MODEL_SHAPES``), each call scanning both ways as the model's do:
 forward, and forward plus backward, each row with its elements per step,
 2 * prod(lead) * N * D, the width of both ways' updates at one position,
-and the source of its B, C and delta as the model passes them.  SS2D's
-calls give, per way, the projections (w_B,), (w_C,) and (w_delta,
-delta_bias) of x, which the op forms itself (``proj``), and an A per
-sequence, over its row- and column-major sequences; fusion's give B, C
-and delta arrays (``given``) and an A per position, the same for both
+and the source of its B, C and delta as the model passes them.  x's lead
+ends in the way axis of extent 1.  SS2D's calls give the projections
+(w_B,), (w_C,) and (w_delta, delta_bias) of x, which the op forms itself
+(``proj``), and A, one per sequence and way, over its row- and
+column-major sequences; fusion's give B, C and delta arrays (``given``)
+and an A per position, each with a way axis of extent 1, shared by both
 ways.  Narrow steps are bound by per-step overhead, wide ones by the
 elementwise work.  A length-sweep row takes its best over several rounds,
 a model-shape row its median over ``SHAPE_ROUNDS`` rounds, which one slow
@@ -45,19 +46,20 @@ IMPLS = ("sequential", "op")
 
 # (leading dims, L, D, source of B, C and delta) of the selective_scan
 # calls one op of each benchmark workload makes (perfbench/baseline/seed.md);
-# N is 4 throughout.  SS2D's leading dims are batch x sequence, or its 2
-# sequences alone for one eval image, and it passes projections; fusion's
-# are the batch, or nothing at eval, and it passes arrays.
+# N is 4 throughout.  The last leading dim is x's way axis; before it,
+# SS2D's are batch x sequence, or its 2 sequences alone for one eval image,
+# and it passes projections; fusion's are the batch, or nothing at eval,
+# and it passes arrays.
 MODEL_SHAPES = (
-    ((4, 2), 64, 16, "proj"), ((4, 2), 16, 32, "proj"),             # train-32
-    ((4, 2), 256, 8, "proj"),
-    ((4,), 128, 16, "given"), ((4,), 32, 32, "given"),
-    ((4, 2), 1024, 16, "proj"), ((4, 2), 256, 32, "proj"),          # train-128
-    ((4, 2), 4096, 8, "proj"),
-    ((4,), 2048, 16, "given"), ((4,), 512, 32, "given"),
-    ((2,), 4096, 16, "proj"), ((2,), 1024, 32, "proj"),             # eval-256
-    ((2,), 16384, 8, "proj"),
-    ((), 8192, 16, "given"), ((), 2048, 32, "given"),
+    ((4, 2, 1), 64, 16, "proj"), ((4, 2, 1), 16, 32, "proj"),       # train-32
+    ((4, 2, 1), 256, 8, "proj"),
+    ((4, 1), 128, 16, "given"), ((4, 1), 32, 32, "given"),
+    ((4, 2, 1), 1024, 16, "proj"), ((4, 2, 1), 256, 32, "proj"),    # train-128
+    ((4, 2, 1), 4096, 8, "proj"),
+    ((4, 1), 2048, 16, "given"), ((4, 1), 512, 32, "given"),
+    ((2, 1), 4096, 16, "proj"), ((2, 1), 1024, 32, "proj"),         # eval-256
+    ((2, 1), 16384, 8, "proj"),
+    ((1,), 8192, 16, "given"), ((1,), 2048, 32, "given"),
 )
 MODEL_STATE = 4
 SHAPE_ROUNDS = 7
@@ -102,41 +104,32 @@ def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
 
 
 def _model_case(lead: tuple, length: int, d: int, source: str, seed: int):
-    """``selective_scan``'s arguments for one ``MODEL_SHAPES`` row, as the
-    model passes them: (x, A, B, C, delta) and the back way's (A, B, C,
-    delta).  A ``given`` row passes A per position, (L, D, N), and B, C
-    and delta arrays, the same for both ways.  A ``proj`` row passes, per
-    way, one A, (w_B,), (w_C,) and (w_delta, delta_bias) per sequence on
-    the lead's last axis, A at rank x.ndim + 1; its delta = softplus(x @
-    w_delta + delta_bias) averages about 0.5, as a given delta does."""
+    """``selective_scan``'s two-way arguments (x, A, B, C, delta) for one
+    ``MODEL_SHAPES`` row, as the model passes them.  A ``given`` row passes
+    A per position, (1, L, D, N), and B, C and delta arrays, each with a way
+    axis of extent 1, shared by both ways.  A ``proj`` row passes one A,
+    (w_B,), (w_C,) and (w_delta, delta_bias) per sequence, on the lead's
+    second-last axis, and way, on the way axis of extent 2; A at rank
+    x.ndim + 1.  Its delta = softplus(x @ w_delta + delta_bias) averages
+    about 0.5, as a given delta does."""
     x, a, b, c, delta = _case(length, MODEL_STATE, d, seed, lead)
-    r, k, n = SplitMix64(seed + 10_000), lead[-1:], MODEL_STATE
+    r, n = SplitMix64(seed + 10_000), MODEL_STATE
     if source == "given":
-        a = -0.05 - 2.0 * r.uniform_array((length, d, n))
-        return (x, a, b, c, delta), (a, b, c, delta)
-
-    def way():
-        a = -0.05 - 2.0 * r.uniform_array(
-            (1,) * (len(lead) - 1) + k + (1, d, n))
-        w_b, w_c, w_delta = ((-1.0 + 2.0 * r.uniform_array(k + (d, m)))
-                             / np.sqrt(d) for m in (n, n, d))
-        bias = -1.5 + 2.0 * r.uniform_array(k + (1, d))
-        return a, (w_b,), (w_c,), (w_delta, bias)
-
-    return (x,) + way(), way()
+        a = -0.05 - 2.0 * r.uniform_array((1, length, d, n))
+        return x, a, b, c, delta
+    ways = lead[-2:-1] + (2,)
+    a = -0.05 - 2.0 * r.uniform_array(
+        (1,) * (len(lead) - 2) + ways + (1, d, n))
+    w_b, w_c, w_delta = ((-1.0 + 2.0 * r.uniform_array(ways + (d, m)))
+                         / np.sqrt(d) for m in (n, n, d))
+    bias = -1.5 + 2.0 * r.uniform_array(ways + (1, d))
+    return x, a, (w_b,), (w_c,), (w_delta, bias)
 
 
 def _with_grad(args):
-    """Op arguments with each array a Tensor that takes a gradient; an
-    array passed twice, as fusion passes its arrays to both ways, becomes
-    one Tensor."""
-    made = {}
-
-    def tensor(v):
-        if id(v) not in made:
-            made[id(v)] = Tensor(v, requires_grad=True)
-        return made[id(v)]
-    return [tuple(map(tensor, v)) if isinstance(v, tuple) else tensor(v)
+    """Op arguments with each array a Tensor that takes a gradient."""
+    return [tuple(Tensor(w, requires_grad=True) for w in v)
+            if isinstance(v, tuple) else Tensor(v, requires_grad=True)
             for v in args]
 
 
@@ -184,14 +177,14 @@ def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
     """
     rows, n = [], MODEL_STATE
     for i, (lead, length, d, source) in enumerate(MODEL_SHAPES):
-        args, back = _model_case(lead, length, d, source, seed + i)
+        args = _model_case(lead, length, d, source, seed + i)
 
         def fwd():
-            return selective_scan(*args, back=back)
+            return selective_scan(*args, both_ways=True)
 
         def fwd_bwd():
-            ts = _with_grad(args + back)
-            selective_scan(*ts[:5], back=ts[5:]).sum().backward()
+            selective_scan(*_with_grad(args),
+                           both_ways=True).sum().backward()
 
         width = 2 * int(np.prod(lead, dtype=np.int64)) * n * d
         fwd()
@@ -205,8 +198,10 @@ def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
 
 
 def fit_exponent(rows: list[BenchRow], impl: str) -> float | None:
+    """The log-log slope of ``impl``'s wall time against L, or None unless
+    its rows hold at least two distinct lengths."""
     pts = [(r.L, r.wall_time) for r in rows if r.impl == impl]
-    if len(pts) < 2:
+    if len({length for length, _ in pts}) < 2:
         return None
     logl = np.log([p[0] for p in pts])
     logt = np.log([p[1] for p in pts])

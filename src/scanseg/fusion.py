@@ -5,8 +5,8 @@ convolution, are flattened, and the two sequences are joined end to end.
 The joined sequence is scanned front to back and back to front with the
 same A, B, C and delta, so state flows across the modality boundary in
 both directions, and the two outputs are summed.  Both scans are one
-``selective_scan`` call, the second as the op's back way, as SS2D reads
-its reversed directions.
+two-way ``selective_scan`` call, as SS2D's are: x, A, B, C and delta are
+passed once, each with a way axis of extent 1, which both ways share.
 
 Parameter wiring is crossed between the modalities: along the first half
 (positions owned by the first modality) the transition quantities A, B,
@@ -75,11 +75,11 @@ class MMFFBlock(Module):
         seq_a = self._preprocess(f_a, self.lin_a, self.conv_a)
         seq_b = self._preprocess(f_b, self.lin_b, self.conv_b)
         x, *args = _joined_scan_inputs(self, seq_a, seq_b)
-        y = selective_scan(x, *args, back=args)
+        y = selective_scan(x, *args, both_ways=True)
 
-        # (..., 2L, C) -> (..., 2, L, C) -> (..., L, 2, C) -> (..., L, 2C):
+        # (..., 1, 2L, C) -> (..., 2, L, C) -> (..., L, 2, C) -> (..., L, 2C):
         # each position's two halves side by side, as the scales are.
-        lead, k = y.shape[:-2], y.ndim - 2
+        lead, k = y.shape[:-3], y.ndim - 3
         halves = y.reshape(lead + (2, length, self.channels)).transpose(
             tuple(range(k)) + (k + 1, k, k + 2))
         fused = (halves.reshape(lead + (length, 2 * self.channels))
@@ -88,7 +88,8 @@ class MMFFBlock(Module):
 
 
 def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
-    """Joined sequence x and its crossed A (per position), B, C, delta."""
+    """Joined sequence x and its crossed A (per position), B, C, delta, each
+    with a way axis of extent 1: both ways of the scan share them."""
     axis_k, length = seq_a.ndim - 2, seq_a.shape[-2]
     seqs = stack([seq_a, seq_b], axis=axis_k)              # (..., 2, L, C)
     a, *projs = scan_inputs(seqs, (blk.gen_a, blk.gen_b))
@@ -96,11 +97,11 @@ def _joined_scan_inputs(blk: MMFFBlock, seq_a: Tensor, seq_b: Tensor):
     # Crossed readout: the first half is read out through C generated from
     # the second modality, and vice versa.
     c = c.flip(axis_k)
-    a = (a * Tensor(np.ones((length, 1, 1)))).reshape(  # (2L, C, N)
-        (2 * length,) + a.shape[-2:])
+    a = (a * Tensor(np.ones((length, 1, 1)))).reshape(  # (1, 2L, C, N)
+        (1, 2 * length) + a.shape[-2:])
 
     def joined(t):
-        """(..., 2, L, .) -> (..., 2L, .): the halves end to end."""
-        return t.reshape(t.shape[:-3] + (2 * length, t.shape[-1]))
+        """(..., 2, L, .) -> (..., 1, 2L, .): the halves end to end."""
+        return t.reshape(t.shape[:-3] + (1, 2 * length, t.shape[-1]))
 
     return joined(seqs), a, joined(b), joined(c), joined(delta)

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import Tensor, no_grad
+from .rng import SplitMix64
 
 
 @dataclass
@@ -75,7 +76,6 @@ def check_params(name: str,
     cancellation noise while a genuinely wrong gradient fails at every
     step.
     """
-    from .rng import SplitMix64
     steps = (step,) if isinstance(step, float) else tuple(step)
     for _, p in params:
         p.zero_grad()
@@ -113,7 +113,6 @@ def check_params(name: str,
 # --------------------------------------------------------------- named suites
 
 def _rand(shape, seed, lo=-1.0, hi=1.0):
-    from .rng import SplitMix64
     return lo + (hi - lo) * SplitMix64(seed).uniform_array(shape)
 
 
@@ -170,8 +169,7 @@ def suite_ops() -> list[CheckResult]:
 
 
 def suite_scan() -> list[CheckResult]:
-    from .autodiff import Tensor, softplus
-    from .rng import SplitMix64
+    from .autodiff import softplus, stack
     from .scan import BLOCK, SSMParams, scan_inputs, selective_scan
     p = SSMParams(channels=2, state=3, rng=SplitMix64(40))
     x = _rand((6, 2), 41).reshape(1, 6, 2)      # K = 1 sequence
@@ -246,19 +244,25 @@ def suite_scan() -> list[CheckResult]:
         list(zip(("x", "w_B", "w_C"), bc)),
         step=1e-5, entries_per_param=12))
 
-    # Both ways in one call, as SS2D makes it: the back way scans x from
-    # the last position to the first with its own A and projections, and
-    # x's gradient sums both ways' shares.
+    # Both ways in one call, as SS2D makes it: x with a way axis of extent
+    # 1, and each argument the front way's (those above) then the back
+    # way's on its way axis.  The back way scans x from the last position
+    # to the first, and x's gradient sums both ways' shares.
     back = [Tensor(v, requires_grad=True) for v in (
-        _rand(lead + (length, d), 82), _rand((d, n), 83),
+        _rand(lead + (1, length, d), 82), _rand((1, d, n), 83),
         _rand((4, d, n), 84) / np.sqrt(d), _rand((4, d, n), 85) / np.sqrt(d),
         _rand((4, d, d), 86) / np.sqrt(d), _rand((4, 1, d), 87))]
 
     def both_ways_loss():
         x, a, w_b, w_c, w_delta, delta_bias = back
-        return (selective_scan(
-            x, -ts[1].exp(), (bc[1],), (bc[2],), tuple(proj[1:]),
-            back=(-a.exp(), (w_b,), (w_c,), (w_delta, delta_bias))) * w).sum()
+        a = stack([-ts[1].exp().reshape(1, d, n), -a.exp()], axis=-4)
+        w_b, w_c, w_delta, delta_bias = (
+            stack(pair, axis=-3) for pair in zip(
+                (bc[1], bc[2], proj[1], proj[2]),
+                (w_b, w_c, w_delta, delta_bias)))
+        y = selective_scan(x, a, (w_b,), (w_c,), (w_delta, delta_bias),
+                           both_ways=True)
+        return (y.reshape(w.shape) * w).sum()
 
     results.append(check_params(
         "selective-scan-both-ways", both_ways_loss,
@@ -270,7 +274,6 @@ def suite_scan() -> list[CheckResult]:
 
 def _module_check(name, forward, module, input_shapes, seed, step=1e-4,
                   tolerance=1e-4, entries=None):
-    from .autodiff import Tensor
     inputs = [Tensor(_rand(s, seed + i), requires_grad=True)
               for i, s in enumerate(input_shapes)]
     out_probe = {}
@@ -291,7 +294,6 @@ def suite_blocks() -> list[CheckResult]:
     from .blocks import EncoderBlock
     from .decoder import DecoderStage
     from .fusion import MMFFBlock
-    from .rng import SplitMix64
     from .ss2d import SS2DBlock, ss2d_forward
     ss2d_blk = SS2DBlock(channels=2, state=2, rng=SplitMix64(53))
     enc = EncoderBlock(channels=2, state=2, rng=SplitMix64(50))
@@ -308,7 +310,6 @@ def suite_blocks() -> list[CheckResult]:
 
 
 def suite_model(entries_per_param=None) -> list[CheckResult]:
-    from .autodiff import Tensor
     from .model import TINY_CONFIG, Model
     model = Model(TINY_CONFIG, seed=123)
     rgb = _rand((3, 8, 8), 200, 0.0, 1.0)

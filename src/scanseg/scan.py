@@ -18,11 +18,12 @@ below about -745; zero is the rule's limit (a_bar = 1, b_bar = 0: the state
 holds), so delta >= 0 is the domain and only a negative delta is rejected.
 
 ``scan_inputs`` is the one generator of A and of the projections of B, C
-and delta: K sequences, each through its own ``SSMParams`` (SS2D's four
-directions, fusion's two modalities).  It returns B as (w_B,), the
-projection B = x @ w_B, C likewise, and delta as (w_delta, delta_bias),
-delta = softplus(x @ w_delta + delta_bias).  ``project`` forms the array a
-projection stands for as graph ops.
+and delta: sequences each through their own ``SSMParams`` (fusion's two
+modalities), or each way of each sequence through its own (SS2D's four
+directions, two sequences by two ways), with one stack per parameter name.
+It returns B as (w_B,), the projection B = x @ w_B, C likewise, and delta
+as (w_delta, delta_bias), delta = softplus(x @ w_delta + delta_bias).
+``project`` forms the array a projection stands for as graph ops.
 
 ``selective_scan`` is the differentiable op: it takes x, A, B, C and delta
 and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
@@ -40,33 +41,37 @@ a_bar_k * g_k C_k is the forward recurrence run back to front, and
 dL/d(delta*A)_k = nu_k * h_{k-1}.  A's gradient is that times delta,
 contracted over the axes A is shared along without building the product.
 
-The op scans x from the first position to the last and, given ``back``, a
-second (A, B, C, delta), also from the last position to the first; y is
-the two scans' outputs summed position by position.  That is Vision
-Mamba's bidirectional scan (Zhu et al., arXiv:2401.09417): SS2D's reversed
-directions and fusion's second scan are back ways.  Inside the op the two
-ways sit on a way axis next to L in every block, and the back way's block
-s..e-1 reads positions L-e..L-s-1 back to front.  So one ``block_inputs``,
-one state carry, one ``_scan_loop`` and one adjoint serve both ways, at
-the per-position width of both together: at batch 1 a loop of half that
-width costs nearly as much per position, so two one-way calls would take
-close to twice as long.  y and the gradients are written in each way's own
-order and put back in position order once, at the end.
+The op scans x from the first position to the last and, with
+``both_ways``, also from the last position to the first; y is the two
+scans' outputs summed position by position.  That is Vision Mamba's
+bidirectional scan (Zhu et al., arXiv:2401.09417): SS2D's reversed
+directions and fusion's second scan are back ways.  A two-way call's
+arguments carry a way axis, next to L as x's (extent 1) and B's, C's and
+delta's, next to the matrix axes as a projection's and A's: extent 1 where
+the ways share an argument (fusion's), 2 where each way has its own
+(SS2D's).  Inside the op the ways sit on that axis in every block, and the
+back way's block s..e-1 reads positions L-e..L-s-1 back to front.  So one
+``block_inputs``, one state carry, one ``_scan_loop`` and one adjoint serve
+both ways, at the per-position width of both together: at batch 1 a loop
+of half that width costs nearly as much per position, so two one-way calls
+would take close to twice as long.  y and the gradients are written in
+each way's own order and put back in position order once, at the end,
+where a shared argument's two shares are summed.  A one-way call's
+arguments get way axes of extent 1, so one body serves both forms.
 
-B, C and delta are each passed in one of two forms, the same in both
-ways.  Fusion passes arrays, which the graph keeps: its joined sequence
-switches generator halfway along L and its C is crossed, so no projection
-of its x gives them.  SS2D passes the projections, since its B, C and
-delta are projected from the op's own x (C from a second map when the
-decoder gives one, as an array).  Each way's weights are joined on the way
-axis, and the op then forms each block's B = x_blk @ w_B, C = x_blk @ w_C and delta
-= softplus(x_blk @ w + bias) from that block of x, in forward and again in
-backward: this is the recompute rule of Mamba's fused scan (Gu & Dao,
-arXiv:2312.00752, section 3.3.2; Chen et al., arXiv:1604.06174), so the op
-keeps none of them, only x and the small weights.  With OpenBLAS at the
-model's shapes, the block matmuls give the same bits, row by row, as one
-matmul over all of x.  In backward, block by block, a
-projection's gradient gp gives x_blk^T gp to w's gradient, the sum of gp
+B, C and delta are each passed in one of two forms.  Fusion passes
+arrays, which the graph keeps: its joined sequence switches generator
+halfway along L and its C is crossed, so no projection of its x gives
+them.  SS2D passes the projections, since its B, C and delta are
+projected from the op's own x (C from a second map when the decoder gives
+one, as an array).  The op then forms each block's B = x_blk @ w_B, C =
+x_blk @ w_C and delta = softplus(x_blk @ w + bias) from that block of x,
+in forward and again in backward: this is the recompute rule of Mamba's
+fused scan (Gu & Dao, arXiv:2312.00752, section 3.3.2; Chen et al.,
+arXiv:1604.06174), so the op keeps none of them, only x and the small
+weights.  With OpenBLAS at the model's shapes, the block matmuls give the
+same bits, row by row, as one matmul over all of x.  In backward, block
+by block, a projection's gradient gp gives x_blk^T gp to w's gradient, the sum of gp
 to the bias's and gp w^T to x's; delta's goes through the softplus first,
 gpre = gdelta * sigmoid(pre).  The softplus is max(pre, 0) + log1p(e)
 with e = exp(-|pre|) (``autodiff._softplus_e``), and the sigmoid reads
@@ -135,42 +140,43 @@ class SSMParams(Module):
         self.delta_bias = param(np.log(np.expm1(u)))
 
 
-def scan_inputs(seqs: Tensor, params, c_seqs: Tensor | None = None,
-                back: bool = False):
-    """A and the projections of B, C and delta for K sequences, sequence k
-    through ``params[k]``, in ``selective_scan``'s argument order.
+def scan_inputs(seqs: Tensor, params, c_seqs: Tensor | None = None):
+    """A and the projections of B, C and delta for parameter sets laid out
+    as ``params`` is: K sets, one per sequence, or rows of them, one row
+    per sequence and one set per way of a two-way ``selective_scan``.  In
+    ``selective_scan``'s argument order.
 
-    ``seqs`` is (..., K, L, D).  Returns A (1, ..., K, 1, D, N), at rank
-    seqs.ndim + 1; B's projection (w_B,) with w_B (K, D, N); C's, (w_C,),
-    or, when ``c_seqs`` (same shape) is given, C = c_seqs @ w_C as an
-    array, since it does not project the scan's x; and delta's,
-    (w_delta (K, D, D), delta_bias (K, 1, D)).  ``project`` forms the
-    arrays a projection stands for as graph ops.
-
-    ``back`` marks the parameter sets of the op's back way.  A C from
-    ``c_seqs`` is then projected from the sequences read last position
-    first, the order that way scans them, and flipped back to position
-    order: the same values, with w_C's gradient summed over positions in
-    the order of that way's scan.
+    ``seqs`` is (..., K, L, D), or (..., R, 1, L, D) for R rows of W sets,
+    the op's two-way x.  With G the sets' layout, (K,) or (R, W), each
+    parameter name is one stack, as G + its shape.  Returns A (1, ..., *G,
+    1, D, N), at rank seqs.ndim + 1; B's projection (w_B,) with w_B (*G,
+    D, N); C's, (w_C,), or, when ``c_seqs`` (same shape as seqs) is given,
+    C = c_seqs @ w_C as an array, since it does not project the scan's x;
+    and delta's, (w_delta (*G, D, D), delta_bias (*G, 1, D)).  ``project``
+    forms the arrays a projection stands for as graph ops.
     """
-    k, (d, n) = len(params), params[0].a_log.shape
-    if seqs.ndim < 3 or seqs.shape[-3:] != (k, seqs.shape[-2], d):
+    grid = np.array(params, dtype=object)
+    sets, lay = list(grid.flat), grid.shape
+    d, n = sets[0].a_log.shape
+    want = lay[:1] + (1,) * (len(lay) - 1)
+    if seqs.shape[-2 - len(lay):-2] + seqs.shape[-1:] != want + (d,):
         raise DimensionError(
-            f"sequences {seqs.shape} do not match {k} parameter sets of "
-            f"width {d}: expected (..., {k}, L, {d})")
+            f"sequences {seqs.shape} do not match {lay} parameter sets of "
+            f"width {d}: expected (..., {', '.join(map(str, want))}, L, {d})")
 
-    def stacked(attr):
-        return stack([getattr(p, attr) for p in params], axis=0)
+    def stacked(attr, shape):
+        """Every set's ``attr`` in one stack, as ``shape``."""
+        t = stack([getattr(p, attr) for p in sets], axis=0)
+        return t if t.shape == shape else t.reshape(shape)
 
-    c = (stacked("w_C"),)
-    if c_seqs is not None and back:
-        c = project(c_seqs.flip(-2), c).flip(-2)
-    elif c_seqs is not None:
+    c = (stacked("w_C", lay + (d, n)),)
+    if c_seqs is not None:
         c = project(c_seqs, c)
-    a = (-stacked("a_log").exp()).reshape(
-        (1,) * (seqs.ndim - 3) + (k, 1, d, n))
-    delta = (stacked("w_delta"), stacked("delta_bias").reshape(k, 1, d))
-    return a, (stacked("w_B"),), c, delta
+    a = (-stacked("a_log", (len(sets), d, n)).exp()).reshape(
+        (1,) * (seqs.ndim - 2 - len(lay)) + lay + (1, d, n))
+    delta = (stacked("w_delta", lay + (d, d)),
+             stacked("delta_bias", lay + (1, d)))
+    return a, (stacked("w_B", lay + (d, n)),), c, delta
 
 
 def project(seqs: Tensor, proj) -> Tensor:
@@ -231,36 +237,57 @@ def scan_sequential(x, a_bar, b_bar, c):
     return np.einsum("...ln,...ldn->...ld", ca, hs)
 
 
-def _check_op_shapes(x, a, sources, way="selective_scan"):
-    """``sources`` holds B's, C's and delta's: an array's shape, or the
-    shapes of a projection of x, (w,) for B and C and (w, bias) for delta.
-    Returns N, B's last extent."""
-    def value(src, arity):
-        """The shape of the array a source stands for."""
-        if not (src and isinstance(src[0], tuple)):
-            return src
-        w, *bias = src
-        if len(src) != arity or w[-2] != x[-1]:
+def _way_form(shape, axis):
+    """``shape`` padded to rank -axis - 1, with a way axis of extent 1
+    inserted at ``axis`` (negative): a one-way argument's two-way form."""
+    shape = (1,) * (-1 - axis - len(shape)) + tuple(shape)
+    return shape[:axis + 1] + (1,) + shape[axis + 1:]
+
+
+def _check_op_shapes(x, a, sources, nw):
+    """The op's argument shapes as passed, ``sources`` holding B's, C's and
+    delta's: an array's shape, or the shapes of a projection of x, (w,) for
+    B and C and (w, bias) for delta.  ``nw`` is 2 for a two-way call, whose
+    arguments carry way axes, else 1.  Returns N, B's last extent."""
+    def ways(shape, axis):
+        """The two-way form of ``shape``, its way axis at ``nw``."""
+        if nw == 1:
+            shape = _way_form(shape, axis)
+        if len(shape) < -axis or shape[axis] not in (1, nw):
             raise ValueError
-        shape = np.broadcast_shapes(x[:-2], w[:-2]) + (x[-2], w[-1])
+        return shape[:axis] + (nw,) + shape[axis + 1:]
+
+    def value(src, arity):
+        """The two-way shape of the array a source stands for."""
+        if not (src and isinstance(src[0], tuple)):
+            return ways(src, -3)
+        w, *bias = (ways(v, -3) for v in src)
+        if len(src) != arity or w[-2] != xw[-1]:
+            raise ValueError
+        shape = np.broadcast_shapes(xw[:-2], w[:-2]) + (xw[-2], w[-1])
         if bias and np.broadcast_shapes(shape, bias[0]) != shape:
             raise ValueError
         return shape
 
     try:
+        if len(x) < 2 or nw > 1 and (len(x) < 3 or x[-3] != 1):
+            raise ValueError
+        xw = ways(x, -3)
         b, c, delta = map(value, sources, (1, 1, 2))
-        full = x + b[-1:]
-        ok = (len(x) >= 2 and b[:-1] == x[:-1] and c == b and delta == x
-              and np.broadcast_shapes(a, full) == full)
+        full = xw + b[-1:]
+        ok = (b[:-1] == xw[:-1] and c == b and delta == xw
+              and np.broadcast_shapes(ways(a, -4), full) == full)
     except (ValueError, IndexError):
         ok = False
     if not ok:
         b, c, delta = sources
         raise DimensionError(
-            f"{way} shapes disagree: x {x}, A {a}, B {b}, C {c}, "
+            f"selective_scan shapes disagree: x {x}, A {a}, B {b}, C {c}, "
             f"delta {delta} (A must broadcast to {x} + (N,); B and C must "
             f"be (..., L, N), or (w,) with x @ w of that shape; delta must "
-            f"match x, or be (w, bias) with x @ w + bias of x's shape)")
+            f"match x, or be (w, bias) with x @ w + bias of x's shape; "
+            f"both ways: x (..., 1, L, D), and a way axis of extent 1 or 2 "
+            f"at -3 of B, C, delta and each w and bias, and at -4 of A)")
     return b[-1]
 
 
@@ -274,20 +301,8 @@ def _reduce_to(out, p, q):
         out.shape)
 
 
-def _way(v, k, axis):
-    """Way k of v, whose way axis is ``axis`` (negative), as a view."""
-    return v[(..., k) + (slice(None),) * (-1 - axis)]
-
-
-def _join(arrays, axis):
-    """The ways' arrays, broadcast to one shape, stacked on a way axis at
-    ``axis``; one way's array is a view, with that axis of extent 1."""
-    if len(arrays) == 1:
-        return np.expand_dims(arrays[0], axis)
-    return np.stack(np.broadcast_arrays(*arrays), axis)
-
-
-def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
+def selective_scan(x: Tensor, a: Tensor, b, c, delta,
+                   both_ways: bool = False) -> Tensor:
     """Differentiable selective scan that discretizes inside.
 
     x is (..., L, D); A broadcasts to (..., L, D, N).  B and C are each a
@@ -299,50 +314,37 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
     backward, and keeps none of it.  The scan runs from the first position
     to the last; inputs may be strided views, flipped ones too.
 
-    ``back``, when given, is a second (A, B, C, delta) in the same forms,
-    B, C and delta each a projection where the front's is one; arrays are
-    indexed by position as x is.  The op then also scans x from the last
-    position to the first with those parameters, and y is the sum of the
-    two scans' outputs, position by position.  Returns y of shape
-    (..., L, D).
+    With ``both_ways`` the op also scans x from the last position to the
+    first, and y is the sum of the two scans' outputs, position by
+    position.  Axis -3 of x is then a way axis of extent 1, and every other
+    argument has one too: axis -3 of B, C and delta and of each projection
+    array, axis -4 of A.  Its extent is 1 where the ways share the argument
+    and 2 for the front way's then the back way's; arrays are indexed by
+    position as x is.  Returns y in x's shape; each gradient comes in its
+    argument's shape, summed over the ways that share it.
     """
-    ways = [(a, b, c, delta)]
-    if back is not None:
-        if not (isinstance(back, (tuple, list)) and len(back) == 4):
-            size = (f" of length {len(back)}" if hasattr(back, "__len__")
-                    else "")
-            raise DimensionError(
-                f"selective_scan back must be a tuple (A, B, C, delta), "
-                f"got a {type(back).__name__}{size}")
-        ways.append(tuple(back))
-    xt = Tensor._ensure(x)
-    xd = xt.data
+    nw = 2 if both_ways else 1
+    xt, at = Tensor._ensure(x), Tensor._ensure(a)
     projected = [isinstance(v, tuple) for v in (b, c, delta)]
-    parents, a_datas, srcs = [xt], [], []   # srcs[k][i]: way k's source i
-    for k, (av, *vs) in enumerate(ways):
-        way = "selective_scan" + (" back" if k else "")
-        if [isinstance(v, tuple) for v in vs] != projected:
-            raise DimensionError(
-                f"{way}: B, C and delta must each be a projection where "
-                f"the front's is one, and an array where it is an array")
-        at = Tensor._ensure(av)
-        groups = [tuple(map(Tensor._ensure, v if p else (v,)))
-                  for v, p in zip(vs, projected)]
-        datas = [tuple(t.data for t in grp) for grp in groups]
-        n = _check_op_shapes(xd.shape, at.data.shape,
-                             [tuple(v.shape for v in dd) if p else dd[0].shape
-                              for dd, p in zip(datas, projected)], way)
-        if k and n != n_front:
-            raise DimensionError(
-                f"selective_scan back has N = {n}, the front N = {n_front}")
-        n_front = n
-        if not projected[2] and np.any(datas[2][0] < 0):
-            raise DomainError("delta must be non-negative")
-        parents += [at] + [t for grp in groups for t in grp]
-        a_datas.append(at.data)
-        srcs.append(datas)
-    lead, (length, d) = xd.shape[:-2], xd.shape[-2:]
-    nw = len(ways)
+    groups = [tuple(map(Tensor._ensure, v if p else (v,)))
+              for v, p in zip((b, c, delta), projected)]
+    parents = [xt, at] + [t for grp in groups for t in grp]
+    shapes = [t.shape for t in parents]
+    n = _check_op_shapes(xt.shape, at.shape,
+                         [tuple(t.shape for t in grp) if p else grp[0].shape
+                          for grp, p in zip(groups, projected)], nw)
+    if not projected[2] and np.any(groups[2][0].data < 0):
+        raise DomainError("delta must be non-negative")
+
+    def ways(t, axis=-3):
+        """t's array in the two-way form: a one-way call's arguments get way
+        axes of extent 1, so one body serves both call forms."""
+        return t.data if both_ways else t.data.reshape(
+            _way_form(t.shape, axis))
+
+    xd, ad = ways(xt), ways(at, -4)
+    srcs = [tuple(map(ways, grp)) for grp in groups]
+    lead, (length, d) = xd.shape[:-3], xd.shape[-2:]
 
     def tm(v, axis=-2):
         """Time-major view of v: (L, ...) with L first."""
@@ -353,36 +355,37 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
         """tm's inverse for axis -2: (T, ..., .) -> (..., T, .)."""
         return v.transpose(list(range(1, v.ndim - 1)) + [0, v.ndim - 1])
 
-    def ways_block(vs, s, e, axis, pos=0):
-        """Block s..e-1 of arrays, one per way, whose positions run along
-        axis ``pos``, on a way axis at ``axis``: the front way reads
-        positions s..e-1, the back way L-e..L-s-1 back to front, so each
-        way's block is in its own scan order."""
+    def ways_block(v, s, e, axis, pos=0):
+        """Block s..e-1 of v, whose positions run along axis ``pos`` and
+        ways along ``axis``, for each way: the front way reads positions
+        s..e-1, the back way L-e..L-s-1 back to front, so each way's block
+        is in its own scan order."""
         at = (slice(None),) * pos
-        front = vs[0][at + (slice(s, e),)]
-        ways_at = (..., None) + (slice(None),) * (-1 - axis)
+        front = v[at + (slice(s, e),)]
         if nw == 1:
-            return front[ways_at]
-        shape = list(front[ways_at].shape)
-        shape[axis] = nw
-        blk = np.empty(shape)
-        _way(blk, 0, axis)[...] = front
-        rev = vs[1][at + (slice(length - e, length - s),)]
-        _way(blk, 1, axis)[...] = rev[at + (slice(None, None, -1),)]
+            return front
+        blk = np.empty(front.shape[:axis] + (nw,) + front.shape[axis + 1:])
+        rest = (slice(None),) * (-1 - axis)
+        blk[(..., 0) + rest] = front[(..., 0) + rest]
+        rev = v[at + (slice(length - e, length - s),)]
+        blk[(..., 1) + rest] = rev[at + (slice(None, None, -1),)][
+            (..., -1) + rest]
         return blk
 
-    def merge(v):
-        """The ways' outputs in v, (..., W, L, .), each in its own scan
-        order, summed position by position."""
-        front = v[..., 0, :, :]
-        return front + v[..., 1, ::-1, :] if nw > 1 else front
+    def in_position_order(v, pos, axis, extent):
+        """v, each way's part in its own scan order along axis ``pos``, its
+        ways along ``axis``, in position order: the back way's reversed, and
+        summed with the front's where the argument's way extent is 1."""
+        if nw == 1:
+            return v
+        rest = (slice(None),) * (-1 - axis)
+        front = v[(..., slice(0, 1)) + rest]
+        back = np.flip(v, pos)[(..., slice(1, 2)) + rest]
+        return front + back if extent == 1 else np.concatenate(
+            (front, back), axis)
 
-    # A projection's arrays of both ways joined on a way axis next to the
-    # matrix axes, as x's block is next to L: (..., W, D, N) and so on.
-    joined = [tuple(_join(arrs, -3) for arrs in zip(*(w[i] for w in srcs)))
-              if p else None for i, p in enumerate(projected)]
-    given = [None if p else [tm(w[i][0]) for w in srcs]
-             for i, p in enumerate(projected)]
+    projs = [src if p else None for src, p in zip(srcs, projected)]
+    given = [None if p else tm(src[0]) for src, p in zip(srcs, projected)]
 
     def block_inputs(s, e):
         """x, B, C and delta of positions s..e-1 of each way: x as
@@ -390,11 +393,11 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
         of the given array or a recompute from x's block.  Last, for a
         projected delta, the softplus's input pre and its e = exp(-|pre|),
         (..., W, T, D), which give its slope."""
-        x_blk = ways_block([xd] * nw, s, e, -3, xd.ndim - 2)
+        x_blk = ways_block(xd, s, e, -3, xd.ndim - 2)
         out, slope = [x_blk], None
-        for v_tms, proj in zip(given, joined):
-            if v_tms is not None:
-                out.append(ways_block(v_tms, s, e, -2))
+        for v_tm, proj in zip(given, projs):
+            if v_tm is not None:
+                out.append(ways_block(v_tm, s, e, -2))
             elif len(proj) == 2:
                 pre = x_blk @ proj[0] + proj[1]
                 delta_blk, ex = _softplus_e(pre)
@@ -406,13 +409,10 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
 
     # States are kept as (N, D) per position so that the elementwise work
     # runs along D, the longer contiguous axis.  A becomes (L or 1, ...,
-    # N, D) per way, time-major, per position or shared, at one shape.
-    a_tms = np.broadcast_arrays(*(
-        tm(np.swapaxes(ad.reshape((1,) * (xd.ndim + 1 - ad.ndim)
-                                  + ad.shape), -1, -2), -3)
-        for ad in a_datas))
-    per_position = a_tms[0].shape[0] > 1
-    a_shared = None if per_position else _join(a_tms, -3)
+    # W, N, D), time-major, per position or shared.
+    a_tm = tm(np.swapaxes(ad.reshape((1,) * (xd.ndim + 1 - ad.ndim)
+                                     + ad.shape), -1, -2), -3)
+    per_position = a_tm.shape[0] > 1
     # Projections' and a shared A's gradients are summed block by block,
     # so their rounding follows the block length: those calls take BLOCK
     # positions per way.  A call with neither has gradients that do not
@@ -422,7 +422,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
     bounds = [(s, min(s + step, length)) for s in range(0, length, step)]
 
     def a_block(s, e):
-        return ways_block(a_tms, s, e, -3) if per_position else a_shared
+        return ways_block(a_tm, s, e, -3) if per_position else a_tm
 
     def block_states(x_blk, b_blk, delta_blk, a_blk, h0):
         """delta, delta*x, a_bar and the states h of one block; the first
@@ -452,28 +452,28 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
         h0 = h[-1].copy()
 
     def backward(g):
-        g_tms = [tm(g)] * nw
+        g_tm = tm(g.reshape(xd.shape))
         gx = np.empty(lead + (nw, length, d))
         gx_tm = tm(gx)
-        a_shape = a_tms[0].shape
-        ga = np.zeros(a_shape[:-2] + (nw,) + a_shape[-2:])   # time-major
+        ga = np.zeros(a_tm.shape[:-3] + (nw,) + a_tm.shape[-2:])
         # Each source's gradients: a given array's, (..., W, L, .), filled
-        # block by block, or the joined projection's w's and bias's, summed.
-        grads = [tuple(map(np.zeros_like, proj)) if proj is not None
-                 else (np.empty(lead + (nw, length,
-                                        srcs[0][i][0].shape[-1])),)
-                 for i, proj in enumerate(joined)]
+        # block by block, or its projection's w's and bias's, with the way
+        # axis at W, summed.
+        grads = [tuple(np.zeros(v.shape[:-3] + (nw,) + v.shape[-2:])
+                       for v in proj) if proj is not None
+                 else (np.empty(lead + (nw, length, src[0].shape[-1])),)
+                 for proj, src in zip(projs, srcs)]
 
         def through(i, gv, x_blk, s, e):
             """Pass gv, the time-major gradient of block s..e-1 of the array
             source i's projection stands for, to the projection: with gp =
             gv as (..., W, T, .), x_blk^T gp to w's gradient, the sum of gp
             to the bias's and gp w^T to x's."""
-            (w, *bias), (gw, *gbias) = joined[i], grads[i]
+            (w, *_), (gw, *gbias) = projs[i], grads[i]
             gp = grid(gv)
-            gw += _unbroadcast(np.swapaxes(x_blk, -1, -2) @ gp, w.shape)
-            if bias:
-                gbias[0] += _unbroadcast(gp, bias[0].shape)
+            gw += _unbroadcast(np.swapaxes(x_blk, -1, -2) @ gp, gw.shape)
+            if gbias:
+                gbias[0] += _unbroadcast(gp, gbias[0].shape)
             gx[..., s:e, :] += gp @ np.swapaxes(w, -1, -2)
 
         nu0 = np.zeros(lead + (nw, n, d))     # nu at the next block's start
@@ -482,7 +482,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
             a_blk = np.ascontiguousarray(a_block(s, e))
             dl, dx, a_bar, h = block_states(x_blk, b_blk, delta_blk, a_blk,
                                             h0)
-            g_blk = ways_block(g_tms, s, e, -2)
+            g_blk = ways_block(g_tm, s, e, -2)
             lam = np.multiply(c_blk[..., :, None], g_blk[..., None, :],
                               order="C")
             # lam starts as dL/dh_k through y_k alone.  nu_k = a_bar_k *
@@ -519,20 +519,17 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta, back=None) -> Tensor:
                 if projected[i]:
                     through(i, gv, x_blk, s, e)
 
-        # Back to each way's arguments, in position order.
-        out = [merge(gx)]
-        for k, (ad, datas) in enumerate(zip(a_datas, srcs)):
-            order = -1 if k else 1
-            ga_k = np.swapaxes(np.moveaxis(ga[::order, ..., k, :, :], 0, -3),
-                               -1, -2)
-            out.append(_unbroadcast(ga_k, (1,) * (ga_k.ndim - ad.ndim)
-                                    + ad.shape).reshape(ad.shape))
-            for gv, dd, proj in zip(grads, datas, joined):
-                if proj is None:
-                    out.append(gv[0][..., k, ::order, :])
-                else:
-                    out.extend(_unbroadcast(gw[..., k, :, :], v.shape)
-                               for gw, v in zip(gv, dd))
-        return tuple(out)
+        # In position order, in each argument's own shape.
+        ga = np.swapaxes(np.moveaxis(
+            in_position_order(ga, 0, -3, ad.shape[-4]), 0, -3), -1, -2)
+        out = [in_position_order(gx, -2, -3, 1),
+               _unbroadcast(ga, (1,) * (ga.ndim - ad.ndim) + ad.shape)]
+        for gv, src, proj in zip(grads, srcs, projs):
+            if proj is None:
+                out.append(in_position_order(gv[0], -2, -3, src[0].shape[-3]))
+            else:
+                out.extend(_unbroadcast(gw, v.shape) for gw, v in zip(gv, src))
+        return tuple(o.reshape(shape) for o, shape in zip(out, shapes))
 
-    return Tensor._from_op(merge(y), parents, backward)
+    return Tensor._from_op(in_position_order(y, -2, -3, 1).reshape(xt.shape),
+                           parents, backward)

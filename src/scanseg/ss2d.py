@@ -7,18 +7,20 @@ from the top-left, and its reversal — each scanned by its own parameter
 set (through ``scan.scan_inputs``, fusion's generator too), and the four
 outputs are restored to grid order and summed.  The cross-scan keeps two
 sequences, row-major and column-major, ``(..., 2, L, C)``; the reversals
-are the same sequences read back to front.  So SS2D makes one
-``selective_scan`` call over the pair: directions 0 and 2 are the op's
-front way, 1 and 3 its back way, and the op returns each sequence's two
-scans summed position by position (Vision Mamba's bidirectional scan, Zhu
-et al., arXiv:2401.09417, on VMamba's cross-scan, Liu et al.,
-arXiv:2401.10166).  Each direction's B, C and delta are projected from
-its own sequence, so the scan gets the stacked projections, (w_B,), (w_C,)
-and (w_delta, delta_bias), per way, and forms them itself, block by block,
-in forward and again in backward: of the scan's inputs the graph keeps
-the two sequences and the weights only.  The two diagonal corner orders
-named in the usual cross-scan formulation are realized as the
-row-/column-major pair with reversals.
+are the same sequences read back to front.  So SS2D makes one two-way
+``selective_scan`` call over the pair, with a way axis of extent 1 after
+the sequence axis: the four directions, in order, are 2 sequences by 2
+ways, directions 0 and 2 the op's front way and 1 and 3 its back way, and
+the op returns each sequence's two scans summed position by position
+(Vision Mamba's bidirectional scan, Zhu et al., arXiv:2401.09417, on
+VMamba's cross-scan, Liu et al., arXiv:2401.10166).  Each direction's B,
+C and delta are projected from its own sequence, so the scan gets the
+projections (w_B,), (w_C,) and (w_delta, delta_bias), each name one stack
+over the four directions shaped (2, 2, ...), and forms them itself, block
+by block, in forward and again in backward: of the scan's inputs the
+graph keeps the two sequences and the weights only.  The two diagonal
+corner orders named in the usual cross-scan formulation are realized as
+the row-/column-major pair with reversals.
 
 The layout is two numpy functions, ``_to_sequences`` (grid to the two
 sequences) and ``_to_grid`` (undo each order and sum), each the other's
@@ -28,8 +30,8 @@ whose backward is the other function.
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
 features steer how the hidden state is read out.  That C is formed as
-graph ops and passed to the scan as an array, the back way's from the
-sequences read back to front.
+graph ops and passed to the scan as an array, both ways' in position
+order.
 """
 
 from __future__ import annotations
@@ -108,8 +110,11 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
             f"c_source shape {c_source.shape} must equal f shape {f.shape}")
 
     seqs = cross_scan(f)                                   # (..., 2, L, C)
-    cseqs = None if c_source is None else cross_scan(c_source)
+    ways = seqs.shape[:-2] + (1,) + seqs.shape[-2:]        # (..., 2, 1, L, C)
+    x = seqs.reshape(ways)
+    cx = None if c_source is None else cross_scan(c_source).reshape(ways)
     dirs = block.directions
-    y = selective_scan(seqs, *scan_inputs(seqs, dirs[0::2], cseqs),
-                       back=scan_inputs(seqs, dirs[1::2], cseqs, back=True))
-    return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))
+    y = selective_scan(x, *scan_inputs(x, (dirs[0:2], dirs[2:4]), cx),
+                       both_ways=True)
+    return block.out_norm(cross_merge(y.reshape(seqs.shape), f.shape[-3],
+                                      f.shape[-2]))

@@ -315,9 +315,9 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     # The op at every shape the benchmark's workloads run, forward and
     # forward plus backward, each with the source of its B, C and delta
     # and its elements per step, both ways'.  Every call scans both ways,
-    # as the model's do.  SS2D's rows, whose lead holds its 2 sequences,
-    # pass projections of x for each way; fusion's pass arrays, the same
-    # ones for both ways.
+    # as the model's do, and x's lead ends in its way axis.  SS2D's rows,
+    # whose lead holds its 2 sequences, pass projections of x, one per
+    # sequence and way; fusion's pass arrays that both ways share.
     from scanseg.bench import MODEL_SHAPES, _model_case
     shape_table = table.split("selective_scan at model shapes")[1].strip()
     assert shape_table.split("\n")[0].split()[:5] == ["lead", "L", "N",
@@ -330,29 +330,47 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
     assert [r[:7] for r in shape_rows] == expect
     assert all(float(r[7]) > 0 for r in shape_rows)
     sources = {lead: {s for ld, *_, s in MODEL_SHAPES if ld == lead}
-               for lead in ((4, 2), (2,), ())}
-    assert sources == {(4, 2): {"proj"}, (2,): {"proj"}, (): {"given"}}
+               for lead in ((4, 2, 1), (2, 1), (1,))}
+    assert sources == {(4, 2, 1): {"proj"}, (2, 1): {"proj"},
+                       (1,): {"given"}}
     for lead, length, d, source in MODEL_SHAPES:
-        (x, a, *bcd), back = _model_case(lead, length, d, source, seed=0)
-        assert x.shape == lead + (length, d) and len(back) == 4
+        x, a, *bcd = _model_case(lead, length, d, source, seed=0)
+        assert x.shape == lead + (length, d) and lead[-1] == 1
         if source == "proj":
-            # (w_B,), (w_C,), (w_delta, delta_bias) per way, and A per
-            # sequence at rank x.ndim + 1, from which traced runs read N.
-            for way_a, way_bcd in ((a, bcd), (back[0], back[1:])):
-                assert [len(v) for v in way_bcd] == [1, 1, 2]
-                assert [v[0].shape for v in way_bcd] == [
-                    lead[-1:] + (d, m) for m in (4, 4, d)]
-                assert way_a.shape == (1,) * (len(lead) - 1) + (2, 1, d, 4)
-            assert back[0] is not a
+            # (w_B,), (w_C,), (w_delta, delta_bias) and A per sequence and
+            # way, A at rank x.ndim + 1, from which traced runs read N.
+            ways = lead[-2:-1] + (2,)
+            assert [len(v) for v in bcd] == [1, 1, 2]
+            assert [v[0].shape for v in bcd] == [ways + (d, m)
+                                                 for m in (4, 4, d)]
+            assert a.shape == (1,) * (len(lead) - 2) + ways + (1, d, 4)
         else:
             assert [v.shape for v in bcd] == [lead + (length, m)
                                               for m in (4, 4, d)]
-            assert a.shape == (length, d, 4)
-            assert all(u is v for u, v in zip(back, [a] + bcd))
+            assert a.shape == (1, length, d, 4)
 
     out2 = tmp_path / "bench1"
     assert run(["scan-bench", "--lengths", "256", "--out-dir", out2]) == 0
     assert "time ~ L^" not in open(out2 / "scan_bench.txt").read()
+
+
+def test_fit_exponent_needs_two_distinct_lengths():
+    # Repeated lengths give no slope: no exponent and no fit warning.
+    import warnings
+    from scanseg.bench import BenchRow, fit_exponent
+
+    def rows(*points):
+        return [BenchRow(L=length, N=2, D=2, impl="op", wall_time=t,
+                         elements_per_sec=1.0, max_rel_err=0.0)
+                for length, t in points]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_exponent(rows((64, 1e-3), (64, 2e-3)), "op") is None
+        assert fit_exponent(rows((64, 1e-3)), "op") is None
+        slope = fit_exponent(rows((64, 1e-3), (64, 1e-3), (256, 4e-3)), "op")
+    assert abs(slope - 1.0) < 1e-12
+    assert fit_exponent(rows((64, 1e-3), (256, 4e-3)), "sequential") is None
 
 
 def test_chunked_bench_error_column_small(tmp_path):

@@ -16,8 +16,8 @@ def rand(shape, seed=0, lo=-1.0, hi=1.0):
 
 def both_ways(x, a, b, c, delta):
     """The block's scan: front to back and back to front with the same A,
-    B, C and delta, as one call with a back way."""
-    return selective_scan(x, a, b, c, delta, back=(a, b, c, delta))
+    B, C and delta, each with a way axis of extent 1, in one call."""
+    return selective_scan(x, a, b, c, delta, both_ways=True)
 
 
 def tie_modalities(blk: MMFFBlock) -> None:
@@ -99,15 +99,16 @@ def test_single_position_matches_hand_composed_two_step_scan():
 
 
 def test_stub_identity_scan_doubles_joined_sequence(monkeypatch):
-    # The block makes one scan call over the joined sequence, passing the
-    # same A, B, C and delta as both ways.  An identity scan each way sums
-    # to twice the joined sequence, and the block's output is formed from
-    # that: halves side by side, scaled, projected.
+    # The block makes one two-way scan call over the joined sequence,
+    # passing A, B, C and delta once, each with a way axis of extent 1: both
+    # ways share them.  An identity scan each way sums to twice the joined
+    # sequence, and the block's output is formed from that: halves side by
+    # side, scaled, projected.
     import scanseg.fusion
     calls = []
 
-    def stub(x, a, b, c, delta, back):
-        calls.append((x, (a, b, c, delta), back))
+    def stub(x, a, b, c, delta, both_ways=False):
+        calls.append((x, (a, b, c, delta), both_ways))
         return x * 2.0
 
     monkeypatch.setattr(scanseg.fusion, "selective_scan", stub)
@@ -115,8 +116,9 @@ def test_stub_identity_scan_doubles_joined_sequence(monkeypatch):
     f_a = rand((2, 2, 2), seed=12)
     f_b = rand((2, 2, 2), seed=13)
     out = blk(Tensor(f_a), Tensor(f_b)).data
-    ((x, front, back),) = calls
-    assert len(back) == 4 and all(u is v for u, v in zip(front, back))
+    ((x, (a, *bcd), both),) = calls
+    assert both is True and x.shape == (1, 8, 2) and a.shape[-4] == 1
+    assert all(v.shape[-3] == 1 for v in bcd)
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
     joined = _joined_scan_inputs(blk, seq_a, seq_b)[0].data
@@ -129,9 +131,9 @@ def test_stub_identity_scan_doubles_joined_sequence(monkeypatch):
 
 def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
     # Per-modality L = 266: the joined 2L spans more than two scan blocks.
-    # The back-to-front pass is the op's back way over the caller's arrays;
-    # it must agree with the oracle, with two scans of copied inputs, and
-    # leave the arrays as they were.
+    # The back-to-front pass is the op's back way over the caller's arrays,
+    # which both ways share; it must agree with the oracle, with two scans
+    # of copied inputs, and leave the arrays as they were.
     from scanseg.scan import BLOCK, scan_sequential
     lead, length, d, n = (2,), 2 * 266, 4, 3
     assert length > 2 * BLOCK
@@ -146,16 +148,17 @@ def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
     kept = [v.copy() for v in arrays]
     axes = (1, 0, 1, 1, 1)                              # each array's L axis
 
-    ts = [Tensor(v, requires_grad=True) for v in arrays]
+    ts = [Tensor(np.expand_dims(v, -4 if v is a else -3), requires_grad=True)
+          for v in arrays]                              # way axes of 1
     y = both_ways(*ts)
-    (y * Tensor(probe)).sum().backward()
+    (y * Tensor(probe[:, None])).sum().backward()
 
     a_bar = np.exp(delta[..., None] * a)
     b_bar = delta[..., None] * b[..., None, :]
     flipped = [np.flip(v, 1).copy() for v in (x, a_bar, b_bar, c)]
     expect = (scan_sequential(x, a_bar, b_bar, c)
               + np.flip(scan_sequential(*flipped), 1))
-    rel = np.max(np.abs(y.data - expect) / (np.abs(expect) + 1e-12))
+    rel = np.max(np.abs(y.data[:, 0] - expect) / (np.abs(expect) + 1e-12))
     assert rel <= 1e-10, rel
 
     fwd = [Tensor(v.copy(), requires_grad=True) for v in arrays]
@@ -165,7 +168,8 @@ def test_bidirectional_scan_across_blocks_matches_oracle_and_copies():
     (selective_scan(*rev) * Tensor(np.flip(probe, 1).copy())).sum().backward()
     for t, f, rv, ax in zip(ts, fwd, rev, axes):
         want = f.grad + np.flip(rv.grad, ax)
-        assert np.max(np.abs(t.grad - want)) <= 1e-12 * np.max(np.abs(want))
+        got = t.grad.reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     assert all(np.array_equal(v, k) for v, k in zip(arrays, kept))
 
@@ -184,8 +188,8 @@ def test_underflowed_delta_matches_oracle():
     seq_a = blk._preprocess(Tensor(f_a), blk.lin_a, blk.conv_a)
     seq_b = blk._preprocess(Tensor(f_b), blk.lin_b, blk.conv_b)
     inputs = _joined_scan_inputs(blk, seq_a, seq_b)
-    y = both_ways(*inputs).data
-    x, _, b, c, delta = (t.data for t in inputs)
+    y = both_ways(*inputs).data[0]
+    x, _, b, c, delta = (t.data[0] for t in inputs)      # drop the way axis
     assert np.all(delta[:, 0] == 0.0) and np.all(delta[:, 1] > 0.0)
     halves = [discretize(-np.exp(gen.a_log.data), b[s], delta[s])
               for gen, s in ((blk.gen_a, slice(0, 6)),
@@ -208,7 +212,7 @@ def test_information_crossing_rgb_perturbation_reaches_x_half():
     def halves(fa, fb):
         seq_a = blk._preprocess(Tensor(fa), blk.lin_a, blk.conv_a)
         seq_b = blk._preprocess(Tensor(fb), blk.lin_b, blk.conv_b)
-        y = both_ways(*_joined_scan_inputs(blk, seq_a, seq_b)).data
+        y = both_ways(*_joined_scan_inputs(blk, seq_a, seq_b)).data[0]
         return y[:4], y[4:]
 
     _, xh0 = halves(f_a, f_b)

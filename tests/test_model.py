@@ -326,6 +326,30 @@ def test_ss2d_graph_keeps_one_sequence_sized_buffer():
     assert np.array_equal(root.reshape((2, 2, 15, 2)), cross_scan(f).data)
 
 
+@pytest.mark.parametrize("with_c_source", [False, True])
+def test_ss2d_stacks_each_parameter_name_once(with_c_source):
+    # One SS2D call stacks the four directions' parameters of each name in
+    # one node: that node has all four as parents, and no other node has
+    # any of them.
+    from scanseg.ss2d import SS2DBlock, ss2d_forward
+    blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(29))
+    f = Tensor(rand((2, 3, 5, 2), seed=30), requires_grad=True)
+    c_source = Tensor(rand((2, 3, 5, 2), seed=31)) if with_c_source else None
+    seen, todo, nodes = set(), [ss2d_forward(f, blk, c_source)._node], []
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    for name in ("w_B", "w_C", "w_delta", "delta_bias", "a_log"):
+        sets = {id(getattr(p, name)._node) for p in blk.directions}
+        holders = [node for node in nodes
+                   if sets & {id(q) for q in node._parents}]
+        assert len(holders) == 1, (name, len(holders))
+        assert {id(q) for q in holders[0]._parents} == sets, name
+
+
 def test_ss2d_graph_keeps_no_b_or_c():
     # Without a C source the scan projects B and C from its own x, in
     # forward and again in backward: no closure keeps a (..., L, N) array,

@@ -351,10 +351,11 @@ def test_selective_scan_projected_bc_matches_oracle():
 
 def _two_way_case(source, seed):
     """x and each way's (A, B, C, delta) at batch 3 over three blocks (two
-    full, one partial), as fusion and SS2D pass them.  ``given``: arrays
-    and an A per position, (L, D, N).  ``proj``: K = 2 sequences, the
-    projections (w_B,), (w_C,) and (w_delta, delta_bias) and one A per
-    sequence at rank x.ndim + 1.  The two ways' values differ."""
+    full, one partial), as one-way calls take them.  ``given``: arrays and
+    an A per position, (L, D, N), as fusion's.  ``proj``: K = 2 sequences,
+    the projections (w_B,), (w_C,) and (w_delta, delta_bias) and one A per
+    sequence at rank x.ndim + 1, as SS2D's.  The two ways' values differ,
+    except in ``shared``, ``proj``'s arguments used by both ways."""
     length, d, n = 2 * BLOCK + 19, 4, 3
     r = SplitMix64(seed)
 
@@ -372,12 +373,31 @@ def _two_way_case(source, seed):
                  (u((2, d, n)) / np.sqrt(d),), (u((2, d, n)) / np.sqrt(d),),
                  (u((2, d, d)) / np.sqrt(d), u((2, 1, d), -4.0, -1.0)))
                 for _ in range(2)]
+        if source == "shared":
+            ways[1] = ways[0]
     return x, ways
+
+
+def _on_way_axis(x, front, back):
+    """The two-way call's arguments: x with a way axis of extent 1, and
+    each argument's two ways on its way axis, or one where they share it."""
+    def join(u, v, axis):
+        if u is v:
+            return np.expand_dims(u, axis)
+        return np.stack([u, v], axis)
+
+    args = [join(front[0], back[0], -4)]
+    for u, v in zip(front[1:], back[1:]):
+        if isinstance(u, tuple):
+            args.append(tuple(join(p, q, -3) for p, q in zip(u, v)))
+        else:
+            args.append(join(u, v, -3))
+    return np.expand_dims(x, -3), args
 
 
 def _flipped(source, a, b, c, delta):
     """A way's arguments for a one-way call over x flipped along L."""
-    if source == "proj":
+    if source != "given":
         return a, b, c, delta
     return (np.flip(a, 0),) + tuple(np.flip(v, -2) for v in (b, c, delta))
 
@@ -393,17 +413,21 @@ def _grads(v):
     return [t.grad for t in (v if isinstance(v, tuple) else (v,))]
 
 
-@pytest.mark.parametrize("source", ["given", "proj"])
+@pytest.mark.parametrize("source", ["given", "proj", "shared"])
 def test_selective_scan_back_way_matches_flipped_call(source):
     # The back way is a one-way scan over x flipped along L, its output
     # flipped back: y, and every gradient, are bitwise those of the front
-    # call plus that flipped call.
+    # call plus that flipped call.  Each argument's gradient holds the front
+    # way's, then the back way's in position order, on its way axis, or
+    # their sum where the ways share it.
     x, (front, back) = _two_way_case(source, 39)
     probe = SplitMix64(40).uniform_array(x.shape)
-    xt = Tensor(x, requires_grad=True)
-    ft, bt = [_tensors(v) for v in front], [_tensors(v) for v in back]
-    y = selective_scan(xt, *ft, back=bt)
-    (y * Tensor(probe)).sum().backward()
+    xw, args = _on_way_axis(x, front, back)
+    xt = Tensor(xw, requires_grad=True)
+    ts = [_tensors(v) for v in args]
+    y = selective_scan(xt, *ts, both_ways=True)
+    assert y.shape == xw.shape
+    (y * Tensor(probe[..., None, :, :])).sum().backward()
 
     xf, xb = Tensor(x, requires_grad=True), Tensor(np.flip(x, -2),
                                                    requires_grad=True)
@@ -413,15 +437,20 @@ def test_selective_scan_back_way_matches_flipped_call(source):
     y_back = selective_scan(xb, *rb)
     (y_front * Tensor(probe)).sum().backward()
     (y_back * Tensor(np.flip(probe, -2))).sum().backward()
-    assert np.array_equal(y.data, y_front.data + np.flip(y_back.data, -2))
-    assert np.array_equal(xt.grad, xf.grad + np.flip(xb.grad, -2))
-    for got, want in zip(ft, rf):
-        assert all(map(np.array_equal, _grads(got), _grads(want)))
-    for i, (got, want) in enumerate(zip(bt, rb)):
-        want = _grads(want)
+    assert np.array_equal(y.data[..., 0, :, :],
+                          y_front.data + np.flip(y_back.data, -2))
+    assert np.array_equal(xt.grad[..., 0, :, :], xf.grad + np.flip(xb.grad, -2))
+    for i, (got, f, b) in enumerate(zip(ts, rf, rb)):
+        axis = -4 if i == 0 else -3
+        want_b = _grads(b)
         if source == "given":                 # back to position order
-            want = [np.flip(w, 0 if i == 0 else -2) for w in want]
-        assert all(map(np.array_equal, _grads(got), want))
+            want_b = [np.flip(w, 0 if i == 0 else -2) for w in want_b]
+        want = [u + v if source == "shared" else np.stack([u, v], axis)
+                for u, v in zip(_grads(f), want_b)]
+        got = _grads(got)
+        if source == "shared":
+            got = [g.squeeze(axis) for g in got]
+        assert all(map(np.array_equal, got, want))
 
 
 @pytest.mark.parametrize("source", ["given", "proj"])
@@ -442,7 +471,8 @@ def test_selective_scan_back_way_matches_oracle(source):
             return _op_oracle(seqs, a, b, c, delta)
         return scan_sequential(seqs, *discretize(a, b, delta), c)
 
-    y = selective_scan(x, *ways[0], back=ways[1]).data
+    xw, args = _on_way_axis(x, *ways)
+    y = selective_scan(xw, *args, both_ways=True).data[..., 0, :, :]
     a, b, c, delta = arrays(*ways[1], x)
     if source == "given":
         a = np.flip(a, 0)
@@ -453,22 +483,32 @@ def test_selective_scan_back_way_matches_oracle(source):
     assert rel <= 1e-12, rel
 
 
-def test_selective_scan_rejects_malformed_back():
-    x, (front, back) = _two_way_case("proj", 42)
-    a, b, c, delta = back
+def test_selective_scan_rejects_malformed_ways():
+    x, ways = _two_way_case("proj", 42)
+    xw, (a, b, c, delta) = _on_way_axis(x, *ways)
+    (w_b,), (w, bias) = b, delta
+    xg, ways = _two_way_case("given", 43)
+    xg, given = _on_way_axis(xg, *ways)
+
+    def three(v, axis):
+        """v with a third way on its way axis."""
+        return np.concatenate([v, np.take(v, [0], axis)], axis)
+
     bad = [
-        np.zeros(4),                             # not a tuple
-        (a, b, c),                               # three entries
-        (a, b, c, delta, delta),                 # five
-        (a, b, x @ c[0], delta),                 # C an array, the front's not
-        (a, (np.zeros((2, 4, 2)),), c, delta),   # B's w gives N = 2
-        (a[..., :2], b, c, delta),               # A's N differs from B's
-        (a[..., :2], (b[0][..., :2],), (c[0][..., :2],), delta),  # N = 2
-        (a, b, c, (delta[0], delta[1][..., :2])),  # bias not D
+        (x, a, b, c, delta),                     # x (..., 2, L, D)
+        (np.concatenate([xg, xg], -3), *given),  # x (..., 2, L, D), given
+        (x[0, 0], a, b, c, delta),               # x of rank 2
+        (xw, three(a, -4), b, c, delta),         # A with three ways
+        (xw, a, (three(w_b, -3),), c, delta),    # w_B with three ways
+        (xw, a, b, three(xw @ c[0], -3), delta),  # an array with three
+        (xw, a, b, c, (w, three(bias, -3))),     # a bias with three
+        (xw, a, (np.zeros((2, 2, 4, 2)),), c, delta),  # B's w gives N = 2
+        (xw, a[..., :2], b, c, delta),           # A's N differs from B's
+        (xw, a, b, c, (w, bias[..., :2])),       # bias not D
     ]
-    for back in bad:
+    for args in bad:
         with pytest.raises(DimensionError) as err:
-            selective_scan(x, *front, back=back)
+            selective_scan(*args, both_ways=True)
         message = str(err.value)
         assert message and "\n" not in message, message
 
