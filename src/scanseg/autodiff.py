@@ -336,21 +336,32 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
-def _stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """sigmoid(x) from e = exp(-|x|), which is in (0, 1] and never
-    overflows; a caller that has e already passes it."""
+def _stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None,
+                    overwrite: bool = False) -> np.ndarray:
+    """sigmoid(x) = where(x >= 0, 1, e) / (1 + e) from e = exp(-|x|), which
+    is in (0, 1] and never overflows; a caller that has e already passes
+    it.  With ``overwrite``, a caller done with the arrays x and e has
+    1 + e written over x and the result, the same bits, over e: e <= 1, so
+    the numerator is max(e, x >= 0)."""
     if e is None:
         e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    if not overwrite:
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    mask = x >= 0
+    den = np.add(e, 1.0, out=x)
+    np.maximum(e, mask, out=e)
+    return np.divide(e, den, out=e)
 
 
-def _softplus_e(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _softplus_e(x: np.ndarray, out: np.ndarray | None = None,
+                e: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """softplus(x) = max(x, 0) + log1p(e) and e = exp(-|x|), from one exp.
-    e also gives softplus's slope, ``_stable_sigmoid(x, e)``."""
-    e = np.abs(x)
+    e also gives softplus's slope, ``_stable_sigmoid(x, e)``.  Written into
+    ``out`` and ``e`` where the caller gives arrays of x's shape."""
+    e = np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.log1p(e)
+    out = np.log1p(e, out=out)
     out += np.maximum(x, 0.0)
     return out, e
 

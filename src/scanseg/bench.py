@@ -22,12 +22,17 @@ elementwise work.  A length-sweep row takes its best over several rounds,
 a model-shape row its median over ``SHAPE_ROUNDS`` rounds, which one slow
 or one lucky round does not move.  A round times every row once (model
 shapes: both rows of one shape), so a slow spell of the host hits all
-rows alike.
+rows alike.  A model-shape row also gives the MiB that one warm call
+allocates at its peak beyond its outputs (y, and with the backward every
+gradient), traced with ``tracemalloc`` in one more call outside the timed
+rounds: a count, not a time, so it shows a change in the op's temporaries
+exactly where the times cannot.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 from functools import partial
 
@@ -87,6 +92,7 @@ class ShapeRow:
     mode: str                  # "fwd" or "fwd+bwd"
     wall_time: float
     step_elements: int         # 2 * prod(lead) * N * D: both ways
+    alloc_mib: float           # allocated beyond the outputs, traced
 
     @property
     def elements_per_sec(self) -> float:
@@ -133,6 +139,19 @@ def _with_grad(args):
             for v in args]
 
 
+def _beyond_outputs(fn) -> float:
+    """MiB one call of ``fn`` allocates at its traced peak beyond the
+    arrays it returns: y, and the Tensors whose gradients it took."""
+    tracemalloc.start()
+    try:
+        y, ts = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = y.data.nbytes + sum(t.grad.nbytes for t in ts)
+    return (peak - kept) / 2**20
+
+
 def _round_robin(fns, rounds: int) -> list[list[float]]:
     """Each call's wall times over ``rounds`` rounds of calling each."""
     times = [[] for _ in fns]
@@ -173,27 +192,34 @@ def run_bench(lengths, n: int, d: int, impls=IMPLS,
 def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
     """Median wall time over ``SHAPE_ROUNDS`` round-robin rounds of the
     op's forward, and of its forward plus backward, after a warmup call
-    each, at each (lead, L, D, source) of ``MODEL_SHAPES``.
+    each, at each (lead, L, D, source) of ``MODEL_SHAPES``; then the MiB
+    one more call of each allocates beyond its outputs.
     """
     rows, n = [], MODEL_STATE
     for i, (lead, length, d, source) in enumerate(MODEL_SHAPES):
         args = _model_case(lead, length, d, source, seed + i)
 
         def fwd():
-            return selective_scan(*args, both_ways=True)
+            return selective_scan(*args, both_ways=True), ()
 
         def fwd_bwd():
-            selective_scan(*_with_grad(args),
-                           both_ways=True).sum().backward()
+            ts = _with_grad(args)
+            y = selective_scan(*ts, both_ways=True)
+            y.sum().backward()
+            return y, [t for v in ts for t in
+                       (v if isinstance(v, tuple) else (v,))]
 
         width = 2 * int(np.prod(lead, dtype=np.int64)) * n * d
         fwd()
         fwd_bwd()
-        walls = map(np.median, _round_robin((fwd, fwd_bwd), SHAPE_ROUNDS))
+        walls = list(map(np.median,
+                         _round_robin((fwd, fwd_bwd), SHAPE_ROUNDS)))
         rows.extend(ShapeRow(lead=lead, L=length, N=n, D=d, source=source,
                              mode=mode, wall_time=float(wall),
-                             step_elements=width)
-                    for mode, wall in zip(("fwd", "fwd+bwd"), walls))
+                             step_elements=width,
+                             alloc_mib=_beyond_outputs(fn))
+                    for mode, wall, fn in zip(("fwd", "fwd+bwd"), walls,
+                                              (fwd, fwd_bwd)))
     return rows
 
 
@@ -233,11 +259,13 @@ def to_csv(rows: list[BenchRow]) -> str:
 
 def format_shape_table(rows: list[ShapeRow]) -> str:
     head = (f"{'lead':>6} {'L':>6} {'N':>3} {'D':>3} {'source':>6} "
-            f"{'mode':>8} {'elems/step':>10} {'wall[s]':>10} {'elems/s':>10}")
+            f"{'mode':>8} {'elems/step':>10} {'wall[s]':>10} {'elems/s':>10} "
+            f"{'alloc[MiB]':>10}")
     lines = ["selective_scan at model shapes", head, "-" * len(head)]
     for r in rows:
         lead = "x".join(map(str, r.lead)) or "()"
         lines.append(f"{lead:>6} {r.L:>6} {r.N:>3} {r.D:>3} {r.source:>6} "
                      f"{r.mode:>8} {r.step_elements:>10} "
-                     f"{r.wall_time:>10.6f} {r.elements_per_sec:>10.3e}")
+                     f"{r.wall_time:>10.6f} {r.elements_per_sec:>10.3e} "
+                     f"{r.alloc_mib:>10.3f}")
     return "\n".join(lines)

@@ -11,8 +11,10 @@ Layout (all integers little-endian):
     manifest entry in manifest order
 
 The manifest order is the module registration order, which is
-deterministic, so save -> load round-trips bitwise.  Mismatched names,
-shapes, truncation, or trailing bytes all raise ``CheckpointError``.
+deterministic, so save -> load round-trips bitwise.  Names that are not
+UTF-8, mismatched names or shapes, NaN or infinite values, truncation, or
+trailing bytes all raise ``CheckpointError``; messages quote names with
+``repr``, so they stay on one line whatever bytes a name holds.
 """
 
 from __future__ import annotations
@@ -71,17 +73,21 @@ def load_params(named_params: list[tuple[str, Tensor]], path: str) -> None:
         raw, off = _read(buf, off, 2, "name length")
         (name_len,) = struct.unpack("<H", raw)
         raw, off = _read(buf, off, name_len, "name")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"checkpoint parameter name {raw!r} is not UTF-8") from None
         raw, off = _read(buf, off, 1, "ndim")
         (ndim,) = struct.unpack("<B", raw)
         raw, off = _read(buf, off, 4 * ndim, "shape")
         shape = struct.unpack(f"<{ndim}I", raw)
         if name not in by_name:
             raise CheckpointError(
-                f"checkpoint names unknown parameter '{name}'")
+                f"checkpoint names unknown parameter {name!r}")
         if by_name[name].data.shape != shape:
             raise CheckpointError(
-                f"parameter '{name}' has shape {by_name[name].data.shape} "
+                f"parameter {name!r} has shape {by_name[name].data.shape} "
                 f"but checkpoint stores {shape}")
         manifest.append((name, shape))
 
@@ -90,10 +96,17 @@ def load_params(named_params: list[tuple[str, Tensor]], path: str) -> None:
         raise CheckpointError(
             f"checkpoint missing parameters: {sorted(missing)}")
 
+    values = []
     for name, shape in manifest:
         n = int(np.prod(shape)) if shape else 1
-        raw, off = _read(buf, off, 8 * n, f"data of '{name}'")
-        by_name[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        raw, off = _read(buf, off, 8 * n, f"data of {name!r}")
+        value = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if bad := np.count_nonzero(~np.isfinite(value)):
+            raise CheckpointError(
+                f"parameter {name!r} holds {bad} NaN or infinite values")
+        values.append(value.copy())
     if off != len(buf):
         raise CheckpointError(
             f"{len(buf) - off} trailing bytes after parameter payload")
+    for (name, _), value in zip(manifest, values):
+        by_name[name].data = value

@@ -26,13 +26,13 @@ as (w_delta, delta_bias), delta = softplus(x @ w_delta + delta_bias).
 ``project`` forms the array a projection stands for as graph ops.
 
 ``selective_scan`` is the differentiable op: it takes x, A, B, C and delta
-and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
-For each block it builds a_bar = exp(delta*A) and delta*B*x time-major,
-(T, ..., N, D), so each position's slice is contiguous and the elementwise
-work runs along D; runs the recurrence from the state carried in; and
-writes the block's part of y.  All it keeps for backward is the state
-entering each block, O(L/BLOCK * D * N), beside the inputs the graph holds
-anyway.  Backward walks the blocks back to front; for each it recomputes
+and discretizes inside.  It goes along L in blocks of at most ``BLOCK``
+positions and ``BLOCK_STATES`` states.  For each block it builds a_bar =
+exp(delta*A) and delta*B*x time-major, (T, ..., N, D), so each position's
+slice is contiguous and the elementwise work runs along D; runs the
+recurrence from the state carried in; and writes the block's part of y.
+All it keeps for backward is the state entering each block, O(L/T * D *
+N), beside the inputs the graph holds anyway.  Backward walks the blocks back to front; for each it recomputes
 a_bar, delta*B*x and the states from the saved state, runs the adjoint in
 place, and reduces the block's share of the gradients for x, A, B, C and
 delta.  The adjoint is carried as nu_k = a_bar_k * lambda_k, where
@@ -54,10 +54,13 @@ back way's block s..e-1 reads positions L-e..L-s-1 back to front.  So one
 ``block_inputs``, one state carry, one ``_scan_loop`` and one adjoint serve
 both ways, at the per-position width of both together: at batch 1 a loop
 of half that width costs nearly as much per position, so two one-way calls
-would take close to twice as long.  y and the gradients are written in
-each way's own order and put back in position order once, at the end,
-where a shared argument's two shares are summed.  A one-way call's
-arguments get way axes of extent 1, so one body serves both forms.
+would take close to twice as long.  y is written in each way's own order
+and put in position order once, at the end, where the two ways' outputs
+are summed.  The gradients are put in position order block by block
+(``place``): where both ways share an argument, each position gets the
+front way's share plus the back way's, whichever block comes first, so no
+array of both ways' gradients is ever formed.  A one-way call's arguments
+get way axes of extent 1, so one body serves both forms.
 
 B, C and delta are each passed in one of two forms.  Fusion passes
 arrays, which the graph keeps: its joined sequence switches generator
@@ -88,13 +91,32 @@ numpy calls per position on contiguous (..., N, D) slices.  It is the op's
 one kernel: a chunked prefix kernel was measured at the model's step
 widths (prod(lead) * D * N from 64 to 2048) and did not beat it end to end.
 
+Every block array the op forms, forward or backward, is a view of its
+workspace (``_slot``): one flat float64 buffer per slot name, shared by
+all calls, grown to the largest block it has served and never shrunk.
+Passes write into it with ``out=``, and a slot whose last reader is done
+takes the next array (a_bar's slot holds C's block gradient once the
+adjoint has run).  Between calls it holds those buffers and nothing else:
+about 3 MiB in a TOY training step at 32 to 128 px, 15 slots of at most
+512 KiB, and 1.8 MiB after an eval-256 forward.  Holding them is the point:
+freed temporaries went back to the kernel, and the next call faulted the
+pages in again, about 6,300 minor faults per train-32 step.  Nothing the
+op returns or keeps aliases the workspace: y, the gradients and the
+carried states are arrays of their own, so calls may interleave, forward
+A, forward B, backward B, backward A.  The workspace assumes one thread,
+as the autodiff engine does.
+
 ``BLOCK`` is chosen by measurement, with ``scan-bench``'s model-shape rows
-and the benchmark's peak memory.  A training step's memory peaks inside a
-scan backward, whose per-block (T, ..., N, D) temporaries shrink with the
-block: 128 positions halve them against 256, ran as fast or faster at the
-training shapes and slightly slower at some narrow eval ones.  y does not
-depend on the block length; the gradients of projections and of a shared
-A, summed block by block, do by rounding.
+and the benchmark's peak memory: 128 positions ran as fast or faster than
+256 at the training shapes and slightly slower at some narrow eval ones.
+``BLOCK_STATES`` bounds a block in states, (T, ..., W, N, D), and so every
+slot, whatever the call's width: the workspace is held through the graph's
+peak, and a train-128 step that sized it to its widest block, 2 MiB per
+(T, ..., W, N, D) slot, peaked 9% higher in resident memory.  It is the
+largest block of the train-32 and eval-256 steps, so those take BLOCK
+positions; the wider train-64 and train-128 SS2D scans take 64 or 32.  y
+does not depend on the block length; the gradients of projections and of
+a shared A, summed block by block, do by rounding.
 
 The array reference is ``discretize``, which keeps the op's delta >= 0
 rule, followed by ``scan_sequential``, an allocate-per-step loop over
@@ -102,6 +124,8 @@ rule, followed by ``scan_sequential``, an allocate-per-step loop over
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -117,6 +141,31 @@ __all__ = [
 ]
 
 BLOCK = 128   # positions per block; one state per block is kept for backward
+BLOCK_STATES = 1 << 16   # entries of a block's (T, ..., W, N, D) arrays
+
+# The op's workspace: one flat float64 buffer per slot name, shared by every
+# call, grown to the largest size asked of it and never shrunk.
+_WORKSPACE: dict[str, np.ndarray] = {}
+
+
+def _slot(name: str, shape) -> np.ndarray:
+    """A C-contiguous ``shape`` view of workspace slot ``name``.  What it
+    held before is overwritten; the view stays valid, but stale, once the
+    slot is asked for again."""
+    size = math.prod(shape)
+    buf = _WORKSPACE.get(name)
+    if buf is None or buf.size < size:
+        buf = _WORKSPACE[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _contiguous(name: str, v: np.ndarray) -> np.ndarray:
+    """v if it is C-contiguous, else a copy of it in slot ``name``."""
+    if v.flags.c_contiguous:
+        return v
+    out = _slot(name, v.shape)
+    np.copyto(out, v)
+    return out
 
 
 class SSMParams(Module):
@@ -291,14 +340,34 @@ def _check_op_shapes(x, a, sources, nw):
     return b[-1]
 
 
-def _reduce_to(out, p, q):
-    """out += the sum of p * q over the axes where ``out`` has extent 1
-    and p does not, as one contraction; p is (..., N, D), q (..., D)."""
+def _merge(dst, part, lo, hi, a, b):
+    """dst[lo:hi] = part along axis 0, but added on positions [a, b), where
+    the other way's part already is."""
+    a, b = min(max(lo, a), hi), max(min(hi, b), lo)
+    if a >= b:
+        dst[lo:hi] = part
+        return
+    if a > lo:
+        dst[lo:a] = part[:a - lo]
+    dst[a:b] += part[a - lo:b - lo]
+    if b < hi:
+        dst[b:hi] = part[b - lo:]
+
+
+def _rows(v):
+    """v (..., N, D) as (..., N * D), a view."""
+    return v.reshape(v.shape[:-2] + (-1,))
+
+
+def _reduce_to(shape, p, q):
+    """The sum of p * q over the axes where ``shape`` has extent 1 and p
+    does not, as one contraction into slot "ga", in ``shape``; p is (...,
+    N, D), q (..., D)."""
     ax = "abcdefghijklmnopqrstuvw"[:p.ndim]
-    keep = "".join(a for a, m, n in zip(ax, out.shape, p.shape)
-                   if m == n)
-    out += np.einsum(f"{ax},{ax[:-2] + ax[-1]}->{keep}", p, q).reshape(
-        out.shape)
+    kept = [(a, m) for a, m, n in zip(ax, shape, p.shape) if m == n]
+    red = np.einsum(f"{ax},{ax[:-2] + ax[-1]}->{''.join(a for a, _ in kept)}",
+                    p, q, out=_slot("ga", tuple(m for _, m in kept)))
+    return red.reshape(shape)
 
 
 def selective_scan(x: Tensor, a: Tensor, b, c, delta,
@@ -355,16 +424,29 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         """tm's inverse for axis -2: (T, ..., .) -> (..., T, .)."""
         return v.transpose(list(range(1, v.ndim - 1)) + [0, v.ndim - 1])
 
-    def ways_block(v, s, e, axis, pos=0):
+    views = {}
+
+    def slot(name, shape):
+        """Workspace slot ``name`` as ``shape``: a pass's blocks ask for the
+        same few views, so each is made once per pass, and dropped after it,
+        so that the graph holds none."""
+        key = name, shape
+        if key not in views:
+            views[key] = _slot(name, shape)
+        return views[key]
+
+    def ways_block(v, s, e, axis, name, pos=0):
         """Block s..e-1 of v, whose positions run along axis ``pos`` and
         ways along ``axis``, for each way: the front way reads positions
         s..e-1, the back way L-e..L-s-1 back to front, so each way's block
-        is in its own scan order."""
+        is in its own scan order.  One way's is a view of v, two ways' a
+        copy in workspace slot ``name``."""
         at = (slice(None),) * pos
         front = v[at + (slice(s, e),)]
         if nw == 1:
             return front
-        blk = np.empty(front.shape[:axis] + (nw,) + front.shape[axis + 1:])
+        blk = slot(name,
+                   front.shape[:axis] + (nw,) + front.shape[axis + 1:])
         rest = (slice(None),) * (-1 - axis)
         blk[(..., 0) + rest] = front[(..., 0) + rest]
         rev = v[at + (slice(length - e, length - s),)]
@@ -372,17 +454,24 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
             (..., -1) + rest]
         return blk
 
-    def in_position_order(v, pos, axis, extent):
-        """v, each way's part in its own scan order along axis ``pos``, its
-        ways along ``axis``, in position order: the back way's reversed, and
-        summed with the front's where the argument's way extent is 1."""
+    def place(dst, blk, s, e):
+        """Put block s..e-1 of each way, blk (T, ..., W, .) in the ways'
+        scan orders, into dst, (L, ..., V, .) in position order: the back
+        way's part reversed, on its own way where dst has two (V = 2), else
+        added to the front way's.  Blocks come back to front; where the two
+        ways' parts meet, the one placed second is added, so each position
+        gets front + back once, whichever came first."""
+        front, back = blk[..., :1, :], blk[::-1, ..., 1:, :]
         if nw == 1:
-            return v
-        rest = (slice(None),) * (-1 - axis)
-        front = v[(..., slice(0, 1)) + rest]
-        back = np.flip(v, pos)[(..., slice(1, 2)) + rest]
-        return front + back if extent == 1 else np.concatenate(
-            (front, back), axis)
+            dst[s:e] = front
+        elif dst.shape[-2] == 2:
+            dst[s:e, ..., :1, :] = front
+            dst[length - e:length - s, ..., 1:, :] = back
+        else:
+            # The later blocks have filled the back way's positions before
+            # L - e and the front way's from e on, this one's from s on.
+            _merge(dst, front, s, e, 0, length - e)
+            _merge(dst, back, length - e, length - s, s, length)
 
     projs = [src if p else None for src, p in zip(srcs, projected)]
     given = [None if p else tm(src[0]) for src, p in zip(srcs, projected)]
@@ -392,19 +481,25 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         (..., W, T, D), the others time-major (T, ..., W, .); each a block
         of the given array or a recompute from x's block.  Last, for a
         projected delta, the softplus's input pre and its e = exp(-|pre|),
-        (..., W, T, D), which give its slope."""
-        x_blk = ways_block(xd, s, e, -3, xd.ndim - 2)
+        (..., W, T, D), which give its slope.  Each is a view of an
+        argument or of the workspace."""
+        x_blk = ways_block(xd, s, e, -3, "x", xd.ndim - 2)
         out, slope = [x_blk], None
-        for v_tm, proj in zip(given, projs):
+        for name, v_tm, proj in zip(("b", "c", "delta"), given, projs):
             if v_tm is not None:
-                out.append(ways_block(v_tm, s, e, -2))
-            elif len(proj) == 2:
-                pre = x_blk @ proj[0] + proj[1]
-                delta_blk, ex = _softplus_e(pre)
+                out.append(ways_block(v_tm, s, e, -2, name))
+                continue
+            w, *bias = proj
+            shape = lead + (nw, e - s, w.shape[-1])
+            if bias:
+                pre = np.matmul(x_blk, w, out=slot("pre", shape))
+                pre += bias[0]
+                delta_blk, ex = _softplus_e(pre, slot(name, shape),
+                                            slot("ex", shape))
                 out.append(tm(delta_blk))
                 slope = pre, ex
             else:
-                out.append(tm(x_blk @ proj[0]))
+                out.append(tm(np.matmul(x_blk, w, out=slot(name, shape))))
         return out + [slope]
 
     # States are kept as (N, D) per position so that the elementwise work
@@ -417,29 +512,33 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
     # so their rounding follows the block length: those calls take BLOCK
     # positions per way.  A call with neither has gradients that do not
     # depend on it, and takes BLOCK / W, so that its blocks' temporaries
-    # are no larger with two ways than with one.
+    # are no larger with two ways than with one.  Either way a block holds
+    # at most BLOCK_STATES states, one position at the least.
     step = BLOCK // nw if per_position and not any(projected) else BLOCK
+    step = max(1, min(step, BLOCK_STATES // (math.prod(lead) * nw * n * d)))
     bounds = [(s, min(s + step, length)) for s in range(0, length, step)]
 
     def a_block(s, e):
-        return ways_block(a_tm, s, e, -3) if per_position else a_tm
+        return ways_block(a_tm, s, e, -3, "a") if per_position else a_tm
 
     def block_states(x_blk, b_blk, delta_blk, a_blk, h0):
         """delta, delta*x, a_bar and the states h of one block; the first
-        two (T, ..., W, 1, D), the others (T, ..., W, N, D)."""
+        two (T, ..., W, 1, D), the others (T, ..., W, N, D), the last three
+        in the workspace."""
         dl = delta_blk[..., None, :]
-        dx = dl * tm(x_blk)[..., None, :]
-        # C order: the inputs are strided views, and the kernels step
-        # through contiguous (..., N, D) slices.
-        a_bar = np.multiply(dl, a_blk, order="C")
+        dx = np.multiply(dl, tm(x_blk)[..., None, :],
+                         out=slot("dx", dl.shape))
+        # C order, as every slot is: the inputs are strided views, and the
+        # kernels step through contiguous (..., N, D) slices.
+        full = dl.shape[:-2] + (n, d)
+        a_bar = np.multiply(dl, a_blk, out=slot("a_bar", full))
         np.exp(a_bar, out=a_bar)
-        h = np.multiply(dx, b_blk[..., :, None], order="C")
+        h = np.multiply(dx, b_blk[..., :, None], out=slot("h", full))
         _scan_loop(a_bar, h, h0)
         return dl, dx, a_bar, h
 
-    # Outputs and gradients are written block by block in each way's own
-    # scan order, on a way axis next to L, and put back in position order
-    # once, at the end.
+    # y is written in each way's scan order and summed in position order
+    # at the end; the gradients are put in position order block by block.
     y = np.empty(lead + (nw, length, d))
     y_tm = tm(y)
     starts = []                               # the state entering each block
@@ -450,45 +549,51 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         h = block_states(x_blk, b_blk, delta_blk, a_block(s, e), h0)[-1]
         np.matmul(c_blk[..., None, :], h, out=y_tm[s:e, ..., None, :])
         h0 = h[-1].copy()
+    views.clear()
+    if nw == 2:
+        y = y[..., :1, :, :] + y[..., 1:, ::-1, :]
 
     def backward(g):
         g_tm = tm(g.reshape(xd.shape))
-        gx = np.empty(lead + (nw, length, d))
-        gx_tm = tm(gx)
-        ga = np.zeros(a_tm.shape[:-3] + (nw,) + a_tm.shape[-2:])
-        # Each source's gradients: a given array's, (..., W, L, .), filled
+        gx = np.empty(xd.shape)
+        # A per position: its gradient is put in position order, as x's;
+        # a shared A's is summed over the blocks, for each way.
+        ga = (np.empty(a_tm.shape) if per_position
+              else np.zeros(a_tm.shape[:-3] + (nw,) + a_tm.shape[-2:]))
+        # Each source's gradients: a given array's, in its shape, filled
         # block by block, or its projection's w's and bias's, with the way
         # axis at W, summed.
         grads = [tuple(np.zeros(v.shape[:-3] + (nw,) + v.shape[-2:])
                        for v in proj) if proj is not None
-                 else (np.empty(lead + (nw, length, src[0].shape[-1])),)
+                 else (np.empty(src[0].shape),)
                  for proj, src in zip(projs, srcs)]
 
-        def through(i, gv, x_blk, s, e):
-            """Pass gv, the time-major gradient of block s..e-1 of the array
+        def through(i, gv, x_blk, gx_blk):
+            """Pass gv, the time-major gradient of a block of the array
             source i's projection stands for, to the projection: with gp =
             gv as (..., W, T, .), x_blk^T gp to w's gradient, the sum of gp
-            to the bias's and gp w^T to x's."""
+            to the bias's and gp w^T to the block's x gradient, gx_blk."""
             (w, *_), (gw, *gbias) = projs[i], grads[i]
             gp = grid(gv)
             gw += _unbroadcast(np.swapaxes(x_blk, -1, -2) @ gp, gw.shape)
             if gbias:
                 gbias[0] += _unbroadcast(gp, gbias[0].shape)
-            gx[..., s:e, :] += gp @ np.swapaxes(w, -1, -2)
+            grid(gx_blk)[...] += np.matmul(gp, np.swapaxes(w, -1, -2),
+                                           out=slot("lam", x_blk.shape))
 
         nu0 = np.zeros(lead + (nw, n, d))     # nu at the next block's start
         for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
             x_blk, b_blk, c_blk, delta_blk, slope = block_inputs(s, e)
-            a_blk = np.ascontiguousarray(a_block(s, e))
+            a_blk = _contiguous("a", a_block(s, e))
             dl, dx, a_bar, h = block_states(x_blk, b_blk, delta_blk, a_blk,
                                             h0)
-            g_blk = ways_block(g_tm, s, e, -2)
+            g_blk = ways_block(g_tm, s, e, -2, "g")
             lam = np.multiply(c_blk[..., :, None], g_blk[..., None, :],
-                              order="C")
+                              out=slot("lam", h.shape))
             # lam starts as dL/dh_k through y_k alone.  nu_k = a_bar_k *
             # lambda_k, where lambda_k = lam_k + nu_{k+1} is the full
             # adjoint: the same recurrence, run back to front.
-            nu = a_bar * lam
+            nu = np.multiply(a_bar, lam, out=slot("nu", h.shape))
             _scan_loop(a_bar[::-1], nu[::-1], nu0)
             lam[:-1] += nu[1:]
             lam[-1] += nu0
@@ -497,39 +602,51 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
             gz = nu                                # dL/d(delta*A) = nu_k h_{k-1}
             gz[1:] *= h[:-1]
             gz[0] *= h0
-            # Each full-size array is freed as soon as its last reader is
-            # done, so the reductions' temporaries reuse its memory.
-            gb, gc, gd = (np.empty(v.shape) if p else tm(gs[0])[s:e]
-                          for v, gs, p in zip((b_blk, c_blk, delta_blk),
-                                              grads, projected))
+
+            # A full-size slot is reused as soon as its last reader is done:
+            # a_bar's holds C's gradient, h's delta's, nu's lam_b and, once
+            # lam is read, lam's the temporaries; dx's holds x's gradient.
+            gc = slot("a_bar", c_blk.shape)
             np.matmul(h, g_blk[..., :, None], out=gc[..., :, None])
             del h
+            gd = slot("h", delta_blk.shape)
             np.einsum("...nd,...nd->...d", gz, a_blk, out=gd)
-            _reduce_to(ga[s:e] if per_position else ga, gz, delta_blk)
+            red = _reduce_to((e - s if per_position else 1,) + ga.shape[1:-3]
+                             + (nw,) + ga.shape[-2:], gz, delta_blk)
+            if per_position:
+                place(_rows(ga), _rows(red), s, e)
+            else:
+                ga += red
             del gz, nu
-            lam_b = np.matmul(b_blk[..., None, :], lam)
+            lam_b = np.matmul(b_blk[..., None, :], lam,
+                              out=slot("nu", dl.shape))
+            gb = slot("gb", b_blk.shape)
             np.matmul(lam, np.swapaxes(dx, -1, -2), out=gb[..., :, None])
             del lam
-            np.multiply(lam_b, dl, out=gx_tm[s:e, ..., None, :])
-            gd += lam_b[..., 0, :] * tm(x_blk)
+            gx_blk = np.multiply(lam_b, dl, out=dx)[..., 0, :]
+            gd += np.multiply(lam_b[..., 0, :], tm(x_blk),
+                              out=slot("lam", gd.shape))
             if projected[2]:
                 # Through the softplus: d/dpre = sigmoid(pre), from its e.
-                gd = gd * tm(_stable_sigmoid(*slope))
+                gd *= tm(_stable_sigmoid(*slope, overwrite=True))
             for i, gv in enumerate((gb, gc, gd)):
                 if projected[i]:
-                    through(i, gv, x_blk, s, e)
+                    through(i, gv, x_blk, gx_blk)
+                else:
+                    place(tm(grads[i][0]), gv, s, e)
+            place(tm(gx), gx_blk, s, e)
+        views.clear()
 
-        # In position order, in each argument's own shape.
-        ga = np.swapaxes(np.moveaxis(
-            in_position_order(ga, 0, -3, ad.shape[-4]), 0, -3), -1, -2)
-        out = [in_position_order(gx, -2, -3, 1),
-               _unbroadcast(ga, (1,) * (ga.ndim - ad.ndim) + ad.shape)]
+        # In each argument's own shape, summed over the ways that share it.
+        if ga.shape[-3] > ad.shape[-4]:
+            ga = ga[..., :1, :, :] + ga[..., 1:, :, :]
+        ga = np.swapaxes(np.moveaxis(ga, 0, -3), -1, -2)
+        out = [gx, _unbroadcast(ga, (1,) * (ga.ndim - ad.ndim) + ad.shape)]
         for gv, src, proj in zip(grads, srcs, projs):
             if proj is None:
-                out.append(in_position_order(gv[0], -2, -3, src[0].shape[-3]))
+                out.append(gv[0])
             else:
                 out.extend(_unbroadcast(gw, v.shape) for gw, v in zip(gv, src))
         return tuple(o.reshape(shape) for o, shape in zip(out, shapes))
 
-    return Tensor._from_op(in_position_order(y, -2, -3, 1).reshape(xt.shape),
-                           parents, backward)
+    return Tensor._from_op(y.reshape(xt.shape), parents, backward)

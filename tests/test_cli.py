@@ -241,10 +241,13 @@ def test_eval_without_samples_exit_1_with_manifest(workspace, tmp_path,
 
 
 def test_eval_nan_weight_exit_3_with_manifest(workspace, tmp_path, capsys):
+    # A checkpoint holding NaN does not load (exit 2, below); finite weights
+    # whose products overflow give the NaN prediction here: the patch
+    # embedding sums to inf, and its norm makes inf - inf.
     from scanseg.model import Model
     model = Model.from_checkpoint(str(workspace["ckpt"]))
     params = dict(model.named_parameters())
-    params["decoder.head.proj.bias"].data[...] = np.nan
+    params["encoder.embed.proj.weight"].data[...] = 1e308
     ckpt = tmp_path / "nan.ckpt"
     model.save_checkpoint(str(ckpt))
     out = tmp_path / "out"
@@ -257,6 +260,56 @@ def test_eval_nan_weight_exit_3_with_manifest(workspace, tmp_path, capsys):
     assert manifest["status"] == "error" and manifest["exit_code"] == 3
     assert manifest["error"] == err.strip()
     assert os.listdir(out) == ["manifest.json"]
+
+
+def _infer_checkpoint(workspace, tmp_path, capsys, raw):
+    """Exit code and stderr of ``infer`` on a checkpoint of bytes ``raw``
+    with the workspace's model config."""
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(bytes(raw))
+    shutil.copy(f"{workspace['ckpt']}.config.json", f"{ckpt}.config.json")
+    rc = run(["infer", "--ckpt", ckpt, "--rgb",
+              workspace["ds"] / "rgb" / "00000.ppm",
+              "--out", tmp_path / "o.pgm"])
+    return rc, capsys.readouterr().err
+
+
+# The first manifest entry's name starts after the magic, the version and
+# count, and its u16 length.
+NAME_AT = 8 + 8 + 2
+
+
+@pytest.mark.parametrize("byte, start", [
+    (0xFF, "i/o error: checkpoint parameter name b'\\xff"),
+    (0x0A, "i/o error: checkpoint names unknown parameter '\\n"),
+])
+def test_infer_checkpoint_bad_name_byte_exit_2_one_line(workspace, tmp_path,
+                                                        capsys, byte, start):
+    # A byte that is not UTF-8, or a newline, in a parameter name: one line
+    # quoting the name, exit 2, never a traceback.
+    raw = bytearray(open(workspace["ckpt"], "rb").read())
+    raw[NAME_AT] = byte
+    rc, err = _infer_checkpoint(workspace, tmp_path, capsys, raw)
+    assert rc == 2, err
+    assert err.count("\n") == 1 and err.startswith(start), err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_infer_checkpoint_non_finite_value_exit_2(workspace, tmp_path, capsys,
+                                                  value):
+    # A NaN or infinite parameter is a corrupt checkpoint: exit 2 naming
+    # it, not a prediction of zeros.
+    from scanseg.model import Model
+    model = Model.from_checkpoint(str(workspace["ckpt"]))
+    params = dict(model.named_parameters())
+    params["decoder.head.proj.bias"].data[...] = value
+    model.save_checkpoint(str(tmp_path / "v.ckpt"))
+    rc, err = _infer_checkpoint(workspace, tmp_path, capsys,
+                                open(tmp_path / "v.ckpt", "rb").read())
+    assert rc == 2, err
+    assert err == ("i/o error: parameter 'decoder.head.proj.bias' holds 1 "
+                   "NaN or infinite values\n")
+    assert not os.path.exists(tmp_path / "o.pgm")
 
 
 def test_eval_stem_size_mismatch_exit_1(workspace, tmp_path, capsys):
@@ -329,6 +382,14 @@ def test_scan_bench_outputs_and_single_point(tmp_path):
               for mode in ("fwd", "fwd+bwd")]
     assert [r[:7] for r in shape_rows] == expect
     assert all(float(r[7]) > 0 for r in shape_rows)
+    # The last column, alloc[MiB], is what one warm call allocates beyond
+    # y and the gradients: at the first (train-32) shape, the warm
+    # workspace leaves less than one (T, ..., W, N, D) block array.
+    assert shape_table.split("\n")[0].split()[-1] == "alloc[MiB]"
+    assert all(len(r) == 10 and 0 <= float(r[9]) < 1e3 for r in shape_rows)
+    (lead, length, d, _), block = MODEL_SHAPES[0], 2**-20 * 8
+    block *= min(length, 128) * 2 * int(np.prod(lead)) * 4 * d
+    assert float(shape_rows[1][9]) < block, (shape_rows[1], block)
     sources = {lead: {s for ld, *_, s in MODEL_SHAPES if ld == lead}
                for lead in ((4, 2, 1), (2, 1), (1,))}
     assert sources == {(4, 2, 1): {"proj"}, (2, 1): {"proj"},

@@ -593,6 +593,110 @@ def test_forward_graph_holds_less_than_one_full_state_array():
     assert all(t.grad is not None for t in ts)
 
 
+def _fwd_bwd(args, both_ways=True):
+    """y and every gradient of one forward and backward of the op."""
+    ts = [_tensors(v) for v in args]
+    y = selective_scan(*ts, both_ways=both_ways)
+    return y, ts
+
+
+def _outputs(y, ts):
+    return [y.data] + [g for t in ts for g in _grads(t)]
+
+
+def _two_way_args(source, seed):
+    x, (front, back) = _two_way_case(source, seed)
+    x2, args = _on_way_axis(x, front, back)
+    return [x2] + args
+
+
+def test_workspace_second_call_allocates_less_than_one_block_array():
+    # The op's block temporaries live in a workspace that outlives the
+    # call: once it has served a shape, a forward plus backward there
+    # allocates less than one (T, ..., W, N, D) block array beyond y and
+    # the gradients.  The first call, on an empty workspace, allocates
+    # several.
+    import tracemalloc
+    from scanseg import scan
+    from scanseg.bench import MODEL_SHAPES, _model_case
+    lead, length, d, source = MODEL_SHAPES[0]
+    args = _model_case(lead, length, d, source, seed=0)
+    block = min(BLOCK, length) * 2 * math.prod(lead) * 4 * d * 8
+
+    def beyond_outputs():
+        tracemalloc.start()
+        try:
+            y, ts = _fwd_bwd(args)
+            y.sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(v.nbytes for v in _outputs(y, ts))
+
+    saved = dict(scan._WORKSPACE)
+    scan._WORKSPACE.clear()
+    try:
+        first, second = beyond_outputs(), beyond_outputs()
+    finally:
+        scan._WORKSPACE.update(saved)
+    assert first > 3 * block, (first, block)
+    assert second < block, (second, block)
+
+
+def test_workspace_interleaved_calls_match_isolated_calls():
+    # Calls share the workspace, so nothing a call keeps for its backward
+    # may live there: forward A, forward B, backward B, backward A give y
+    # and gradients bitwise equal to each call on its own.  A projects B,
+    # C and delta and shares A along L; B passes arrays and an A per
+    # position, so it takes BLOCK // 2 positions per block.
+    cases = [_two_way_args("proj", 61), _two_way_args("given", 62)]
+    alone = []
+    for args in cases:
+        y, ts = _fwd_bwd(args)
+        y.sum().backward()
+        alone.append(_outputs(y, ts))
+    (ya, ta), (yb, tb) = (_fwd_bwd(args) for args in cases)
+    yb.sum().backward()
+    ya.sum().backward()
+    for got, want in zip((_outputs(ya, ta), _outputs(yb, tb)), alone):
+        assert len(got) == len(want)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+
+
+def test_returned_arrays_share_no_memory():
+    # y and every gradient are arrays of their own: none is a view of
+    # another, of the inputs or of the workspace.
+    from scanseg import scan
+    for source in ("proj", "given"):
+        args = _two_way_args(source, 63)
+        y, ts = _fwd_bwd(args)
+        y.sum().backward()
+        outs = _outputs(y, ts)
+        others = ([t.data for t in ts for t in (t if isinstance(t, tuple)
+                                                 else (t,))]
+                  + list(scan._WORKSPACE.values()))
+        for i, u in enumerate(outs):
+            assert not any(np.shares_memory(u, v) for v in outs[i + 1:])
+            assert not any(np.shares_memory(u, v) for v in others)
+
+
+def test_block_states_bound_shortens_blocks_y_unchanged(monkeypatch):
+    # A block holds at most BLOCK_STATES states: a wide call takes shorter
+    # blocks, which leave y bitwise as it was and move the gradients of
+    # the projections and of a shared A by rounding only.
+    from scanseg import scan
+    args = _two_way_args("proj", 64)
+    y0, t0 = _fwd_bwd(args)
+    y0.sum().backward()
+    width = 2 * math.prod(args[0].shape[:-3]) * 3 * 4
+    monkeypatch.setattr(scan, "BLOCK_STATES", 5 * width)
+    y1, t1 = _fwd_bwd(args)
+    y1.sum().backward()
+    assert np.array_equal(y1.data, y0.data)
+    for u, v in zip(_outputs(y1, t1)[1:], _outputs(y0, t0)[1:]):
+        assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+
+
 def test_backward_does_not_keep_y():
     # The adjoint reads the inputs and the block states, never y: once the
     # caller drops the output tensor, its array is freed before backward.
