@@ -32,14 +32,15 @@ exp(delta*A) and delta*B*x time-major, (T, ..., N, D), so each position's
 slice is contiguous and the elementwise work runs along D; runs the
 recurrence from the state carried in; and writes the block's part of y.
 All it keeps for backward is the state entering each block, O(L/T * D *
-N), beside the inputs the graph holds anyway.  Backward walks the blocks back to front; for each it recomputes
-a_bar, delta*B*x and the states from the saved state, runs the adjoint in
-place, and reduces the block's share of the gradients for x, A, B, C and
-delta.  The adjoint is carried as nu_k = a_bar_k * lambda_k, where
-lambda_k = g_k C_k + nu_{k+1} is dL/dh_k: nu_k = a_bar_k * nu_{k+1} +
-a_bar_k * g_k C_k is the forward recurrence run back to front, and
-dL/d(delta*A)_k = nu_k * h_{k-1}.  A's gradient is that times delta,
-contracted over the axes A is shared along without building the product.
+N), beside the inputs the graph holds anyway.  Backward walks the blocks
+back to front; for each it recomputes a_bar, delta*B*x and the states
+from the saved state, runs the adjoint in place, and reduces the block's
+share of the gradients for x, A, B, C and delta.  The adjoint is carried
+as nu_k = a_bar_k * lambda_k, where lambda_k = g_k C_k + nu_{k+1} is
+dL/dh_k: nu_k = a_bar_k * nu_{k+1} + a_bar_k * g_k C_k is the forward
+recurrence run back to front, and dL/d(delta*A)_k = nu_k * h_{k-1}.  A's
+gradient is that times delta, contracted over the axes A is shared along
+without building the product.
 
 The op scans x from the first position to the last and, with
 ``both_ways``, also from the last position to the first; y is the two

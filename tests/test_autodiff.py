@@ -321,19 +321,32 @@ def test_softplus_sigmoid_only_in_backward(monkeypatch):
 def test_softplus_one_exp_matches_logaddexp():
     # One exp, e = exp(-|x|), gives softplus = max(x, 0) + log1p(e) within
     # 2 ulp of np.logaddexp(0, x), bitwise at the extremes, and the sigmoid
-    # bitwise as _stable_sigmoid forms it on its own.
+    # bitwise as _stable_sigmoid forms it on its own, also where both write
+    # into the caller's arrays (the sigmoid over its own inputs).
+    def written(v):
+        out, e = np.empty_like(v), np.empty_like(v)
+        got_out, got_e = ad._softplus_e(v, out, e)
+        assert got_out is out and got_e is e
+        s = ad._stable_sigmoid(v.copy(), e.copy(), overwrite=True)
+        return out, e, s
+
     xs = np.concatenate([rand((20000,), seed=38, lo=-40.0, hi=40.0),
                          rand((20000,), seed=39, lo=-700.0, hi=700.0)])
     out, e = ad._softplus_e(xs)
     ref = np.logaddexp(0.0, xs)
     assert np.all(np.abs(out - ref) <= 2 * np.spacing(ref))
     assert np.array_equal(ad._stable_sigmoid(xs, e), ad._stable_sigmoid(xs))
+    for u, v in zip(written(xs), (out, e, ad._stable_sigmoid(xs))):
+        assert np.array_equal(u, v)
     with np.errstate(invalid="ignore"):
         out, e = ad._softplus_e(SIGMOID_EXTREMES)
         ref = np.logaddexp(0.0, SIGMOID_EXTREMES)
+        got = written(SIGMOID_EXTREMES)
     assert np.array_equal(out, ref, equal_nan=True)
     assert np.array_equal(ad._stable_sigmoid(SIGMOID_EXTREMES, e),
                           ad._stable_sigmoid(SIGMOID_EXTREMES), equal_nan=True)
+    for u, v in zip(got, (out, e, ad._stable_sigmoid(SIGMOID_EXTREMES))):
+        assert np.array_equal(u, v, equal_nan=True)
 
 
 def test_softplus_frees_its_input_before_backward():

@@ -593,14 +593,15 @@ def test_forward_graph_holds_less_than_one_full_state_array():
     assert all(t.grad is not None for t in ts)
 
 
-def _fwd_bwd(args, both_ways=True):
-    """y and every gradient of one forward and backward of the op."""
+def _fwd_bwd(args):
+    """y of a two-way forward of the op, and its arguments as Tensors that
+    take gradients, for the caller's backward."""
     ts = [_tensors(v) for v in args]
-    y = selective_scan(*ts, both_ways=both_ways)
-    return y, ts
+    return selective_scan(*ts, both_ways=True), ts
 
 
 def _outputs(y, ts):
+    """y's array and every argument's gradient."""
     return [y.data] + [g for t in ts for g in _grads(t)]
 
 
