@@ -338,19 +338,17 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def _stable_sigmoid(x: np.ndarray, e: np.ndarray | None = None,
                     overwrite: bool = False) -> np.ndarray:
-    """sigmoid(x) = where(x >= 0, 1, e) / (1 + e) from e = exp(-|x|), which
-    is in (0, 1] and never overflows; a caller that has e already passes
-    it.  With ``overwrite``, a caller done with the arrays x and e has
-    1 + e written over x and the result, the same bits, over e: e <= 1, so
-    the numerator is max(e, x >= 0)."""
+    """sigmoid(x) = max(e, x >= 0) / (1 + e) from e = exp(-|x|), which is
+    in (0, 1] and never overflows, so the numerator is 1 where x >= 0 and e
+    elsewhere; a caller that has e already passes it.  With ``overwrite``,
+    a caller done with the arrays x and e has 1 + e written over x and the
+    result over e; otherwise the result is an array of its own."""
     if e is None:
         e = np.exp(-np.abs(x))
-    if not overwrite:
-        return np.where(x >= 0, 1.0, e) / (1.0 + e)
     mask = x >= 0
-    den = np.add(e, 1.0, out=x)
-    np.maximum(e, mask, out=e)
-    return np.divide(e, den, out=e)
+    den = np.add(e, 1.0, out=x if overwrite else None)
+    num = np.maximum(e, mask, out=e if overwrite else None)
+    return np.divide(num, den, out=num if overwrite else None)
 
 
 def _softplus_e(x: np.ndarray, out: np.ndarray | None = None,

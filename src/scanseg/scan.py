@@ -26,21 +26,20 @@ as (w_delta, delta_bias), delta = softplus(x @ w_delta + delta_bias).
 ``project`` forms the array a projection stands for as graph ops.
 
 ``selective_scan`` is the differentiable op: it takes x, A, B, C and delta
-and discretizes inside.  It goes along L in blocks of at most ``BLOCK``
-positions and ``BLOCK_STATES`` states.  For each block it builds a_bar =
-exp(delta*A) and delta*B*x time-major, (T, ..., N, D), so each position's
-slice is contiguous and the elementwise work runs along D; runs the
-recurrence from the state carried in; and writes the block's part of y.
-All it keeps for backward is the state entering each block, O(L/T * D *
-N), beside the inputs the graph holds anyway.  Backward walks the blocks
-back to front; for each it recomputes a_bar, delta*B*x and the states
-from the saved state, runs the adjoint in place, and reduces the block's
-share of the gradients for x, A, B, C and delta.  The adjoint is carried
-as nu_k = a_bar_k * lambda_k, where lambda_k = g_k C_k + nu_{k+1} is
-dL/dh_k: nu_k = a_bar_k * nu_{k+1} + a_bar_k * g_k C_k is the forward
-recurrence run back to front, and dL/d(delta*A)_k = nu_k * h_{k-1}.  A's
-gradient is that times delta, contracted over the axes A is shared along
-without building the product.
+and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
+For each block it builds a_bar = exp(delta*A) and delta*B*x time-major,
+(T, ..., N, D), so each position's slice is contiguous and the elementwise
+work runs along D; runs the recurrence from the state carried in; and
+writes the block's part of y.  All it keeps for backward is the state
+entering each block, O(L/BLOCK * D * N), beside the inputs the graph holds
+anyway.  Backward walks the blocks back to front; for each it recomputes
+a_bar, delta*B*x and the states from the saved state, runs the adjoint in
+place, and reduces the block's share of the gradients for x, A, B, C and
+delta.  The adjoint is carried as nu_k = a_bar_k * lambda_k, where
+lambda_k = g_k C_k + nu_{k+1} is dL/dh_k: nu_k = a_bar_k * nu_{k+1} +
+a_bar_k * g_k C_k is the forward recurrence run back to front, and
+dL/d(delta*A)_k = nu_k * h_{k-1}.  A's gradient is that times delta,
+contracted over the axes A is shared along without building the product.
 
 The op scans x from the first position to the last and, with
 ``both_ways``, also from the last position to the first; y is the two
@@ -92,32 +91,35 @@ numpy calls per position on contiguous (..., N, D) slices.  It is the op's
 one kernel: a chunked prefix kernel was measured at the model's step
 widths (prod(lead) * D * N from 64 to 2048) and did not beat it end to end.
 
-Every block array the op forms, forward or backward, is a view of its
-workspace (``_slot``): one flat float64 buffer per slot name, shared by
-all calls, grown to the largest block it has served and never shrunk.
-Passes write into it with ``out=``, and a slot whose last reader is done
-takes the next array (a_bar's slot holds C's block gradient once the
-adjoint has run).  Between calls it holds those buffers and nothing else:
-about 3 MiB in a TOY training step at 32 to 128 px, 15 slots of at most
-512 KiB, and 1.8 MiB after an eval-256 forward.  Holding them is the point:
-freed temporaries went back to the kernel, and the next call faulted the
-pages in again, about 6,300 minor faults per train-32 step.  Nothing the
-op returns or keeps aliases the workspace: y, the gradients and the
-carried states are arrays of their own, so calls may interleave, forward
-A, forward B, backward B, backward A.  The workspace assumes one thread,
-as the autodiff engine does.
+Every block array the op forms, forward or backward, is a view of a
+slot (``_slot``): one flat float64 buffer per slot name, grown to the
+largest block it has served and never shrunk.  Passes write into it with
+``out=``, and a slot whose last reader is done takes the next array
+(a_bar's slot holds C's block gradient once the adjoint has run).  A call
+whose blocks hold at most ``KEPT`` states, (T, ..., W, N, D), takes its
+slots from the op's workspace, shared by all such calls and kept between
+them: about 3 MiB in a TOY training step at 32 to 128 px, 15 slots of at
+most 512 KiB, and 1.8 MiB after an eval-256 forward.  Keeping them is the
+point: freed temporaries went back to the kernel, and the next call
+faulted the pages in again, about 6,000 minor faults per train-32 step.
+The workspace is held through the graph's peak, and a train-128 step
+that kept every call's slots, 2 MiB per full-size slot, peaked 9% higher
+in resident memory.  So a wider call, SS2D's at D 16 and 32 at 64 and 128
+px, takes its slots from a second pool, which its forward empties at its
+end: a graph peaks where its forward ends, and shrinks as its backward
+walks, so the backward's slots are kept for the next wide call.  Nothing
+the op returns or keeps aliases a slot: y, the gradients and the carried
+states are arrays of their own, so calls may interleave, forward A,
+forward B, backward B, backward A.  The slots assume one thread, as the
+autodiff engine does.
 
 ``BLOCK`` is chosen by measurement, with ``scan-bench``'s model-shape rows
-and the benchmark's peak memory: 128 positions ran as fast or faster than
-256 at the training shapes and slightly slower at some narrow eval ones.
-``BLOCK_STATES`` bounds a block in states, (T, ..., W, N, D), and so every
-slot, whatever the call's width: the workspace is held through the graph's
-peak, and a train-128 step that sized it to its widest block, 2 MiB per
-(T, ..., W, N, D) slot, peaked 9% higher in resident memory.  It is the
-largest block of the train-32 and eval-256 steps, so those take BLOCK
-positions; the wider train-64 and train-128 SS2D scans take 64 or 32.  y
-does not depend on the block length; the gradients of projections and of
-a shared A, summed block by block, do by rounding.
+and the benchmark's peak memory.  A training step's memory peaks inside a
+scan backward, whose per-block (T, ..., N, D) temporaries shrink with the
+block: 128 positions halve them against 256, ran as fast or faster at the
+training shapes and slightly slower at some narrow eval ones.  y does not
+depend on the block length; the gradients of projections and of a shared
+A, summed block by block, do by rounding.
 
 The array reference is ``discretize``, which keeps the op's delta >= 0
 rule, followed by ``scan_sequential``, an allocate-per-step loop over
@@ -142,29 +144,33 @@ __all__ = [
 ]
 
 BLOCK = 128   # positions per block; one state per block is kept for backward
-BLOCK_STATES = 1 << 16   # entries of a block's (T, ..., W, N, D) arrays
+KEPT = 1 << 16   # states in the widest block whose arrays outlive a pass
 
-# The op's workspace: one flat float64 buffer per slot name, shared by every
-# call, grown to the largest size asked of it and never shrunk.
+# The op's workspace: one flat float64 buffer per slot name, shared by the
+# calls whose blocks hold at most KEPT states, grown to the largest size
+# asked of it and never shrunk.  A wider call's slots live in _PASS, which
+# each such call's forward empties at its end.
 _WORKSPACE: dict[str, np.ndarray] = {}
+_PASS: dict[str, np.ndarray] = {}
 
 
-def _slot(name: str, shape) -> np.ndarray:
-    """A C-contiguous ``shape`` view of workspace slot ``name``.  What it
-    held before is overwritten; the view stays valid, but stale, once the
-    slot is asked for again."""
+def _slot(name: str, shape, keep: bool) -> np.ndarray:
+    """A C-contiguous ``shape`` view of slot ``name``, of the workspace if
+    ``keep``, else of _PASS.  What it held before is overwritten; the view
+    stays valid, but stale, once the slot is asked for again."""
+    pool = _WORKSPACE if keep else _PASS
     size = math.prod(shape)
-    buf = _WORKSPACE.get(name)
+    buf = pool.get(name)
     if buf is None or buf.size < size:
-        buf = _WORKSPACE[name] = np.empty(size)
+        buf = pool[name] = np.empty(size)
     return buf[:size].reshape(shape)
 
 
-def _contiguous(name: str, v: np.ndarray) -> np.ndarray:
+def _contiguous(name: str, v: np.ndarray, keep: bool) -> np.ndarray:
     """v if it is C-contiguous, else a copy of it in slot ``name``."""
     if v.flags.c_contiguous:
         return v
-    out = _slot(name, v.shape)
+    out = _slot(name, v.shape, keep)
     np.copyto(out, v)
     return out
 
@@ -360,14 +366,14 @@ def _rows(v):
     return v.reshape(v.shape[:-2] + (-1,))
 
 
-def _reduce_to(shape, p, q):
+def _reduce_to(shape, p, q, keep):
     """The sum of p * q over the axes where ``shape`` has extent 1 and p
-    does not, as one contraction into slot "ga", in ``shape``; p is (...,
-    N, D), q (..., D)."""
+    does not, as one contraction into slot "ga" (``_slot``), in ``shape``;
+    p is (..., N, D), q (..., D)."""
     ax = "abcdefghijklmnopqrstuvw"[:p.ndim]
     kept = [(a, m) for a, m, n in zip(ax, shape, p.shape) if m == n]
     red = np.einsum(f"{ax},{ax[:-2] + ax[-1]}->{''.join(a for a, _ in kept)}",
-                    p, q, out=_slot("ga", tuple(m for _, m in kept)))
+                    p, q, out=_slot("ga", tuple(m for _, m in kept), keep))
     return red.reshape(shape)
 
 
@@ -425,29 +431,18 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         """tm's inverse for axis -2: (T, ..., .) -> (..., T, .)."""
         return v.transpose(list(range(1, v.ndim - 1)) + [0, v.ndim - 1])
 
-    views = {}
-
-    def slot(name, shape):
-        """Workspace slot ``name`` as ``shape``: a pass's blocks ask for the
-        same few views, so each is made once per pass, and dropped after it,
-        so that the graph holds none."""
-        key = name, shape
-        if key not in views:
-            views[key] = _slot(name, shape)
-        return views[key]
-
     def ways_block(v, s, e, axis, name, pos=0):
         """Block s..e-1 of v, whose positions run along axis ``pos`` and
         ways along ``axis``, for each way: the front way reads positions
         s..e-1, the back way L-e..L-s-1 back to front, so each way's block
         is in its own scan order.  One way's is a view of v, two ways' a
-        copy in workspace slot ``name``."""
+        copy in slot ``name``."""
         at = (slice(None),) * pos
         front = v[at + (slice(s, e),)]
         if nw == 1:
             return front
-        blk = slot(name,
-                   front.shape[:axis] + (nw,) + front.shape[axis + 1:])
+        blk = _slot(name, front.shape[:axis] + (nw,) + front.shape[axis + 1:],
+                    keep)
         rest = (slice(None),) * (-1 - axis)
         blk[(..., 0) + rest] = front[(..., 0) + rest]
         rev = v[at + (slice(length - e, length - s),)]
@@ -483,7 +478,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         of the given array or a recompute from x's block.  Last, for a
         projected delta, the softplus's input pre and its e = exp(-|pre|),
         (..., W, T, D), which give its slope.  Each is a view of an
-        argument or of the workspace."""
+        argument or of a slot."""
         x_blk = ways_block(xd, s, e, -3, "x", xd.ndim - 2)
         out, slope = [x_blk], None
         for name, v_tm, proj in zip(("b", "c", "delta"), given, projs):
@@ -493,14 +488,15 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
             w, *bias = proj
             shape = lead + (nw, e - s, w.shape[-1])
             if bias:
-                pre = np.matmul(x_blk, w, out=slot("pre", shape))
+                pre = np.matmul(x_blk, w, out=_slot("pre", shape, keep))
                 pre += bias[0]
-                delta_blk, ex = _softplus_e(pre, slot(name, shape),
-                                            slot("ex", shape))
+                delta_blk, ex = _softplus_e(pre, _slot(name, shape, keep),
+                                            _slot("ex", shape, keep))
                 out.append(tm(delta_blk))
                 slope = pre, ex
             else:
-                out.append(tm(np.matmul(x_blk, w, out=slot(name, shape))))
+                out.append(tm(np.matmul(x_blk, w,
+                                        out=_slot(name, shape, keep))))
         return out + [slope]
 
     # States are kept as (N, D) per position so that the elementwise work
@@ -513,10 +509,10 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
     # so their rounding follows the block length: those calls take BLOCK
     # positions per way.  A call with neither has gradients that do not
     # depend on it, and takes BLOCK / W, so that its blocks' temporaries
-    # are no larger with two ways than with one.  Either way a block holds
-    # at most BLOCK_STATES states, one position at the least.
+    # are no larger with two ways than with one.
     step = BLOCK // nw if per_position and not any(projected) else BLOCK
-    step = max(1, min(step, BLOCK_STATES // (math.prod(lead) * nw * n * d)))
+    # The block's slots are the workspace's if it holds at most KEPT states.
+    keep = math.prod(lead) * nw * min(step, length) * n * d <= KEPT
     bounds = [(s, min(s + step, length)) for s in range(0, length, step)]
 
     def a_block(s, e):
@@ -525,16 +521,16 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
     def block_states(x_blk, b_blk, delta_blk, a_blk, h0):
         """delta, delta*x, a_bar and the states h of one block; the first
         two (T, ..., W, 1, D), the others (T, ..., W, N, D), the last three
-        in the workspace."""
+        in slots."""
         dl = delta_blk[..., None, :]
         dx = np.multiply(dl, tm(x_blk)[..., None, :],
-                         out=slot("dx", dl.shape))
+                         out=_slot("dx", dl.shape, keep))
         # C order, as every slot is: the inputs are strided views, and the
         # kernels step through contiguous (..., N, D) slices.
         full = dl.shape[:-2] + (n, d)
-        a_bar = np.multiply(dl, a_blk, out=slot("a_bar", full))
+        a_bar = np.multiply(dl, a_blk, out=_slot("a_bar", full, keep))
         np.exp(a_bar, out=a_bar)
-        h = np.multiply(dx, b_blk[..., :, None], out=slot("h", full))
+        h = np.multiply(dx, b_blk[..., :, None], out=_slot("h", full, keep))
         _scan_loop(a_bar, h, h0)
         return dl, dx, a_bar, h
 
@@ -550,7 +546,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         h = block_states(x_blk, b_blk, delta_blk, a_block(s, e), h0)[-1]
         np.matmul(c_blk[..., None, :], h, out=y_tm[s:e, ..., None, :])
         h0 = h[-1].copy()
-    views.clear()
+    _PASS.clear()                 # the graph peaks where the forward ends
     if nw == 2:
         y = y[..., :1, :, :] + y[..., 1:, ::-1, :]
 
@@ -579,22 +575,23 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
             gw += _unbroadcast(np.swapaxes(x_blk, -1, -2) @ gp, gw.shape)
             if gbias:
                 gbias[0] += _unbroadcast(gp, gbias[0].shape)
-            grid(gx_blk)[...] += np.matmul(gp, np.swapaxes(w, -1, -2),
-                                           out=slot("lam", x_blk.shape))
+            gp_w = np.matmul(gp, np.swapaxes(w, -1, -2),
+                             out=_slot("lam", x_blk.shape, keep))
+            grid(gx_blk)[...] += gp_w
 
         nu0 = np.zeros(lead + (nw, n, d))     # nu at the next block's start
         for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
             x_blk, b_blk, c_blk, delta_blk, slope = block_inputs(s, e)
-            a_blk = _contiguous("a", a_block(s, e))
+            a_blk = _contiguous("a", a_block(s, e), keep)
             dl, dx, a_bar, h = block_states(x_blk, b_blk, delta_blk, a_blk,
                                             h0)
             g_blk = ways_block(g_tm, s, e, -2, "g")
             lam = np.multiply(c_blk[..., :, None], g_blk[..., None, :],
-                              out=slot("lam", h.shape))
+                              out=_slot("lam", h.shape, keep))
             # lam starts as dL/dh_k through y_k alone.  nu_k = a_bar_k *
             # lambda_k, where lambda_k = lam_k + nu_{k+1} is the full
             # adjoint: the same recurrence, run back to front.
-            nu = np.multiply(a_bar, lam, out=slot("nu", h.shape))
+            nu = np.multiply(a_bar, lam, out=_slot("nu", h.shape, keep))
             _scan_loop(a_bar[::-1], nu[::-1], nu0)
             lam[:-1] += nu[1:]
             lam[-1] += nu0
@@ -607,26 +604,26 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
             # A full-size slot is reused as soon as its last reader is done:
             # a_bar's holds C's gradient, h's delta's, nu's lam_b and, once
             # lam is read, lam's the temporaries; dx's holds x's gradient.
-            gc = slot("a_bar", c_blk.shape)
+            gc = _slot("a_bar", c_blk.shape, keep)
             np.matmul(h, g_blk[..., :, None], out=gc[..., :, None])
             del h
-            gd = slot("h", delta_blk.shape)
+            gd = _slot("h", delta_blk.shape, keep)
             np.einsum("...nd,...nd->...d", gz, a_blk, out=gd)
             red = _reduce_to((e - s if per_position else 1,) + ga.shape[1:-3]
-                             + (nw,) + ga.shape[-2:], gz, delta_blk)
+                             + (nw,) + ga.shape[-2:], gz, delta_blk, keep)
             if per_position:
                 place(_rows(ga), _rows(red), s, e)
             else:
                 ga += red
             del gz, nu
             lam_b = np.matmul(b_blk[..., None, :], lam,
-                              out=slot("nu", dl.shape))
-            gb = slot("gb", b_blk.shape)
+                              out=_slot("nu", dl.shape, keep))
+            gb = _slot("gb", b_blk.shape, keep)
             np.matmul(lam, np.swapaxes(dx, -1, -2), out=gb[..., :, None])
             del lam
             gx_blk = np.multiply(lam_b, dl, out=dx)[..., 0, :]
             gd += np.multiply(lam_b[..., 0, :], tm(x_blk),
-                              out=slot("lam", gd.shape))
+                              out=_slot("lam", gd.shape, keep))
             if projected[2]:
                 # Through the softplus: d/dpre = sigmoid(pre), from its e.
                 gd *= tm(_stable_sigmoid(*slope, overwrite=True))
@@ -636,8 +633,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
                 else:
                     place(tm(grads[i][0]), gv, s, e)
             place(tm(gx), gx_blk, s, e)
-        views.clear()
-
+    
         # In each argument's own shape, summed over the ways that share it.
         if ga.shape[-3] > ad.shape[-4]:
             ga = ga[..., :1, :, :] + ga[..., 1:, :, :]

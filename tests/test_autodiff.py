@@ -321,8 +321,9 @@ def test_softplus_sigmoid_only_in_backward(monkeypatch):
 def test_softplus_one_exp_matches_logaddexp():
     # One exp, e = exp(-|x|), gives softplus = max(x, 0) + log1p(e) within
     # 2 ulp of np.logaddexp(0, x), bitwise at the extremes, and the sigmoid
-    # bitwise as _stable_sigmoid forms it on its own, also where both write
-    # into the caller's arrays (the sigmoid over its own inputs).
+    # bitwise as _stable_sigmoid forms it on its own and as the textbook
+    # where(x >= 0, 1, e) / (1 + e), also where both write into the
+    # caller's arrays (the sigmoid over its own inputs).
     def written(v):
         out, e = np.empty_like(v), np.empty_like(v)
         got_out, got_e = ad._softplus_e(v, out, e)
@@ -336,6 +337,8 @@ def test_softplus_one_exp_matches_logaddexp():
     ref = np.logaddexp(0.0, xs)
     assert np.all(np.abs(out - ref) <= 2 * np.spacing(ref))
     assert np.array_equal(ad._stable_sigmoid(xs, e), ad._stable_sigmoid(xs))
+    assert np.array_equal(ad._stable_sigmoid(xs),
+                          np.where(xs >= 0, 1.0, e) / (1.0 + e))
     for u, v in zip(written(xs), (out, e, ad._stable_sigmoid(xs))):
         assert np.array_equal(u, v)
     with np.errstate(invalid="ignore"):
@@ -345,6 +348,9 @@ def test_softplus_one_exp_matches_logaddexp():
     assert np.array_equal(out, ref, equal_nan=True)
     assert np.array_equal(ad._stable_sigmoid(SIGMOID_EXTREMES, e),
                           ad._stable_sigmoid(SIGMOID_EXTREMES), equal_nan=True)
+    assert np.array_equal(ad._stable_sigmoid(SIGMOID_EXTREMES),
+                          np.where(SIGMOID_EXTREMES >= 0, 1.0, e) / (1.0 + e),
+                          equal_nan=True)
     for u, v in zip(got, (out, e, ad._stable_sigmoid(SIGMOID_EXTREMES))):
         assert np.array_equal(u, v, equal_nan=True)
 

@@ -617,27 +617,24 @@ def test_workspace_second_call_allocates_less_than_one_block_array():
     # allocates less than one (T, ..., W, N, D) block array beyond y and
     # the gradients.  The first call, on an empty workspace, allocates
     # several.
-    import tracemalloc
     from scanseg import scan
-    from scanseg.bench import MODEL_SHAPES, _model_case
+    from scanseg.bench import MODEL_SHAPES, _beyond_outputs, _model_case
     lead, length, d, source = MODEL_SHAPES[0]
     args = _model_case(lead, length, d, source, seed=0)
-    block = min(BLOCK, length) * 2 * math.prod(lead) * 4 * d * 8
+    states = min(BLOCK, length) * 2 * math.prod(lead) * 4 * d
+    assert states <= scan.KEPT
+    block = states * 8 / 2**20                   # MiB
 
-    def beyond_outputs():
-        tracemalloc.start()
-        try:
-            y, ts = _fwd_bwd(args)
-            y.sum().backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - sum(v.nbytes for v in _outputs(y, ts))
+    def fwd_bwd():
+        y, ts = _fwd_bwd(args)
+        y.sum().backward()
+        return y, [t for v in ts for t in (v if isinstance(v, tuple)
+                                            else (v,))]
 
     saved = dict(scan._WORKSPACE)
     scan._WORKSPACE.clear()
     try:
-        first, second = beyond_outputs(), beyond_outputs()
+        first, second = _beyond_outputs(fwd_bwd), _beyond_outputs(fwd_bwd)
     finally:
         scan._WORKSPACE.update(saved)
     assert first > 3 * block, (first, block)
@@ -675,27 +672,40 @@ def test_returned_arrays_share_no_memory():
         outs = _outputs(y, ts)
         others = ([t.data for t in ts for t in (t if isinstance(t, tuple)
                                                  else (t,))]
-                  + list(scan._WORKSPACE.values()))
+                  + list(scan._WORKSPACE.values())
+                  + list(scan._PASS.values()))
         for i, u in enumerate(outs):
             assert not any(np.shares_memory(u, v) for v in outs[i + 1:])
             assert not any(np.shares_memory(u, v) for v in others)
 
 
-def test_block_states_bound_shortens_blocks_y_unchanged(monkeypatch):
-    # A block holds at most BLOCK_STATES states: a wide call takes shorter
-    # blocks, which leave y bitwise as it was and move the gradients of
-    # the projections and of a shared A by rounding only.
+def test_wide_call_keeps_nothing_and_matches_kept_call(monkeypatch):
+    # A call whose blocks hold more than KEPT states takes its slots from a
+    # second pool, which its forward empties at its end, where a graph
+    # peaks: it leaves the workspace as the last kept call left it, and
+    # its y and gradients are bitwise those of the same call through the
+    # workspace, as the blocks are the same.
     from scanseg import scan
-    args = _two_way_args("proj", 64)
-    y0, t0 = _fwd_bwd(args)
-    y0.sum().backward()
-    width = 2 * math.prod(args[0].shape[:-3]) * 3 * 4
-    monkeypatch.setattr(scan, "BLOCK_STATES", 5 * width)
-    y1, t1 = _fwd_bwd(args)
-    y1.sum().backward()
-    assert np.array_equal(y1.data, y0.data)
-    for u, v in zip(_outputs(y1, t1)[1:], _outputs(y0, t0)[1:]):
-        assert np.max(np.abs(u - v)) <= 1e-12 * np.max(np.abs(v))
+    monkeypatch.setattr(scan, "_WORKSPACE", {})
+    monkeypatch.setattr(scan, "_PASS", {})
+    cases = [_two_way_args("proj", 64), _two_way_args("proj", 65)]
+    kept = []
+    for args in cases:
+        y, ts = _fwd_bwd(args)
+        y.sum().backward()
+        kept.append(_outputs(y, ts))
+    held = {k: v.copy() for k, v in scan._WORKSPACE.items()}
+    assert held and not scan._PASS
+    monkeypatch.setattr(scan, "KEPT", 0)
+    for args, want in zip(cases, kept):
+        y, ts = _fwd_bwd(args)
+        assert not scan._PASS
+        y.sum().backward()
+        assert scan._PASS
+        assert all(np.array_equal(u, v) for u, v in zip(_outputs(y, ts), want))
+    assert scan._WORKSPACE.keys() == held.keys()
+    assert all(np.array_equal(scan._WORKSPACE[k], v)
+               for k, v in held.items())
 
 
 def test_backward_does_not_keep_y():
