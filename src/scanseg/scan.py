@@ -105,13 +105,12 @@ faulted the pages in again, about 6,000 minor faults per train-32 step.
 The workspace is held through the graph's peak, and a train-128 step
 that kept every call's slots, 2 MiB per full-size slot, peaked 9% higher
 in resident memory.  So a wider call, SS2D's at D 16 and 32 at 64 and 128
-px, takes its slots from a second pool, which its forward empties at its
-end: a graph peaks where its forward ends, and shrinks as its backward
-walks, so the backward's slots are kept for the next wide call.  Nothing
-the op returns or keeps aliases a slot: y, the gradients and the carried
-states are arrays of their own, so calls may interleave, forward A,
-forward B, backward B, backward A.  The slots assume one thread, as the
-autodiff engine does.
+px, takes its slots from a second pool, which is emptied at the end of
+each pass; keeping a backward's slots for the next wide call read 2.7%
+higher.  Nothing the op returns or keeps aliases a slot: y, the gradients
+and the carried states are arrays of their own, so calls may interleave,
+forward A, forward B, backward B, backward A.  The slots assume one
+thread, as the autodiff engine does.
 
 ``BLOCK`` is chosen by measurement, with ``scan-bench``'s model-shape rows
 and the benchmark's peak memory.  A training step's memory peaks inside a
@@ -149,7 +148,7 @@ KEPT = 1 << 16   # states in the widest block whose arrays outlive a pass
 # The op's workspace: one flat float64 buffer per slot name, shared by the
 # calls whose blocks hold at most KEPT states, grown to the largest size
 # asked of it and never shrunk.  A wider call's slots live in _PASS, which
-# each such call's forward empties at its end.
+# is emptied at the end of each pass.
 _WORKSPACE: dict[str, np.ndarray] = {}
 _PASS: dict[str, np.ndarray] = {}
 
@@ -546,7 +545,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         h = block_states(x_blk, b_blk, delta_blk, a_block(s, e), h0)[-1]
         np.matmul(c_blk[..., None, :], h, out=y_tm[s:e, ..., None, :])
         h0 = h[-1].copy()
-    _PASS.clear()                 # the graph peaks where the forward ends
+    _PASS.clear()
     if nw == 2:
         y = y[..., :1, :, :] + y[..., 1:, ::-1, :]
 
@@ -633,6 +632,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
                 else:
                     place(tm(grads[i][0]), gv, s, e)
             place(tm(gx), gx_blk, s, e)
+        _PASS.clear()
     
         # In each argument's own shape, summed over the ways that share it.
         if ga.shape[-3] > ad.shape[-4]:

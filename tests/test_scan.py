@@ -681,10 +681,10 @@ def test_returned_arrays_share_no_memory():
 
 def test_wide_call_keeps_nothing_and_matches_kept_call(monkeypatch):
     # A call whose blocks hold more than KEPT states takes its slots from a
-    # second pool, which its forward empties at its end, where a graph
-    # peaks: it leaves the workspace as the last kept call left it, and
-    # its y and gradients are bitwise those of the same call through the
-    # workspace, as the blocks are the same.
+    # second pool, emptied at the end of each pass: it leaves the
+    # workspace as the last kept call left it, and its y and gradients are
+    # bitwise those of the same call through the workspace, as the blocks
+    # are the same.
     from scanseg import scan
     monkeypatch.setattr(scan, "_WORKSPACE", {})
     monkeypatch.setattr(scan, "_PASS", {})
@@ -701,7 +701,7 @@ def test_wide_call_keeps_nothing_and_matches_kept_call(monkeypatch):
         y, ts = _fwd_bwd(args)
         assert not scan._PASS
         y.sum().backward()
-        assert scan._PASS
+        assert not scan._PASS
         assert all(np.array_equal(u, v) for u, v in zip(_outputs(y, ts), want))
     assert scan._WORKSPACE.keys() == held.keys()
     assert all(np.array_equal(scan._WORKSPACE[k], v)
