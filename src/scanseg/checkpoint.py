@@ -12,9 +12,10 @@ Layout (all integers little-endian):
 
 The manifest order is the module registration order, which is
 deterministic, so save -> load round-trips bitwise.  Names that are not
-UTF-8, mismatched names or shapes, NaN or infinite values, truncation, or
-trailing bytes all raise ``CheckpointError``; messages quote names with
-``repr``, so they stay on one line whatever bytes a name holds.
+UTF-8 or that repeat, mismatched names or shapes, NaN or infinite values,
+truncation, or trailing bytes all raise ``CheckpointError``; messages
+quote names with ``repr``, so they stay on one line whatever bytes a name
+holds.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def load_params(named_params: list[tuple[str, Tensor]], path: str) -> None:
     by_name = dict(named_params)
     if len(by_name) != len(named_params):
         raise CheckpointError("duplicate parameter names in model")
-    manifest: list[tuple[str, tuple]] = []
+    manifest: dict[str, tuple] = {}          # name -> shape, in file order
     for _ in range(count):
         raw, off = _read(buf, off, 2, "name length")
         (name_len,) = struct.unpack("<H", raw)
@@ -85,19 +86,22 @@ def load_params(named_params: list[tuple[str, Tensor]], path: str) -> None:
         if name not in by_name:
             raise CheckpointError(
                 f"checkpoint names unknown parameter {name!r}")
+        if name in manifest:
+            raise CheckpointError(
+                f"checkpoint lists parameter {name!r} twice")
         if by_name[name].data.shape != shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {by_name[name].data.shape} "
                 f"but checkpoint stores {shape}")
-        manifest.append((name, shape))
+        manifest[name] = shape
 
-    missing = set(by_name) - {name for name, _ in manifest}
+    missing = set(by_name) - set(manifest)
     if missing:
         raise CheckpointError(
             f"checkpoint missing parameters: {sorted(missing)}")
 
     values = []
-    for name, shape in manifest:
+    for name, shape in manifest.items():
         n = int(np.prod(shape)) if shape else 1
         raw, off = _read(buf, off, 8 * n, f"data of {name!r}")
         value = np.frombuffer(raw, dtype="<f8").reshape(shape)
@@ -108,5 +112,5 @@ def load_params(named_params: list[tuple[str, Tensor]], path: str) -> None:
     if off != len(buf):
         raise CheckpointError(
             f"{len(buf) - off} trailing bytes after parameter payload")
-    for (name, _), value in zip(manifest, values):
+    for name, value in zip(manifest, values):
         by_name[name].data = value

@@ -30,7 +30,7 @@ and discretizes inside.  It goes along L in blocks of ``BLOCK`` positions.
 For each block it builds a_bar = exp(delta*A) and delta*B*x time-major,
 (T, ..., N, D), so each position's slice is contiguous and the elementwise
 work runs along D; runs the recurrence from the state carried in; and
-writes the block's part of y.  All it keeps for backward is the state
+adds the block's part to y.  All it keeps for backward is the state
 entering each block, O(L/BLOCK * D * N), beside the inputs the graph holds
 anyway.  Backward walks the blocks back to front; for each it recomputes
 a_bar, delta*B*x and the states from the saved state, runs the adjoint in
@@ -54,13 +54,12 @@ back way's block s..e-1 reads positions L-e..L-s-1 back to front.  So one
 ``block_inputs``, one state carry, one ``_scan_loop`` and one adjoint serve
 both ways, at the per-position width of both together: at batch 1 a loop
 of half that width costs nearly as much per position, so two one-way calls
-would take close to twice as long.  y is written in each way's own order
-and put in position order once, at the end, where the two ways' outputs
-are summed.  The gradients are put in position order block by block
-(``place``): where both ways share an argument, each position gets the
-front way's share plus the back way's, whichever block comes first, so no
-array of both ways' gradients is ever formed.  A one-way call's arguments
-get way axes of extent 1, so one body serves both forms.
+would take close to twice as long.  y and every gradient start at zero,
+and each block's part of them is added in position order (``place``): the
+back way's part reversed, onto the front way's where the ways share the
+array, so no array of both ways' outputs or gradients is ever formed.
+A one-way call's arguments get way axes of extent 1, so one body serves
+both forms.
 
 B, C and delta are each passed in one of two forms.  Fusion passes
 arrays, which the graph keeps: its joined sequence switches generator
@@ -346,20 +345,6 @@ def _check_op_shapes(x, a, sources, nw):
     return b[-1]
 
 
-def _merge(dst, part, lo, hi, a, b):
-    """dst[lo:hi] = part along axis 0, but added on positions [a, b), where
-    the other way's part already is."""
-    a, b = min(max(lo, a), hi), max(min(hi, b), lo)
-    if a >= b:
-        dst[lo:hi] = part
-        return
-    if a > lo:
-        dst[lo:a] = part[:a - lo]
-    dst[a:b] += part[a - lo:b - lo]
-    if b < hi:
-        dst[b:hi] = part[b - lo:]
-
-
 def _rows(v):
     """v (..., N, D) as (..., N * D), a view."""
     return v.reshape(v.shape[:-2] + (-1,))
@@ -450,23 +435,13 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         return blk
 
     def place(dst, blk, s, e):
-        """Put block s..e-1 of each way, blk (T, ..., W, .) in the ways'
-        scan orders, into dst, (L, ..., V, .) in position order: the back
-        way's part reversed, on its own way where dst has two (V = 2), else
-        added to the front way's.  Blocks come back to front; where the two
-        ways' parts meet, the one placed second is added, so each position
-        gets front + back once, whichever came first."""
-        front, back = blk[..., :1, :], blk[::-1, ..., 1:, :]
-        if nw == 1:
-            dst[s:e] = front
-        elif dst.shape[-2] == 2:
-            dst[s:e, ..., :1, :] = front
-            dst[length - e:length - s, ..., 1:, :] = back
-        else:
-            # The later blocks have filled the back way's positions before
-            # L - e and the front way's from e on, this one's from s on.
-            _merge(dst, front, s, e, 0, length - e)
-            _merge(dst, back, length - e, length - s, s, length)
+        """Add block s..e-1 of each way, blk (T, ..., W, .) in the ways'
+        scan orders, into dst, (L, ..., V, .) in position order, which
+        starts at zero: the back way's part reversed, on its own way where
+        dst has two (V = 2), else onto the front way's."""
+        dst[s:e, ..., :1, :] += blk[..., :1, :]
+        if nw == 2:
+            dst[length - e:length - s, ..., -1:, :] += blk[::-1, ..., 1:, :]
 
     projs = [src if p else None for src, p in zip(srcs, projected)]
     given = [None if p else tm(src[0]) for src, p in zip(srcs, projected)]
@@ -533,35 +508,35 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         _scan_loop(a_bar, h, h0)
         return dl, dx, a_bar, h
 
-    # y is written in each way's scan order and summed in position order
-    # at the end; the gradients are put in position order block by block.
-    y = np.empty(lead + (nw, length, d))
-    y_tm = tm(y)
+    # y, like every gradient, starts at zero and takes each block's part
+    # in position order.
+    y = np.zeros(xd.shape)
     starts = []                               # the state entering each block
     h0 = np.zeros(lead + (nw, n, d))
     for s, e in bounds:
         starts.append(h0)
         x_blk, b_blk, c_blk, delta_blk, _ = block_inputs(s, e)
         h = block_states(x_blk, b_blk, delta_blk, a_block(s, e), h0)[-1]
-        np.matmul(c_blk[..., None, :], h, out=y_tm[s:e, ..., None, :])
+        # dx's slot, free once h is formed, takes the block's C . h.
+        y_blk = np.matmul(c_blk[..., None, :], h,
+                          out=_slot("dx", h.shape[:-2] + (1, d), keep))
+        place(tm(y), y_blk[..., 0, :], s, e)
         h0 = h[-1].copy()
     _PASS.clear()
-    if nw == 2:
-        y = y[..., :1, :, :] + y[..., 1:, ::-1, :]
 
     def backward(g):
         g_tm = tm(g.reshape(xd.shape))
-        gx = np.empty(xd.shape)
+        gx = np.zeros(xd.shape)
         # A per position: its gradient is put in position order, as x's;
         # a shared A's is summed over the blocks, for each way.
-        ga = (np.empty(a_tm.shape) if per_position
-              else np.zeros(a_tm.shape[:-3] + (nw,) + a_tm.shape[-2:]))
-        # Each source's gradients: a given array's, in its shape, filled
-        # block by block, or its projection's w's and bias's, with the way
+        ga = np.zeros(a_tm.shape if per_position
+                      else a_tm.shape[:-3] + (nw,) + a_tm.shape[-2:])
+        # Each source's gradients: a given array's, in its shape, put in
+        # position order, or its projection's w's and bias's, with the way
         # axis at W, summed.
         grads = [tuple(np.zeros(v.shape[:-3] + (nw,) + v.shape[-2:])
                        for v in proj) if proj is not None
-                 else (np.empty(src[0].shape),)
+                 else (np.zeros(src[0].shape),)
                  for proj, src in zip(projs, srcs)]
 
         def through(i, gv, x_blk, gx_blk):
@@ -633,7 +608,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
                     place(tm(grads[i][0]), gv, s, e)
             place(tm(gx), gx_blk, s, e)
         _PASS.clear()
-    
+
         # In each argument's own shape, summed over the ways that share it.
         if ga.shape[-3] > ad.shape[-4]:
             ga = ga[..., :1, :, :] + ga[..., 1:, :, :]

@@ -240,19 +240,43 @@ def test_eval_without_samples_exit_1_with_manifest(workspace, tmp_path,
     assert manifest["status"] == "error" and manifest["error"] == err.strip()
 
 
-def test_eval_nan_weight_exit_3_with_manifest(workspace, tmp_path, capsys):
-    # A checkpoint holding NaN does not load (exit 2, below); finite weights
-    # whose products overflow give the NaN prediction here: the patch
-    # embedding sums to inf, and its norm makes inf - inf.
+def _nan_prediction_checkpoint(workspace, tmp_path):
+    """A checkpoint of finite weights whose prediction is NaN.  A checkpoint
+    holding NaN does not load (exit 2, below); here the weights' products
+    overflow: the patch embedding sums to inf, and its norm makes inf - inf.
+    """
     from scanseg.model import Model
     model = Model.from_checkpoint(str(workspace["ckpt"]))
     params = dict(model.named_parameters())
     params["encoder.embed.proj.weight"].data[...] = 1e308
     ckpt = tmp_path / "nan.ckpt"
     model.save_checkpoint(str(ckpt))
+    return ckpt
+
+
+def test_eval_nan_weight_exit_3_with_manifest(workspace, tmp_path, capsys):
+    ckpt = _nan_prediction_checkpoint(workspace, tmp_path)
     out = tmp_path / "out"
     assert run(["eval", "--ckpt", ckpt, "--data", workspace["ds"],
                 "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: prediction holds ")
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["status"] == "error" and manifest["exit_code"] == 3
+    assert manifest["error"] == err.strip()
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_infer_nan_prediction_exit_3_writes_no_mask(workspace, tmp_path,
+                                                    capsys):
+    # As eval does: exit 3 with one line and a manifest, and no mask made
+    # of the NaN logits.
+    ckpt = _nan_prediction_checkpoint(workspace, tmp_path)
+    out = tmp_path / "out"
+    assert run(["infer", "--ckpt", ckpt, "--rgb",
+                workspace["ds"] / "rgb" / "00000.ppm",
+                "--out", out / "mask.pgm"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("numerical failure: prediction holds ")
@@ -309,6 +333,23 @@ def test_infer_checkpoint_non_finite_value_exit_2(workspace, tmp_path, capsys,
     assert rc == 2, err
     assert err == ("i/o error: parameter 'decoder.head.proj.bias' holds 1 "
                    "NaN or infinite values\n")
+    assert not os.path.exists(tmp_path / "o.pgm")
+
+
+def test_infer_checkpoint_repeated_name_exit_2_one_line(workspace, tmp_path,
+                                                        capsys):
+    # A manifest that lists a parameter twice, each entry with its payload
+    # block, is corrupt: loading it would let the second value win.
+    from scanseg.checkpoint import save_params
+    from scanseg.model import Model
+    named = list(Model.from_checkpoint(str(workspace["ckpt"]))
+                 .named_parameters())
+    save_params(named[:1] + named, str(tmp_path / "v.ckpt"))
+    rc, err = _infer_checkpoint(workspace, tmp_path, capsys,
+                                open(tmp_path / "v.ckpt", "rb").read())
+    assert rc == 2, err
+    assert err == (f"i/o error: checkpoint lists parameter {named[0][0]!r} "
+                   f"twice\n")
     assert not os.path.exists(tmp_path / "o.pgm")
 
 

@@ -641,6 +641,24 @@ def test_workspace_second_call_allocates_less_than_one_block_array():
     assert second < block, (second, block)
 
 
+def test_warm_forward_allocates_less_than_half_of_y_beyond_y():
+    # y starts at zero and each block's C . h, formed in a workspace slot,
+    # is added in position order: a warm two-way forward allocates no
+    # array of both ways' outputs, so less than half of y's bytes beyond y.
+    from scanseg.bench import MODEL_SHAPES, _beyond_outputs, _model_case
+    rows = [row for row in MODEL_SHAPES if row[1] >= 4096]
+    assert rows
+    for i, (lead, length, d, source) in enumerate(rows):
+        args = _model_case(lead, length, d, source, seed=i)
+
+        def fwd():
+            return selective_scan(*args, both_ways=True), ()
+
+        y = fwd()[0].data.nbytes / 2**20         # MiB; the warm-up call
+        beyond = _beyond_outputs(fwd)
+        assert beyond < y / 2, (lead, length, d, source, beyond, y)
+
+
 def test_workspace_interleaved_calls_match_isolated_calls():
     # Calls share the workspace, so nothing a call keeps for its backward
     # may live there: forward A, forward B, backward B, backward A give y
