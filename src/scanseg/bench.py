@@ -1,32 +1,35 @@
 """Scan timing: wall time, throughput, and the time-vs-length slope.
 
 Two rows per length: ``sequential``, the array oracle on inputs
-discretized beforehand, and ``op``, a ``selective_scan`` forward, which
-discretizes inside.  The recurrence is linear in sequence length, so the
+discretized beforehand, one scan front to back, and ``op``, a
+``selective_scan`` forward, which discretizes inside and scans both ways,
+with way axes of extent 1 that both ways share.  Its elements per second
+count both ways.  The recurrence is linear in sequence length, so the
 fitted log-log slope of wall time against L should sit near 1; the bench
 reports that exponent when at least two distinct lengths are measured.
-Error columns compare each row against the oracle on the same inputs.
+Error columns compare each row against the oracle on the same inputs: the
+op's against both ways', the oracle on the inputs plus the oracle on the
+inputs flipped along L, flipped back.
 
 ``run_model_shapes`` times the op at the shapes the model runs
-(``MODEL_SHAPES``), each call scanning both ways as the model's do:
-forward, and forward plus backward, each row with its elements per step,
-2 * prod(lead) * N * D, the width of both ways' updates at one position,
-and the source of its B, C and delta as the model passes them.  x's lead
-ends in the way axis of extent 1.  SS2D's calls give the projections
-(w_B,), (w_C,) and (w_delta, delta_bias) of x, which the op forms itself
-(``proj``), and A, one per sequence and way, over its row- and
-column-major sequences; fusion's give B, C and delta arrays (``given``)
-and an A per position, each with a way axis of extent 1, shared by both
-ways.  Narrow steps are bound by per-step overhead, wide ones by the
-elementwise work.  A length-sweep row takes its best over several rounds,
-a model-shape row its median over ``SHAPE_ROUNDS`` rounds, which one slow
-or one lucky round does not move.  A round times every row once (model
-shapes: both rows of one shape), so a slow spell of the host hits all
-rows alike.  A model-shape row also gives the MiB that one warm call
-allocates at its peak beyond its outputs (y, and with the backward every
-gradient), traced with ``tracemalloc`` in one more call outside the timed
-rounds: a count, not a time, so it shows a change in the op's temporaries
-exactly where the times cannot.
+(``MODEL_SHAPES``): forward, and forward plus backward, each row with
+its elements per step, 2 * prod(lead) * N * D, the width of both ways'
+updates at one position, and the source of its B, C and delta as the
+model passes them.  x's lead ends in the way axis of extent 1.  SS2D's
+calls give the projections (w_B,), (w_C,) and (w_delta, delta_bias) of
+x, which the op forms itself (``proj``), and A, one per sequence and way,
+over its row- and column-major sequences; fusion's give B, C and delta
+arrays (``given``) and an A per position, each with a way axis of extent
+1, shared by both ways.  Narrow steps are bound by per-step overhead,
+wide ones by the elementwise work.  A length-sweep row takes its best
+over several rounds, a model-shape row its median over ``SHAPE_ROUNDS``
+rounds, which one slow or one lucky round does not move.  A round times
+every row once (model shapes: both rows of one shape), so a slow spell of
+the host hits all rows alike.  A model-shape row also gives the MiB that
+one warm call allocates at its peak beyond its outputs (y, and with the
+backward every gradient), traced with ``tracemalloc`` in one more call
+outside the timed rounds: a count, not a time, so it shows a change in
+the op's temporaries exactly where the times cannot.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _case(length: int, n: int, d: int, seed: int, lead: tuple = ()):
 
 
 def _model_case(lead: tuple, length: int, d: int, source: str, seed: int):
-    """``selective_scan``'s two-way arguments (x, A, B, C, delta) for one
+    """``selective_scan``'s arguments (x, A, B, C, delta) for one
     ``MODEL_SHAPES`` row, as the model passes them.  A ``given`` row passes
     A per position, (1, L, D, N), and B, C and delta arrays, each with a way
     axis of extent 1, shared by both ways.  A ``proj`` row passes one A,
@@ -171,21 +174,28 @@ def run_bench(lengths, n: int, d: int, impls=IMPLS,
         check_extent(name, value)
     if set(impls) - set(IMPLS):
         raise ConfigError(f"unknown implementation in {list(impls)}")
-    cases = []
+    cases, ways = [], {"sequential": 1, "op": 2}
     for i, length in enumerate(lengths):
         x, a, b, c, delta = _case(length, n, d, seed + i)
         a_bar, b_bar = discretize(a, b, delta)
+        # The op's arguments with x's lead (1,), its way axis, and A's way
+        # and position axes (1, 1): both ways share each of them.
         fns = {"sequential": partial(scan_sequential, x, a_bar, b_bar, c),
-               "op": lambda xs=(x, a, b, c, delta): selective_scan(*xs).data}
+               "op": lambda xs=(x[None], a[None, None], b[None], c[None],
+                                delta[None]): selective_scan(*xs).data[0]}
         oracle = fns["sequential"]()
+        back = [np.flip(v, -2) for v in (x, b, delta, c)]
+        both = oracle + np.flip(scan_sequential(
+            back[0], *discretize(a, *back[1:3]), back[3]), -2)
         for impl in impls:
-            out = oracle if impl == "sequential" else fns[impl]()
-            err = float(np.max(np.abs(out - oracle)
-                               / (np.abs(oracle) + 1e-12)))
+            out, ref = ((oracle, oracle) if impl == "sequential"
+                        else (fns[impl](), both))
+            err = float(np.max(np.abs(out - ref) / (np.abs(ref) + 1e-12)))
             cases.append((length, impl, fns[impl], err))
     walls = map(min, _round_robin([case[2] for case in cases], rounds=5))
     return [BenchRow(L=length, N=n, D=d, impl=impl, wall_time=wall,
-                     elements_per_sec=length * d / wall, max_rel_err=err)
+                     elements_per_sec=ways[impl] * length * d / wall,
+                     max_rel_err=err)
             for (length, impl, _, err), wall in zip(cases, walls)]
 
 
@@ -200,11 +210,11 @@ def run_model_shapes(seed: int = 0) -> list[ShapeRow]:
         args = _model_case(lead, length, d, source, seed + i)
 
         def fwd():
-            return selective_scan(*args, both_ways=True), ()
+            return selective_scan(*args), ()
 
         def fwd_bwd():
             ts = _with_grad(args)
-            y = selective_scan(*ts, both_ways=True)
+            y = selective_scan(*ts)
             y.sum().backward()
             return y, [t for v in ts for t in
                        (v if isinstance(v, tuple) else (v,))]

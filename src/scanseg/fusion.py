@@ -5,8 +5,9 @@ convolution, are flattened, and the two sequences are joined end to end.
 The joined sequence is scanned front to back and back to front with the
 same A, B, C and delta, so state flows across the modality boundary in
 both directions, and the two outputs are summed.  Both scans are one
-two-way ``selective_scan`` call, as SS2D's are: x, A, B, C and delta are
-passed once, each with a way axis of extent 1, which both ways share.
+``selective_scan`` call, which scans both ways, as SS2D's is: x, A, B, C
+and delta are passed once, each with a way axis of extent 1, which both
+ways share.
 
 Parameter wiring is crossed between the modalities: along the first half
 (positions owned by the first modality) the transition quantities A, B,
@@ -75,7 +76,7 @@ class MMFFBlock(Module):
         seq_a = self._preprocess(f_a, self.lin_a, self.conv_a)
         seq_b = self._preprocess(f_b, self.lin_b, self.conv_b)
         x, *args = _joined_scan_inputs(self, seq_a, seq_b)
-        y = selective_scan(x, *args, both_ways=True)
+        y = selective_scan(x, *args)
 
         # (..., 1, 2L, C) -> (..., 2, L, C) -> (..., L, 2, C) -> (..., L, 2C):
         # each position's two halves side by side, as the scales are.

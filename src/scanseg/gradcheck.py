@@ -169,10 +169,12 @@ def suite_ops() -> list[CheckResult]:
 
 
 def suite_scan() -> list[CheckResult]:
-    from .autodiff import softplus, stack
+    """The scan op, which scans both ways.  Each check but the last passes
+    arguments with way axes of extent 1, so both ways share them."""
+    from .autodiff import concat, softplus
     from .scan import BLOCK, SSMParams, scan_inputs, selective_scan
     p = SSMParams(channels=2, state=3, rng=SplitMix64(40))
-    x = _rand((6, 2), 41).reshape(1, 6, 2)      # K = 1 sequence
+    x = _rand((6, 2), 41).reshape(1, 6, 2)      # one set, shared
     weight = Tensor(_rand((6, 2), 43))
 
     def scan_loss(x):
@@ -184,20 +186,20 @@ def suite_scan() -> list[CheckResult]:
                      list(p.named_parameters()), step=1e-4)]
 
     # Per-position A, (L, D, N), as in the fusion block's joined sequence.
-    w = _rand((6, 2), 45)
+    w = _rand((1, 6, 2), 45)
     results.append(check(
         "selective-scan-per-position-a",
         lambda ts: (selective_scan(ts[0], -ts[1].exp(), ts[2], ts[3],
                                    softplus(ts[4])) * Tensor(w)).sum(),
-        [_rand((6, 2), 46), _rand((6, 2, 3), 47), _rand((6, 3), 48),
-         _rand((6, 3), 49), _rand((6, 2), 50)], step=1e-5))
+        [_rand((1, 6, 2), 46), _rand((1, 6, 2, 3), 47), _rand((1, 6, 3), 48),
+         _rand((1, 6, 3), 49), _rand((1, 6, 2), 50)], step=1e-5))
 
     # Three blocks (L = 2*BLOCK + 19: two full blocks and a partial one),
     # on a seeded subset of entries.
     length = 2 * BLOCK + 19
-    lead, d, n = (4, 4), 8, 4
+    lead, d, n = (4, 4, 1), 8, 4
     ts = [Tensor(_rand(s, 70 + i), requires_grad=True)
-          for i, s in enumerate((lead + (length, d), (d, n),
+          for i, s in enumerate((lead + (length, d), (1, 1, d, n),
                                  lead + (length, n), lead + (length, n),
                                  lead + (length, d)))]
     w = Tensor(_rand(lead + (length, d), 75))
@@ -212,10 +214,10 @@ def suite_scan() -> list[CheckResult]:
         step=1e-5, entries_per_param=12))
 
     # The same blocks with delta projected inside the op from x, through
-    # one (w_delta, delta_bias) pair per direction of the lead's last axis.
+    # one (w_delta, delta_bias) pair per sequence of the lead's axis 1.
     proj = [Tensor(_rand(lead + (length, d), 76), requires_grad=True),
-            Tensor(_rand((4, d, d), 77) / np.sqrt(d), requires_grad=True),
-            Tensor(_rand((4, 1, d), 78), requires_grad=True)]
+            Tensor(_rand((4, 1, d, d), 77) / np.sqrt(d), requires_grad=True),
+            Tensor(_rand((4, 1, 1, d), 78), requires_grad=True)]
 
     def projected_loss():
         x, w_delta, delta_bias = proj
@@ -231,8 +233,8 @@ def suite_scan() -> list[CheckResult]:
     # SS2D's call: B, C and delta all projected inside the op from x, so
     # x's gradient sums all three projections' shares.
     bc = [Tensor(_rand(lead + (length, d), 79), requires_grad=True),
-          Tensor(_rand((4, d, n), 80) / np.sqrt(d), requires_grad=True),
-          Tensor(_rand((4, d, n), 81) / np.sqrt(d), requires_grad=True)]
+          Tensor(_rand((4, 1, d, n), 80) / np.sqrt(d), requires_grad=True),
+          Tensor(_rand((4, 1, d, n), 81) / np.sqrt(d), requires_grad=True)]
 
     def projected_bc_loss():
         x, w_b, w_c = bc
@@ -244,28 +246,28 @@ def suite_scan() -> list[CheckResult]:
         list(zip(("x", "w_B", "w_C"), bc)),
         step=1e-5, entries_per_param=12))
 
-    # Both ways in one call, as SS2D makes it: x with a way axis of extent
-    # 1, and each argument the front way's (those above) then the back
-    # way's on its way axis.  The back way scans x from the last position
-    # to the first, and x's gradient sums both ways' shares.
+    # Each way with its own arguments, as SS2D's call has them: the front
+    # way's are those above, the back way's these, on each way axis.  The
+    # back way scans x from the last position to the first, and x's
+    # gradient sums both ways' shares.
     back = [Tensor(v, requires_grad=True) for v in (
-        _rand(lead + (1, length, d), 82), _rand((1, d, n), 83),
-        _rand((4, d, n), 84) / np.sqrt(d), _rand((4, d, n), 85) / np.sqrt(d),
-        _rand((4, d, d), 86) / np.sqrt(d), _rand((4, 1, d), 87))]
+        _rand(lead + (length, d), 82), _rand((1, 1, d, n), 83),
+        _rand((4, 1, d, n), 84) / np.sqrt(d),
+        _rand((4, 1, d, n), 85) / np.sqrt(d),
+        _rand((4, 1, d, d), 86) / np.sqrt(d), _rand((4, 1, 1, d), 87))]
 
-    def both_ways_loss():
+    def own_ways_loss():
         x, a, w_b, w_c, w_delta, delta_bias = back
-        a = stack([-ts[1].exp().reshape(1, d, n), -a.exp()], axis=-4)
+        a = concat([-ts[1].exp(), -a.exp()], axis=-4)
         w_b, w_c, w_delta, delta_bias = (
-            stack(pair, axis=-3) for pair in zip(
+            concat(pair, axis=-3) for pair in zip(
                 (bc[1], bc[2], proj[1], proj[2]),
                 (w_b, w_c, w_delta, delta_bias)))
-        y = selective_scan(x, a, (w_b,), (w_c,), (w_delta, delta_bias),
-                           both_ways=True)
-        return (y.reshape(w.shape) * w).sum()
+        y = selective_scan(x, a, (w_b,), (w_c,), (w_delta, delta_bias))
+        return (y * w).sum()
 
     results.append(check_params(
-        "selective-scan-both-ways", both_ways_loss,
+        "selective-scan-both-ways", own_ways_loss,
         list(zip(("x", "back a", "back w_B", "back w_C", "back w_delta",
                   "back delta_bias"), back)),
         step=1e-5, entries_per_param=12))

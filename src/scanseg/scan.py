@@ -41,25 +41,23 @@ a_bar_k * g_k C_k is the forward recurrence run back to front, and
 dL/d(delta*A)_k = nu_k * h_{k-1}.  A's gradient is that times delta,
 contracted over the axes A is shared along without building the product.
 
-The op scans x from the first position to the last and, with
-``both_ways``, also from the last position to the first; y is the two
-scans' outputs summed position by position.  That is Vision Mamba's
-bidirectional scan (Zhu et al., arXiv:2401.09417): SS2D's reversed
-directions and fusion's second scan are back ways.  A two-way call's
-arguments carry a way axis, next to L as x's (extent 1) and B's, C's and
-delta's, next to the matrix axes as a projection's and A's: extent 1 where
-the ways share an argument (fusion's), 2 where each way has its own
-(SS2D's).  Inside the op the ways sit on that axis in every block, and the
-back way's block s..e-1 reads positions L-e..L-s-1 back to front.  So one
-``block_inputs``, one state carry, one ``_scan_loop`` and one adjoint serve
-both ways, at the per-position width of both together: at batch 1 a loop
-of half that width costs nearly as much per position, so two one-way calls
-would take close to twice as long.  y and every gradient start at zero,
-and each block's part of them is added in position order (``place``): the
-back way's part reversed, onto the front way's where the ways share the
-array, so no array of both ways' outputs or gradients is ever formed.
-A one-way call's arguments get way axes of extent 1, so one body serves
-both forms.
+The op scans x both ways, from the first position to the last and from
+the last to the first, and y is the two scans' outputs summed position by
+position.  That is Vision Mamba's bidirectional scan (Zhu et al.,
+arXiv:2401.09417): SS2D's reversed directions and fusion's second scan
+are back ways.  Every argument carries a way axis, next to L as x's
+(extent 1) and B's, C's and delta's, next to the matrix axes as a
+projection's and A's: extent 1 where the ways share an argument
+(fusion's), 2 where each way has its own (SS2D's).  Inside the op the ways
+sit on that axis in every block, and the back way's block s..e-1 reads
+positions L-e..L-s-1 back to front.  So one ``block_inputs``, one state
+carry, one ``_scan_loop`` and one adjoint serve both ways, at the
+per-position width of both together: at batch 1 a loop of half that width
+costs nearly as much per position, so a scan per way would take close to
+twice as long.  y and every gradient start at zero, and each block's part
+of them is added in position order (``place``): the back way's part
+reversed, onto the front way's where the ways share the array, so no
+array of both ways' outputs or gradients is ever formed.
 
 B, C and delta are each passed in one of two forms.  Fusion passes
 arrays, which the graph keeps: its joined sequence switches generator
@@ -197,11 +195,11 @@ class SSMParams(Module):
 def scan_inputs(seqs: Tensor, params, c_seqs: Tensor | None = None):
     """A and the projections of B, C and delta for parameter sets laid out
     as ``params`` is: K sets, one per sequence, or rows of them, one row
-    per sequence and one set per way of a two-way ``selective_scan``.  In
+    per sequence and one set per way of ``selective_scan``.  In
     ``selective_scan``'s argument order.
 
     ``seqs`` is (..., K, L, D), or (..., R, 1, L, D) for R rows of W sets,
-    the op's two-way x.  With G the sets' layout, (K,) or (R, W), each
+    the op's x.  With G the sets' layout, (K,) or (R, W), each
     parameter name is one stack, as G + its shape.  Returns A (1, ..., *G,
     1, D, N), at rank seqs.ndim + 1; B's projection (w_B,) with w_B (*G,
     D, N); C's, (w_C,), or, when ``c_seqs`` (same shape as seqs) is given,
@@ -291,28 +289,18 @@ def scan_sequential(x, a_bar, b_bar, c):
     return np.einsum("...ln,...ldn->...ld", ca, hs)
 
 
-def _way_form(shape, axis):
-    """``shape`` padded to rank -axis - 1, with a way axis of extent 1
-    inserted at ``axis`` (negative): a one-way argument's two-way form."""
-    shape = (1,) * (-1 - axis - len(shape)) + tuple(shape)
-    return shape[:axis + 1] + (1,) + shape[axis + 1:]
-
-
-def _check_op_shapes(x, a, sources, nw):
+def _check_op_shapes(x, a, sources):
     """The op's argument shapes as passed, ``sources`` holding B's, C's and
     delta's: an array's shape, or the shapes of a projection of x, (w,) for
-    B and C and (w, bias) for delta.  ``nw`` is 2 for a two-way call, whose
-    arguments carry way axes, else 1.  Returns N, B's last extent."""
+    B and C and (w, bias) for delta.  Returns N, B's last extent."""
     def ways(shape, axis):
-        """The two-way form of ``shape``, its way axis at ``nw``."""
-        if nw == 1:
-            shape = _way_form(shape, axis)
-        if len(shape) < -axis or shape[axis] not in (1, nw):
+        """``shape`` with its way axis, at ``axis``, of extent 2."""
+        if len(shape) < -axis or shape[axis] not in (1, 2):
             raise ValueError
-        return shape[:axis] + (nw,) + shape[axis + 1:]
+        return shape[:axis] + (2,) + shape[axis + 1:]
 
     def value(src, arity):
-        """The two-way shape of the array a source stands for."""
+        """The shape, with both ways, of the array a source stands for."""
         if not (src and isinstance(src[0], tuple)):
             return ways(src, -3)
         w, *bias = (ways(v, -3) for v in src)
@@ -324,7 +312,7 @@ def _check_op_shapes(x, a, sources, nw):
         return shape
 
     try:
-        if len(x) < 2 or nw > 1 and (len(x) < 3 or x[-3] != 1):
+        if len(x) < 3 or x[-3] != 1:
             raise ValueError
         xw = ways(x, -3)
         b, c, delta = map(value, sources, (1, 1, 2))
@@ -337,11 +325,11 @@ def _check_op_shapes(x, a, sources, nw):
         b, c, delta = sources
         raise DimensionError(
             f"selective_scan shapes disagree: x {x}, A {a}, B {b}, C {c}, "
-            f"delta {delta} (A must broadcast to {x} + (N,); B and C must "
-            f"be (..., L, N), or (w,) with x @ w of that shape; delta must "
-            f"match x, or be (w, bias) with x @ w + bias of x's shape; "
-            f"both ways: x (..., 1, L, D), and a way axis of extent 1 or 2 "
-            f"at -3 of B, C, delta and each w and bias, and at -4 of A)")
+            f"delta {delta} (x must be (..., 1, L, D); A must broadcast to "
+            f"x's shape + (N,); B and C must be (..., W, L, N), or (w,) with "
+            f"x @ w of that shape; delta must be (..., W, L, D), or (w, bias) "
+            f"with x @ w + bias of that shape; the way extent W, at -3 of B, "
+            f"C, delta and each w and bias and at -4 of A, is 1 or 2)")
     return b[-1]
 
 
@@ -361,49 +349,40 @@ def _reduce_to(shape, p, q, keep):
     return red.reshape(shape)
 
 
-def selective_scan(x: Tensor, a: Tensor, b, c, delta,
-                   both_ways: bool = False) -> Tensor:
-    """Differentiable selective scan that discretizes inside.
+def selective_scan(x: Tensor, a: Tensor, b, c, delta) -> Tensor:
+    """Differentiable selective scan, both ways, that discretizes inside.
 
-    x is (..., L, D); A broadcasts to (..., L, D, N).  B and C are each a
-    (..., L, N) Tensor or a projection (w,) of x, read as x @ w, with w
-    broadcasting to (..., D, N).  delta is a (..., L, D) Tensor with delta
-    >= 0 or a projection (w, bias), read as softplus(x @ w + bias), with w
-    broadcasting to (..., D, D) and bias to (..., 1, D).  The op forms a
-    projected B, C or delta block by block, in forward and again in
-    backward, and keeps none of it.  The scan runs from the first position
-    to the last; inputs may be strided views, flipped ones too.
+    x is (..., 1, L, D), its axis -3 a way axis of extent 1, and every
+    other argument has one too: axis -3 of B, C and delta and of each
+    projection array, axis -4 of A.  Its extent is 1 where the ways share
+    the argument and 2 for the front way's then the back way's; arrays are
+    indexed by position as x is.  With W that extent, A broadcasts to
+    (..., W, L, D, N).  B and C are each a (..., W, L, N) Tensor or a
+    projection (w,) of x, read as x @ w, with w broadcasting to (..., W, D,
+    N).  delta is a (..., W, L, D) Tensor with delta >= 0 or a projection
+    (w, bias), read as softplus(x @ w + bias), with w broadcasting to (...,
+    W, D, D) and bias to (..., W, 1, D).  The op forms a projected B, C or
+    delta block by block, in forward and again in backward, and keeps none
+    of it.  Inputs may be strided views, flipped ones too.
 
-    With ``both_ways`` the op also scans x from the last position to the
-    first, and y is the sum of the two scans' outputs, position by
-    position.  Axis -3 of x is then a way axis of extent 1, and every other
-    argument has one too: axis -3 of B, C and delta and of each projection
-    array, axis -4 of A.  Its extent is 1 where the ways share the argument
-    and 2 for the front way's then the back way's; arrays are indexed by
-    position as x is.  Returns y in x's shape; each gradient comes in its
-    argument's shape, summed over the ways that share it.
+    The front way scans x from the first position to the last, the back
+    way from the last to the first, and y is the sum of the two scans'
+    outputs, position by position, in x's shape.  Each gradient comes in
+    its argument's shape, summed over the ways that share it.
     """
-    nw = 2 if both_ways else 1
     xt, at = Tensor._ensure(x), Tensor._ensure(a)
     projected = [isinstance(v, tuple) for v in (b, c, delta)]
     groups = [tuple(map(Tensor._ensure, v if p else (v,)))
               for v, p in zip((b, c, delta), projected)]
     parents = [xt, at] + [t for grp in groups for t in grp]
-    shapes = [t.shape for t in parents]
     n = _check_op_shapes(xt.shape, at.shape,
                          [tuple(t.shape for t in grp) if p else grp[0].shape
-                          for grp, p in zip(groups, projected)], nw)
+                          for grp, p in zip(groups, projected)])
     if not projected[2] and np.any(groups[2][0].data < 0):
         raise DomainError("delta must be non-negative")
 
-    def ways(t, axis=-3):
-        """t's array in the two-way form: a one-way call's arguments get way
-        axes of extent 1, so one body serves both call forms."""
-        return t.data if both_ways else t.data.reshape(
-            _way_form(t.shape, axis))
-
-    xd, ad = ways(xt), ways(at, -4)
-    srcs = [tuple(map(ways, grp)) for grp in groups]
+    xd, ad = xt.data, at.data
+    srcs = [tuple(t.data for t in grp) for grp in groups]
     lead, (length, d) = xd.shape[:-3], xd.shape[-2:]
 
     def tm(v, axis=-2):
@@ -419,13 +398,10 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         """Block s..e-1 of v, whose positions run along axis ``pos`` and
         ways along ``axis``, for each way: the front way reads positions
         s..e-1, the back way L-e..L-s-1 back to front, so each way's block
-        is in its own scan order.  One way's is a view of v, two ways' a
-        copy in slot ``name``."""
+        is in its own scan order: a copy in slot ``name``."""
         at = (slice(None),) * pos
         front = v[at + (slice(s, e),)]
-        if nw == 1:
-            return front
-        blk = _slot(name, front.shape[:axis] + (nw,) + front.shape[axis + 1:],
+        blk = _slot(name, front.shape[:axis] + (2,) + front.shape[axis + 1:],
                     keep)
         rest = (slice(None),) * (-1 - axis)
         blk[(..., 0) + rest] = front[(..., 0) + rest]
@@ -440,8 +416,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         starts at zero: the back way's part reversed, on its own way where
         dst has two (V = 2), else onto the front way's."""
         dst[s:e, ..., :1, :] += blk[..., :1, :]
-        if nw == 2:
-            dst[length - e:length - s, ..., -1:, :] += blk[::-1, ..., 1:, :]
+        dst[length - e:length - s, ..., -1:, :] += blk[::-1, ..., 1:, :]
 
     projs = [src if p else None for src, p in zip(srcs, projected)]
     given = [None if p else tm(src[0]) for src, p in zip(srcs, projected)]
@@ -460,7 +435,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
                 out.append(ways_block(v_tm, s, e, -2, name))
                 continue
             w, *bias = proj
-            shape = lead + (nw, e - s, w.shape[-1])
+            shape = lead + (2, e - s, w.shape[-1])
             if bias:
                 pre = np.matmul(x_blk, w, out=_slot("pre", shape, keep))
                 pre += bias[0]
@@ -481,12 +456,12 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
     per_position = a_tm.shape[0] > 1
     # Projections' and a shared A's gradients are summed block by block,
     # so their rounding follows the block length: those calls take BLOCK
-    # positions per way.  A call with neither has gradients that do not
-    # depend on it, and takes BLOCK / W, so that its blocks' temporaries
-    # are no larger with two ways than with one.
-    step = BLOCK // nw if per_position and not any(projected) else BLOCK
+    # positions.  A call with neither has gradients that do not depend on
+    # it, and takes BLOCK // 2, so that its blocks' temporaries, both
+    # ways', are the size of BLOCK positions of one way.
+    step = BLOCK // 2 if per_position and not any(projected) else BLOCK
     # The block's slots are the workspace's if it holds at most KEPT states.
-    keep = math.prod(lead) * nw * min(step, length) * n * d <= KEPT
+    keep = math.prod(lead) * 2 * min(step, length) * n * d <= KEPT
     bounds = [(s, min(s + step, length)) for s in range(0, length, step)]
 
     def a_block(s, e):
@@ -512,7 +487,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
     # in position order.
     y = np.zeros(xd.shape)
     starts = []                               # the state entering each block
-    h0 = np.zeros(lead + (nw, n, d))
+    h0 = np.zeros(lead + (2, n, d))
     for s, e in bounds:
         starts.append(h0)
         x_blk, b_blk, c_blk, delta_blk, _ = block_inputs(s, e)
@@ -525,16 +500,16 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
     _PASS.clear()
 
     def backward(g):
-        g_tm = tm(g.reshape(xd.shape))
+        g_tm = tm(g)
         gx = np.zeros(xd.shape)
         # A per position: its gradient is put in position order, as x's;
         # a shared A's is summed over the blocks, for each way.
         ga = np.zeros(a_tm.shape if per_position
-                      else a_tm.shape[:-3] + (nw,) + a_tm.shape[-2:])
+                      else a_tm.shape[:-3] + (2,) + a_tm.shape[-2:])
         # Each source's gradients: a given array's, in its shape, put in
         # position order, or its projection's w's and bias's, with the way
         # axis at W, summed.
-        grads = [tuple(np.zeros(v.shape[:-3] + (nw,) + v.shape[-2:])
+        grads = [tuple(np.zeros(v.shape[:-3] + (2,) + v.shape[-2:])
                        for v in proj) if proj is not None
                  else (np.zeros(src[0].shape),)
                  for proj, src in zip(projs, srcs)]
@@ -553,7 +528,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
                              out=_slot("lam", x_blk.shape, keep))
             grid(gx_blk)[...] += gp_w
 
-        nu0 = np.zeros(lead + (nw, n, d))     # nu at the next block's start
+        nu0 = np.zeros(lead + (2, n, d))      # nu at the next block's start
         for (s, e), h0 in zip(reversed(bounds), reversed(starts)):
             x_blk, b_blk, c_blk, delta_blk, slope = block_inputs(s, e)
             a_blk = _contiguous("a", a_block(s, e), keep)
@@ -584,7 +559,7 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
             gd = _slot("h", delta_blk.shape, keep)
             np.einsum("...nd,...nd->...d", gz, a_blk, out=gd)
             red = _reduce_to((e - s if per_position else 1,) + ga.shape[1:-3]
-                             + (nw,) + ga.shape[-2:], gz, delta_blk, keep)
+                             + (2,) + ga.shape[-2:], gz, delta_blk, keep)
             if per_position:
                 place(_rows(ga), _rows(red), s, e)
             else:
@@ -613,12 +588,13 @@ def selective_scan(x: Tensor, a: Tensor, b, c, delta,
         if ga.shape[-3] > ad.shape[-4]:
             ga = ga[..., :1, :, :] + ga[..., 1:, :, :]
         ga = np.swapaxes(np.moveaxis(ga, 0, -3), -1, -2)
-        out = [gx, _unbroadcast(ga, (1,) * (ga.ndim - ad.ndim) + ad.shape)]
+        out = [gx, _unbroadcast(ga, (1,) * (ga.ndim - ad.ndim)
+                                + ad.shape).reshape(ad.shape)]
         for gv, src, proj in zip(grads, srcs, projs):
             if proj is None:
                 out.append(gv[0])
             else:
                 out.extend(_unbroadcast(gw, v.shape) for gw, v in zip(gv, src))
-        return tuple(o.reshape(shape) for o, shape in zip(out, shapes))
+        return tuple(out)
 
-    return Tensor._from_op(y.reshape(xt.shape), parents, backward)
+    return Tensor._from_op(y, parents, backward)

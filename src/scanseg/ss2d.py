@@ -6,12 +6,12 @@ four directions — row-major from the top-left, its reversal, column-major
 from the top-left, and its reversal — each scanned by its own parameter
 set (through ``scan.scan_inputs``, fusion's generator too), and the four
 outputs are restored to grid order and summed.  The cross-scan keeps two
-sequences, row-major and column-major, ``(..., 2, L, C)``; the reversals
-are the same sequences read back to front.  So SS2D makes one two-way
-``selective_scan`` call over the pair, with a way axis of extent 1 after
-the sequence axis: the four directions, in order, are 2 sequences by 2
-ways, directions 0 and 2 the op's front way and 1 and 3 its back way, and
-the op returns each sequence's two scans summed position by position
+sequences, row-major and column-major, ``(..., 2, 1, L, C)``; the
+reversals are the same sequences read back to front.  So SS2D makes one
+``selective_scan`` call, which scans both ways, over the pair: the four
+directions, in order, are 2 sequences by 2 ways, directions 0 and 2 the
+op's front way and 1 and 3 its back way, and the op returns each
+sequence's two scans summed position by position
 (Vision Mamba's bidirectional scan, Zhu et al., arXiv:2401.09417, on
 VMamba's cross-scan, Liu et al., arXiv:2401.10166).  Each direction's B,
 C and delta are projected from its own sequence, so the scan gets the
@@ -24,8 +24,11 @@ the row-/column-major pair with reversals.
 
 The layout is two numpy functions, ``_to_sequences`` (grid to the two
 sequences) and ``_to_grid`` (undo each order and sum), each the other's
-adjoint.  ``cross_scan`` and ``cross_merge`` record one graph node each,
-whose backward is the other function.
+adjoint.  The sequences come as the op's x, ``(..., 2, 1, L, C)``, with a
+way axis of extent 1 after the sequence axis, and ``_to_grid`` takes the
+op's y in that shape, so no reshape stands between them and the scan.
+``cross_scan`` and ``cross_merge`` record one graph node each, whose
+backward is the other function.
 
 The C projection of each directional scan may be sourced from a second
 feature map (``c_source``); the decoder uses this to let higher-level
@@ -48,18 +51,20 @@ __all__ = ["cross_scan", "cross_merge", "SS2DBlock", "ss2d_forward"]
 
 
 def _to_sequences(f: np.ndarray) -> np.ndarray:
-    """(..., H, W, C) -> (..., 2, L, C): row-major, then column-major."""
-    seq_shape = f.shape[:-3] + (f.shape[-3] * f.shape[-2], f.shape[-1])
+    """(..., H, W, C) -> (..., 2, 1, L, C): row-major, then column-major,
+    each with a way axis of extent 1."""
+    seq_shape = f.shape[:-3] + (1, f.shape[-3] * f.shape[-2], f.shape[-1])
     rows = f.reshape(seq_shape)
     cols = np.swapaxes(f, -3, -2).reshape(seq_shape)
-    return np.stack([rows, cols], axis=-3)
+    return np.stack([rows, cols], axis=-4)
 
 
 def _to_grid(y: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(..., 2, L, C) -> (..., H, W, C): undo each sequence's order, sum."""
-    lead, c = y.shape[:-3], y.shape[-1]
-    rows = y[..., 0, :, :].reshape(lead + (h, w, c))
-    cols = y[..., 1, :, :].reshape(lead + (w, h, c))
+    """(..., 2, 1, L, C) -> (..., H, W, C): undo each sequence's order,
+    sum."""
+    lead, c = y.shape[:-4], y.shape[-1]
+    rows = y[..., 0, 0, :, :].reshape(lead + (h, w, c))
+    cols = y[..., 1, 0, :, :].reshape(lead + (w, h, c))
     return rows + np.swapaxes(cols, -3, -2)
 
 
@@ -95,7 +100,7 @@ class SS2DBlock(Module):
 
 def ss2d_forward(f: Tensor, block: SS2DBlock,
                  c_source: Tensor | None = None) -> Tensor:
-    """Cross-scan, one two-way selective scan, cross-merge.
+    """Cross-scan, one selective scan both ways, cross-merge.
 
     B and delta derive from ``f``'s directional sequences; C derives from
     ``c_source``'s sequences when given (same traversal orders), else from
@@ -109,12 +114,8 @@ def ss2d_forward(f: Tensor, block: SS2DBlock,
         raise DimensionError(
             f"c_source shape {c_source.shape} must equal f shape {f.shape}")
 
-    seqs = cross_scan(f)                                   # (..., 2, L, C)
-    ways = seqs.shape[:-2] + (1,) + seqs.shape[-2:]        # (..., 2, 1, L, C)
-    x = seqs.reshape(ways)
-    cx = None if c_source is None else cross_scan(c_source).reshape(ways)
+    x = cross_scan(f)                                      # (..., 2, 1, L, C)
+    cx = None if c_source is None else cross_scan(c_source)
     dirs = block.directions
-    y = selective_scan(x, *scan_inputs(x, (dirs[0:2], dirs[2:4]), cx),
-                       both_ways=True)
-    return block.out_norm(cross_merge(y.reshape(seqs.shape), f.shape[-3],
-                                      f.shape[-2]))
+    y = selective_scan(x, *scan_inputs(x, (dirs[0:2], dirs[2:4]), cx))
+    return block.out_norm(cross_merge(y, f.shape[-3], f.shape[-2]))

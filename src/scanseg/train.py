@@ -115,9 +115,15 @@ def train_loop(model: Model, pairs: list[ModalityPair],
 
 def predict_logits(model: Model, rgb: np.ndarray,
                    xmod: np.ndarray | None = None) -> Tensor:
-    """Model logits for one input, recording no graph."""
-    with no_grad():
-        return model(Tensor(rgb), None if xmod is None else Tensor(xmod))
+    """Model logits for one input, recording no graph.  A NaN or infinite
+    logit raises ``NumericalError``; numpy's overflow warnings on the way
+    there are silenced, so that error is the one report of it."""
+    with no_grad(), np.errstate(over="ignore", invalid="ignore",
+                                divide="ignore"):
+        logits = model(Tensor(rgb), None if xmod is None else Tensor(xmod))
+    if bad := np.count_nonzero(~np.isfinite(logits.data)):
+        raise NumericalError(f"prediction holds {bad} non-finite values")
+    return logits
 
 
 def predict_prob(model: Model, pair: ModalityPair,

@@ -37,12 +37,18 @@ def test_criterion_1_scan_oracle_equivalence(monkeypatch):
         b = -1.0 + 2.0 * rr.uniform_array((L, N))
         delta = 0.01 + rr.uniform_array((L, D))
         c = -1.0 + 2.0 * rr.uniform_array((L, N))
-        a_bar, b_bar = scan.discretize(a, b, delta)
-        y_ref = scan.scan_sequential(x, a_bar, b_bar, c)
+        # Both ways' oracle: the scan of the inputs plus the scan of the
+        # inputs flipped along L, flipped back.
+        y_ref = scan.scan_sequential(x, *scan.discretize(a, b, delta), c)
+        back = [v[::-1] for v in (x, b, delta, c)]
+        y_ref = y_ref + scan.scan_sequential(
+            back[0], *scan.discretize(a, *back[1:3]), back[3])[::-1]
         for block in (1, 2, 3, 8, L):
             # Patched so that these short sequences cross block boundaries.
             monkeypatch.setattr(scan, "BLOCK", block)
-            y = scan.selective_scan(x, a, b, c, delta).data
+            # Way axes of extent 1: both ways share every argument.
+            y = scan.selective_scan(x[None], a[None, None], b[None], c[None],
+                                    delta[None]).data[0]
             rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -103,7 +109,7 @@ def test_criterion_4_permutation_roundtrip():
             # sequences, and each read back to front, as the scan's back
             # way reads it.
             grid = np.arange(float(h * w)).reshape(h, w, 1)
-            seqs = cross_scan(Tensor(grid)).data[..., 0].astype(np.int64)
+            seqs = cross_scan(Tensor(grid)).data[:, 0, :, 0].astype(np.int64)
             assert seqs.shape == (2, h * w)
             perms = [seqs[0], seqs[0][::-1], seqs[1], seqs[1][::-1]]
             for perm in perms:

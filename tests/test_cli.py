@@ -240,13 +240,14 @@ def test_eval_without_samples_exit_1_with_manifest(workspace, tmp_path,
     assert manifest["status"] == "error" and manifest["error"] == err.strip()
 
 
-def _nan_prediction_checkpoint(workspace, tmp_path):
-    """A checkpoint of finite weights whose prediction is NaN.  A checkpoint
-    holding NaN does not load (exit 2, below); here the weights' products
-    overflow: the patch embedding sums to inf, and its norm makes inf - inf.
+def _nan_prediction_checkpoint(source, tmp_path):
+    """Checkpoint ``source`` with finite weights whose prediction is NaN.  A
+    checkpoint holding NaN does not load (exit 2, below); here the weights'
+    products overflow: the patch embedding sums to inf, and its norm makes
+    inf - inf.
     """
     from scanseg.model import Model
-    model = Model.from_checkpoint(str(workspace["ckpt"]))
+    model = Model.from_checkpoint(str(source))
     params = dict(model.named_parameters())
     params["encoder.embed.proj.weight"].data[...] = 1e308
     ckpt = tmp_path / "nan.ckpt"
@@ -255,7 +256,7 @@ def _nan_prediction_checkpoint(workspace, tmp_path):
 
 
 def test_eval_nan_weight_exit_3_with_manifest(workspace, tmp_path, capsys):
-    ckpt = _nan_prediction_checkpoint(workspace, tmp_path)
+    ckpt = _nan_prediction_checkpoint(workspace["ckpt"], tmp_path)
     out = tmp_path / "out"
     assert run(["eval", "--ckpt", ckpt, "--data", workspace["ds"],
                 "--out-dir", out]) == 3
@@ -272,11 +273,33 @@ def test_infer_nan_prediction_exit_3_writes_no_mask(workspace, tmp_path,
                                                     capsys):
     # As eval does: exit 3 with one line and a manifest, and no mask made
     # of the NaN logits.
-    ckpt = _nan_prediction_checkpoint(workspace, tmp_path)
+    ckpt = _nan_prediction_checkpoint(workspace["ckpt"], tmp_path)
     out = tmp_path / "out"
     assert run(["infer", "--ckpt", ckpt, "--rgb",
                 workspace["ds"] / "rgb" / "00000.ppm",
                 "--out", out / "mask.pgm"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: prediction holds ")
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["status"] == "error" and manifest["exit_code"] == 3
+    assert manifest["error"] == err.strip()
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_eval_semantic_nan_prediction_exit_3_with_manifest(workspace,
+                                                           tmp_path, capsys):
+    # A semantic checkpoint's NaN logits are not scored: argmax over NaN
+    # would give labels, and mIoU a number.
+    sem = tmp_path / "sem.ckpt"
+    assert run(["train", "--data", workspace["ds"], "--task", "semantic",
+                "--num-classes", 2, "--steps", 1, "--batch", 2,
+                "--out", sem]) == 0
+    ckpt = _nan_prediction_checkpoint(sem, tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["eval", "--ckpt", ckpt, "--data", workspace["ds"],
+                "--out-dir", out]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("numerical failure: prediction holds ")
@@ -476,7 +499,8 @@ def test_fit_exponent_needs_two_distinct_lengths():
 
 
 def test_chunked_bench_error_column_small(tmp_path):
-    # The op row's error column, against the oracle on the same inputs.
+    # The op row's error column, against both ways' oracle on the same
+    # inputs.
     out = tmp_path / "bench_err"
     assert run(["scan-bench", "--lengths", "512", "--out-dir", out]) == 0
     rows = open(out / "scan_bench.csv").read().strip().split("\n")[1:]

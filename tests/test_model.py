@@ -306,7 +306,7 @@ def _closure_arrays(root):
 def test_ss2d_graph_keeps_one_sequence_sized_buffer():
     # The scan projects its own x to delta, in forward and again in
     # backward, and reads each sequence both ways, so the only
-    # (..., 2, L, C) buffer any closure keeps is the two cross-scan
+    # (..., 2, 1, L, C) buffer any closure keeps is the two cross-scan
     # sequences; no full delta and no reversed copy lives in the graph.
     from scanseg.ss2d import SS2DBlock, cross_scan, ss2d_forward
     blk = SS2DBlock(channels=2, state=3, rng=SplitMix64(25))
@@ -323,7 +323,7 @@ def test_ss2d_graph_keeps_one_sequence_sized_buffer():
     assert id(f._node) in seen
     assert len(buffers) == 1, [b.shape for b in buffers.values()]
     (root,) = buffers.values()
-    assert np.array_equal(root.reshape((2, 2, 15, 2)), cross_scan(f).data)
+    assert np.array_equal(root.reshape((2, 2, 1, 15, 2)), cross_scan(f).data)
 
 
 @pytest.mark.parametrize("with_c_source", [False, True])
@@ -368,9 +368,10 @@ def test_ss2d_graph_keeps_no_b_or_c():
 
 
 def test_model_graph_keeps_no_four_direction_sequences(monkeypatch):
-    # SS2D keeps its row- and column-major sequences, (..., 2, L, C), and
-    # its scan reads their reversals: no closure reachable from a whole
-    # TOY forward keeps a (..., 4, L, C) array for any SS2D call's L and C.
+    # SS2D keeps its row- and column-major sequences, (..., 2, 1, L, C),
+    # and its scan reads their reversals: no closure reachable from a whole
+    # TOY forward keeps a (..., 4, 1, L, C) or (..., 4, L, C) array for any
+    # SS2D call's L and C.
     import scanseg.blocks
     import scanseg.decoder
     from scanseg.ss2d import ss2d_forward
@@ -388,9 +389,9 @@ def test_model_graph_keeps_no_four_direction_sequences(monkeypatch):
     arrays, seen = _closure_arrays(logits)
     assert len(calls) >= 3                  # both stages and the decoder
     four = [a.shape for a in arrays
-            if a.ndim >= 3 and a.shape[-3] == 4 and a.shape[-2:] in calls]
+            if 4 in a.shape[-4:-2] and a.shape[-2:] in calls]
     two = [a for a in arrays
-           if a.ndim >= 3 and a.shape[-3] == 2 and a.shape[-2:] in calls]
+           if a.shape[-4:-2] == (2, 1) and a.shape[-2:] in calls]
     assert not four, four
     assert two                              # not vacuous: the pairs are kept
     assert all(id(p._node) in seen for p in model.parameters())

@@ -33,6 +33,32 @@ def random_scan_case(seed, L, N, D):
     return (x, *discretize(a, b, delta), c)
 
 
+def shared(x, a, b, c, delta):
+    """The op's arguments for one scan's (x, A, B, C, delta), with way axes
+    of extent 1, which both ways share: at -3 of x, of B, C and delta and
+    of each projection array, at -4 of A (after L's, for a (D, N) A)."""
+    def way(v):
+        if isinstance(v, tuple):
+            return tuple(map(way, v))
+        return np.expand_dims(v, -3)
+
+    a = np.expand_dims(a.reshape((1,) * (3 - a.ndim) + a.shape), -4)
+    return (way(x), a) + tuple(map(way, (b, c, delta)))
+
+
+def flip_l(v):
+    return np.flip(v, -2)
+
+
+def front_plus_back(oracle, x, a, b, c, delta):
+    """Both ways' y by ``oracle``, which takes one scan's (x, A, B, C,
+    delta) arrays: the oracle on them plus the oracle on them flipped
+    along L (axis -3 of an A of rank 3 or more), flipped back."""
+    back_a = np.flip(a, -3) if a.ndim >= 3 else a
+    back = oracle(flip_l(x), back_a, *map(flip_l, (b, c, delta)))
+    return oracle(x, a, b, c, delta) + flip_l(back)
+
+
 # ---------------------------------------------------------------- params
 
 def test_params_invariants():
@@ -135,8 +161,9 @@ def test_discretize_rejects_negative_delta():
     with pytest.raises(DomainError):
         discretize(np.array([[-1.0]]), np.array([[1.0]]), np.array([[-0.5]]))
     with pytest.raises(DomainError):
-        selective_scan(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([[1.0]]),
-                       Tensor([[1.0]]), Tensor([[-0.5]]))
+        selective_scan(*map(Tensor, shared(
+            np.ones((1, 1)), -np.ones((1, 1)), np.ones((1, 1)),
+            np.ones((1, 1)), np.full((1, 1), -0.5))))
 
 
 def test_discretize_stability_range():
@@ -188,7 +215,7 @@ def test_scan_golden_hand_unrolled_table():
 # ---------------------------------------------------------------- adjoint
 
 def test_zero_c_kills_state_path_gradients():
-    x, a, b, c, delta = random_op_case(24, L=5, N=2, D=2)
+    x, a, b, c, delta = shared(*random_op_case(24, L=5, N=2, D=2))
     xt = Tensor(x, requires_grad=True)
     at = Tensor(a, requires_grad=True)
     bt = Tensor(b, requires_grad=True)
@@ -205,10 +232,10 @@ def test_zero_c_kills_state_path_gradients():
 def test_scan_finite_difference_sweep():
     L, N, D = 8, 4, 2
     r = SplitMix64(25)
-    x = -1.0 + 2.0 * r.uniform_array((L, D))
-    a = -0.1 - 1.5 * r.uniform_array((D, N))
-    b = -1.0 + 2.0 * r.uniform_array((L, N))
-    delta_raw = -1.0 + 2.0 * r.uniform_array((L, D))
+    x = -1.0 + 2.0 * r.uniform_array((1, L, D))
+    a = -0.1 - 1.5 * r.uniform_array((1, 1, D, N))
+    b = -1.0 + 2.0 * r.uniform_array((1, L, N))
+    delta_raw = -1.0 + 2.0 * r.uniform_array((1, L, D))
     r.uniform_array((D,))   # drawn so that ``weight`` keeps its values
     weight = -1.0 + 2.0 * r.uniform_array((L, D))
 
@@ -240,31 +267,38 @@ def test_scan_gradcheck_via_input_params():
 def test_zero_delta_holds_state_negative_delta_rejected():
     # Zero is softplus's underflow limit: a_bar = 1 and b_bar = 0, so the
     # state holds.  Only a negative delta is outside the domain.
-    x, a, b, c, delta = random_op_case(33, L=9, N=3, D=2)
-    delta[:, 0] = 0.0
+    x, a, b, c, delta = shared(*random_op_case(33, L=9, N=3, D=2))
+    delta[0, :, 0] = 0.0
     ts = [Tensor(v, requires_grad=True) for v in (x, a, b, c, delta)]
     y = selective_scan(*ts)
-    assert np.array_equal(y.data[:, 0], np.zeros(9))
+    assert np.array_equal(y.data[0, :, 0], np.zeros(9))
     y.sum().backward()
     assert all(np.all(np.isfinite(t.grad)) for t in ts)
-    delta[4, 1] = -1e-300
+    delta[0, 4, 1] = -1e-300
     with pytest.raises(DomainError):
         selective_scan(x, a, b, c, delta)
 
 
 def test_selective_scan_rejects_shape_mismatch():
-    x, a, b, c, delta = random_op_case(34, L=4, N=2, D=3)
+    # Every argument has its way axis, so each case fails on the named
+    # extent alone: the same call with delta and C projected runs.
+    x, a, b, c, delta = shared(*random_op_case(34, L=4, N=2, D=3))
+    selective_scan(x, a, b, (np.zeros((1, 3, 2)),),
+                   (np.zeros((1, 3, 3)), np.zeros((1, 1, 3))))
     bad = [
-        (x, a, b, c, delta[:, :2]),          # delta D differs from x
-        (x, np.zeros((3, 3)), b, c, delta),  # A's N differs from B's
-        (x, a, b, c[:3], delta),             # C's L differs
-        (x, a, np.stack([b, b]), c, delta),  # B has its own lead dim
-        (x, a, b, c, (np.zeros((3, 2)), np.zeros((1, 3)))),  # w not (D, D)
-        (x, a, b, c, (np.zeros((3, 3)), np.zeros((1, 2)))),  # bias not D
-        (x, a, b, c, (np.zeros((2, 3, 3)), np.zeros((1, 3)))),  # w adds a dim
-        (x, a, (np.zeros((2, 2)),), c, delta),   # B's w is not (D, N)
-        (x, a, b, (np.zeros((3, 3)),), delta),   # C's w gives N = 3
-        (x, a, b, (np.zeros((3, 2)), np.zeros((1, 2))), delta),  # C biased
+        (x, a, b, c, delta[..., :2]),                # delta D differs from x
+        (x, np.zeros((1, 1, 3, 3)), b, c, delta),    # A's N differs from B's
+        (x, a, b, c[:, :3], delta),                  # C's L differs
+        (x, a, np.stack([b, b]), c, delta),          # B has its own lead dim
+        (x, a, b, c, (np.zeros((1, 3, 2)),
+                      np.zeros((1, 1, 3)))),          # w not (D, D)
+        (x, a, b, c, (np.zeros((1, 3, 3)), np.zeros((1, 1, 2)))),  # bias not D
+        (x, a, b, c, (np.zeros((2, 1, 3, 3)),
+                      np.zeros((1, 1, 3)))),          # w adds a dim
+        (x, a, (np.zeros((1, 2, 2)),), c, delta),    # B's w is not (D, N)
+        (x, a, b, (np.zeros((1, 3, 3)),), delta),    # C's w gives N = 3
+        (x, a, b, (np.zeros((1, 3, 2)), np.zeros((1, 1, 2))),
+         delta),                                      # C biased
     ]
     for args in bad:
         with pytest.raises(DimensionError):
@@ -298,8 +332,9 @@ def test_selective_scan_oracle_sweep():
                 b = -1.0 + 2.0 * rr.uniform_array(lead + (L, N))
                 delta = 0.01 + rr.uniform_array(lead + (L, D))
                 c = -1.0 + 2.0 * rr.uniform_array(lead + (L, N))
-                y = selective_scan(x, a, b, c, delta).data
-                y_ref = _op_oracle(x, a, b, c, delta)
+                y = selective_scan(*shared(x, a, b, c, delta)).data
+                y = y[..., 0, :, :]
+                y_ref = front_plus_back(_op_oracle, x, a, b, c, delta)
                 rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
                 worst = max(worst, rel)
                 case += 1
@@ -308,9 +343,9 @@ def test_selective_scan_oracle_sweep():
 
 def test_selective_scan_projected_delta_matches_oracle():
     # K = 2 (w, bias) pairs, a batch axis and three blocks (two full, one
-    # partial): the op's own delta = softplus(x @ w + bias) gives the array
-    # oracle's y, and the same y, bitwise, as that delta passed in, formed
-    # with the op's softplus.
+    # partial): the op's own delta = softplus(x @ w + bias) gives both
+    # ways' array oracle's y, and the same y, bitwise, as that delta passed
+    # in, formed with the op's softplus.
     lead, k, length, d, n = (3,), 2, 2 * BLOCK + 19, 4, 3
     r = SplitMix64(36)
     x = -2.0 + 4.0 * r.uniform_array(lead + (k, length, d))
@@ -320,19 +355,22 @@ def test_selective_scan_projected_delta_matches_oracle():
     w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
     bias = -4.0 + 3.0 * r.uniform_array((k, 1, d))
     delta = _softplus_e(x @ w + bias)[0]
-    y = selective_scan(x, a, b, c, (w, bias)).data
-    assert np.array_equal(y, selective_scan(x, a, b, c, delta).data)
-    y_ref = scan_sequential(x, *discretize(a[:, 0], b, delta), c)
+    y = selective_scan(*shared(x, a, b, c, (w, bias))).data
+    assert np.array_equal(y, selective_scan(*shared(x, a, b, c, delta)).data)
+    y = y[..., 0, :, :]
+    y_ref = front_plus_back(lambda x, a, b, c, delta: scan_sequential(
+        x, *discretize(a[:, 0], b, delta), c), x, a, b, c, delta)
     # Relative to the largest |y|: entry by entry, y near 0 reads ~1e-12.
     rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
     assert rel <= 1e-12, rel
 
 
 def test_selective_scan_projected_bc_matches_oracle():
-    # SS2D's call: K = 2 sets of (w_B, w_C, w_delta, delta_bias), a batch
-    # axis and three blocks.  The op's own B = x @ w_B and C = x @ w_C give
-    # the array oracle's y, and the same y, bitwise, as those B and C
-    # passed in, with A at the rank of the maps it broadcasts to.
+    # SS2D's call, with both ways sharing each set: K = 2 sets of (w_B,
+    # w_C, w_delta, delta_bias), a batch axis and three blocks.  The op's
+    # own B = x @ w_B and C = x @ w_C give both ways' array oracle's y, and
+    # the same y, bitwise, as those B and C passed in, with A at the rank
+    # of the maps it broadcasts to.
     lead, k, length, d, n = (3,), 2, 2 * BLOCK + 19, 4, 3
     r = SplitMix64(38)
     x = -2.0 + 4.0 * r.uniform_array(lead + (k, length, d))
@@ -342,16 +380,19 @@ def test_selective_scan_projected_bc_matches_oracle():
     w = (-1.0 + 2.0 * r.uniform_array((k, d, d))) / np.sqrt(d)
     bias = -4.0 + 3.0 * r.uniform_array((k, 1, d))
     b, c, delta = x @ w_b, x @ w_c, np.logaddexp(0.0, x @ w + bias)
-    y = selective_scan(x, a, (w_b,), (w_c,), (w, bias)).data
-    assert np.array_equal(y, selective_scan(x, a, b, c, (w, bias)).data)
-    y_ref = scan_sequential(x, *discretize(a[0, :, 0], b, delta), c)
+    y = selective_scan(*shared(x, a, (w_b,), (w_c,), (w, bias))).data
+    assert np.array_equal(
+        y, selective_scan(*shared(x, a, b, c, (w, bias))).data)
+    y = y[..., 0, :, :]
+    y_ref = front_plus_back(lambda x, a, b, c, delta: scan_sequential(
+        x, *discretize(a[0, :, 0], b, delta), c), x, a, b, c, delta)
     rel = np.max(np.abs(y - y_ref)) / np.max(np.abs(y_ref))
     assert rel <= 1e-12, rel
 
 
 def _two_way_case(source, seed):
     """x and each way's (A, B, C, delta) at batch 3 over three blocks (two
-    full, one partial), as one-way calls take them.  ``given``: arrays and
+    full, one partial), without way axes.  ``given``: arrays and
     an A per position, (L, D, N), as fusion's.  ``proj``: K = 2 sequences,
     the projections (w_B,), (w_C,) and (w_delta, delta_bias) and one A per
     sequence at rank x.ndim + 1, as SS2D's.  The two ways' values differ,
@@ -379,7 +420,7 @@ def _two_way_case(source, seed):
 
 
 def _on_way_axis(x, front, back):
-    """The two-way call's arguments: x with a way axis of extent 1, and
+    """The op's arguments: x with a way axis of extent 1, and
     each argument's two ways on its way axis, or one where they share it."""
     def join(u, v, axis):
         if u is v:
@@ -396,7 +437,7 @@ def _on_way_axis(x, front, back):
 
 
 def _flipped(source, a, b, c, delta):
-    """A way's arguments for a one-way call over x flipped along L."""
+    """A way's arguments for a scan over x flipped along L."""
     if source != "given":
         return a, b, c, delta
     return (np.flip(a, 0),) + tuple(np.flip(v, -2) for v in (b, c, delta))
@@ -415,42 +456,36 @@ def _grads(v):
 
 @pytest.mark.parametrize("source", ["given", "proj", "shared"])
 def test_selective_scan_back_way_matches_flipped_call(source):
-    # The back way is a one-way scan over x flipped along L, its output
-    # flipped back: y, and every gradient, are bitwise those of the front
-    # call plus that flipped call.  Each argument's gradient holds the front
-    # way's, then the back way's in position order, on its way axis, or
-    # their sum where the ways share it.
+    # The back way is the front way of the call over x flipped along L with
+    # the two ways' arguments swapped, given arrays flipped along L too:
+    # that call returns y flipped, and x's and every argument's gradient
+    # come back flipped along L where they have it, with their ways
+    # swapped, bitwise.
     x, (front, back) = _two_way_case(source, 39)
     probe = SplitMix64(40).uniform_array(x.shape)
-    xw, args = _on_way_axis(x, front, back)
-    xt = Tensor(xw, requires_grad=True)
-    ts = [_tensors(v) for v in args]
-    y = selective_scan(xt, *ts, both_ways=True)
-    assert y.shape == xw.shape
-    (y * Tensor(probe[..., None, :, :])).sum().backward()
 
-    xf, xb = Tensor(x, requires_grad=True), Tensor(np.flip(x, -2),
-                                                   requires_grad=True)
-    rf = [_tensors(v) for v in front]
-    rb = [_tensors(v) for v in _flipped(source, *back)]
-    y_front = selective_scan(xf, *rf)
-    y_back = selective_scan(xb, *rb)
-    (y_front * Tensor(probe)).sum().backward()
-    (y_back * Tensor(np.flip(probe, -2))).sum().backward()
-    assert np.array_equal(y.data[..., 0, :, :],
-                          y_front.data + np.flip(y_back.data, -2))
-    assert np.array_equal(xt.grad[..., 0, :, :], xf.grad + np.flip(xb.grad, -2))
-    for i, (got, f, b) in enumerate(zip(ts, rf, rb)):
-        axis = -4 if i == 0 else -3
-        want_b = _grads(b)
-        if source == "given":                 # back to position order
-            want_b = [np.flip(w, 0 if i == 0 else -2) for w in want_b]
-        want = [u + v if source == "shared" else np.stack([u, v], axis)
-                for u, v in zip(_grads(f), want_b)]
-        got = _grads(got)
-        if source == "shared":
-            got = [g.squeeze(axis) for g in got]
-        assert all(map(np.array_equal, got, want))
+    def run(x, front, back, probe):
+        """y and the gradients of x and of each argument's arrays."""
+        xw, args = _on_way_axis(x, front, back)
+        xt = Tensor(xw, requires_grad=True)
+        ts = [_tensors(v) for v in args]
+        y = selective_scan(xt, *ts)
+        assert y.shape == xw.shape
+        (y * Tensor(probe[..., None, :, :])).sum().backward()
+        return y.data, xt.grad, [_grads(t) for t in ts]
+
+    y, gx, grads = run(x, front, back, probe)
+    y_f, gx_f, grads_f = run(flip_l(x), _flipped(source, *back),
+                             _flipped(source, *front), flip_l(probe))
+    assert np.array_equal(y_f, flip_l(y))
+    assert np.array_equal(gx_f, flip_l(gx))
+    for i, (got, want) in enumerate(zip(grads_f, grads)):
+        way, pos = (-4, -3) if i == 0 else (-3, -2)
+        for g_f, g in zip(got, want):
+            g = np.flip(g, way)
+            if source == "given":
+                g = np.flip(g, pos)
+            assert np.array_equal(g_f, g), (source, i)
 
 
 @pytest.mark.parametrize("source", ["given", "proj"])
@@ -472,7 +507,7 @@ def test_selective_scan_back_way_matches_oracle(source):
         return scan_sequential(seqs, *discretize(a, b, delta), c)
 
     xw, args = _on_way_axis(x, *ways)
-    y = selective_scan(xw, *args, both_ways=True).data[..., 0, :, :]
+    y = selective_scan(xw, *args).data[..., 0, :, :]
     a, b, c, delta = arrays(*ways[1], x)
     if source == "given":
         a = np.flip(a, 0)
@@ -508,7 +543,7 @@ def test_selective_scan_rejects_malformed_ways():
     ]
     for args in bad:
         with pytest.raises(DimensionError) as err:
-            selective_scan(*args, both_ways=True)
+            selective_scan(*args)
         message = str(err.value)
         assert message and "\n" not in message, message
 
@@ -546,8 +581,8 @@ def test_blocked_scan_matches_oracle_across_blocks():
         for per_position in (False, True):
             shape = (length, D, N) if per_position else A_SHARED
             args = _blocked_case(3600 + case, LEAD, length, D, N, shape)
-            y = selective_scan(*args).data
-            y_ref = _broadcast_oracle(*args)
+            y = selective_scan(*shared(*args)).data[..., 0, :, :]
+            y_ref = front_plus_back(_broadcast_oracle, *args)
             rel = np.max(np.abs(y - y_ref) / (np.abs(y_ref) + 1e-12))
             worst = max(worst, rel)
             case += 1
@@ -563,23 +598,24 @@ def test_blocked_scan_extreme_delta_a_matches_oracle():
     a_bar = np.exp(args[4][..., None] * args[1])
     assert np.all(a_bar[..., 0::2, 0, :] == 1.0)
     assert np.all(a_bar[..., 1::2, 0, :] == 0.0)
-    ts = [Tensor(v, requires_grad=True) for v in args]
+    ts = [Tensor(v, requires_grad=True) for v in shared(*args)]
     y = selective_scan(*ts)
-    y_ref = _broadcast_oracle(*args)
-    rel = np.max(np.abs(y.data - y_ref) / (np.abs(y_ref) + 1e-12))
+    y_ref = front_plus_back(_broadcast_oracle, *args)
+    front = y.data[..., 0, :, :]
+    rel = np.max(np.abs(front - y_ref) / (np.abs(y_ref) + 1e-12))
     assert rel <= 1e-10, rel
     y.sum().backward()
     assert all(np.all(np.isfinite(t.grad)) for t in ts)
 
 
 def test_forward_graph_holds_less_than_one_full_state_array():
-    # The op keeps one (..., D, N) state per block for backward, not the
+    # The op keeps one (..., W, D, N) state per block for backward, not the
     # (..., L, D, N) a_bar or states: what the forward leaves allocated,
-    # beyond y, stays below one such array (8 MiB here).
+    # beyond y, stays below one such array of one way (8 MiB here).
     import tracemalloc
     lead, length, d, n = (4, 4), 1024, 16, 4
     args = _blocked_case(40, lead, length, d, n, (4, 1, d, n))
-    ts = [Tensor(v, requires_grad=True) for v in args]
+    ts = [Tensor(v, requires_grad=True) for v in shared(*args)]
     full = int(np.prod(lead)) * length * d * n * 8
     tracemalloc.start()
     try:
@@ -594,10 +630,10 @@ def test_forward_graph_holds_less_than_one_full_state_array():
 
 
 def _fwd_bwd(args):
-    """y of a two-way forward of the op, and its arguments as Tensors that
-    take gradients, for the caller's backward."""
+    """y of a forward of the op, and its arguments as Tensors that take
+    gradients, for the caller's backward."""
     ts = [_tensors(v) for v in args]
-    return selective_scan(*ts, both_ways=True), ts
+    return selective_scan(*ts), ts
 
 
 def _outputs(y, ts):
@@ -643,7 +679,7 @@ def test_workspace_second_call_allocates_less_than_one_block_array():
 
 def test_warm_forward_allocates_less_than_half_of_y_beyond_y():
     # y starts at zero and each block's C . h, formed in a workspace slot,
-    # is added in position order: a warm two-way forward allocates no
+    # is added in position order: a warm forward allocates no
     # array of both ways' outputs, so less than half of y's bytes beyond y.
     from scanseg.bench import MODEL_SHAPES, _beyond_outputs, _model_case
     rows = [row for row in MODEL_SHAPES if row[1] >= 4096]
@@ -652,7 +688,7 @@ def test_warm_forward_allocates_less_than_half_of_y_beyond_y():
         args = _model_case(lead, length, d, source, seed=i)
 
         def fwd():
-            return selective_scan(*args, both_ways=True), ()
+            return selective_scan(*args), ()
 
         y = fwd()[0].data.nbytes / 2**20         # MiB; the warm-up call
         beyond = _beyond_outputs(fwd)
@@ -731,7 +767,7 @@ def test_backward_does_not_keep_y():
     # caller drops the output tensor, its array is freed before backward.
     import weakref
     ts = [Tensor(v, requires_grad=True)
-          for v in _blocked_case(41, (2,), 300, 4, 3, (4, 3))]
+          for v in shared(*_blocked_case(41, (2,), 300, 4, 3, (4, 3)))]
     y = selective_scan(*ts)
     freed = weakref.ref(y.data)
     loss = y.sum()
@@ -750,7 +786,7 @@ def test_stability_long_scan_no_nan():
     a = -0.01 - 2.0 * r.uniform_array((D, N))
     b = -1.0 + 2.0 * r.uniform_array((L, N))
     delta = 0.001 + r.uniform_array((L, D))
-    y = selective_scan(x, a, b, b, delta).data
+    y = selective_scan(*shared(x, a, b, b, delta)).data
     assert np.all(np.isfinite(y))
 
 

@@ -23,18 +23,18 @@ def oracle_perms(h, w):
 
 def traversals(seqs):
     """The four directions' step-ordered sequences from cross_scan's pair,
-    (..., 2, L, C): each sequence, then it read back to front, as the
+    (..., 2, 1, L, C): each sequence, then it read back to front, as the
     scan's back way reads it."""
-    rows, cols = seqs[..., 0, :, :], seqs[..., 1, :, :]
+    rows, cols = seqs[..., 0, 0, :, :], seqs[..., 1, 0, :, :]
     return [rows, rows[..., ::-1, :], cols, cols[..., ::-1, :]]
 
 
 def merged_layout(ys):
-    """Per-direction outputs in step order, (4, L, C), in the (2, L, C)
+    """Per-direction outputs in step order, (4, L, C), in the (2, 1, L, C)
     layout cross_merge takes: each back direction put back in position
     order and added to its sequence's front one, as the scan returns
     them."""
-    return np.stack([ys[0] + ys[1][::-1], ys[2] + ys[3][::-1]])
+    return np.stack([ys[0] + ys[1][::-1], ys[2] + ys[3][::-1]])[:, None]
 
 
 def index_grid(h, w):
@@ -48,7 +48,7 @@ def test_layout_roundtrip_exhaustive():
     for h in range(1, 7):
         for w in range(1, 7):
             seqs = cross_scan(Tensor(index_grid(h, w))).data
-            assert seqs.shape == (2, h * w, 1)
+            assert seqs.shape == (2, 1, h * w, 1)
             for d, perm in enumerate(oracle_perms(h, w)):
                 assert np.array_equal(np.sort(perm), np.arange(h * w))
                 assert np.array_equal(traversals(seqs)[d][:, 0], perm)
@@ -64,7 +64,7 @@ def test_layout_reversal_pairs():
     # reversed directions are those sequences read back to front.
     f = rand((3, 5, 2), seed=1)
     seqs = cross_scan(Tensor(f)).data
-    assert seqs.shape == (2, 15, 2)
+    assert seqs.shape == (2, 1, 15, 2)
     perms = oracle_perms(3, 5)
     assert np.array_equal(perms[1], perms[0][::-1])
     assert np.array_equal(perms[3], perms[2][::-1])
@@ -89,9 +89,9 @@ def test_layout_2x2_convention():
 def test_cross_scan_single_pixel():
     f = Tensor(rand((1, 1, 3), seed=1))
     seqs = cross_scan(f)
-    assert seqs.shape == (2, 1, 3)
+    assert seqs.shape == (2, 1, 1, 3)
     for s in seqs.data:
-        assert np.array_equal(s[0], f.data[0, 0, :])
+        assert np.array_equal(s[0, 0], f.data[0, 0, :])
 
 
 def test_cross_scan_constant_map():
@@ -104,8 +104,8 @@ def test_cross_scan_constant_map():
 def test_cross_scan_orders_pixels():
     # H=2, W=2 with pixel values equal to their row-major flat index.
     seqs = cross_scan(Tensor(index_grid(2, 2))).data
-    assert seqs[0, :, 0].tolist() == [0, 1, 2, 3]
-    assert seqs[1, :, 0].tolist() == [0, 2, 1, 3]
+    assert seqs[0, 0, :, 0].tolist() == [0, 1, 2, 3]
+    assert seqs[1, 0, :, 0].tolist() == [0, 2, 1, 3]
     orders = [seq[:, 0].tolist() for seq in traversals(seqs)]
     assert orders == [[0, 1, 2, 3], [3, 2, 1, 0], [0, 2, 1, 3], [3, 1, 2, 0]]
 
@@ -118,8 +118,8 @@ def test_merge_of_scan_is_twice_input_bitwise():
 
 def test_merge_single_nonzero_sequence():
     y = rand((6, 2), seed=3)
-    stacked = np.zeros((2, 6, 2))
-    stacked[1] = y
+    stacked = np.zeros((2, 1, 6, 2))
+    stacked[1, 0] = y
     out = cross_merge(Tensor(stacked), 2, 3)
     inv = np.argsort(oracle_perms(2, 3)[2])
     expect = y[inv].reshape(2, 3, 2)  # back to row-major order
@@ -140,14 +140,14 @@ def test_merge_matches_gather_add_oracle():
 
 def test_cross_scan_gradients():
     f = rand((3, 3, 2), seed=4)
-    r = rand((2, 9, 2), seed=5)
+    r = rand((2, 1, 9, 2), seed=5)
     res = check("cross-scan",
                 lambda ts: (cross_scan(ts[0]) * Tensor(r)).sum(), [f])
     assert res.passed, res.line()
     r2 = rand((3, 3, 2), seed=6)
     res = check("cross-merge",
                 lambda ts: (cross_merge(ts[0], 3, 3) * Tensor(r2)).sum(),
-                [rand((2, 9, 2), seed=7)])
+                [rand((2, 1, 9, 2), seed=7)])
     assert res.passed, res.line()
 
 
@@ -156,7 +156,7 @@ def test_cross_scan_gradients():
 def test_layout_pair_is_adjoint_and_one_node_each(shape):
     h, w = shape[-3], shape[-2]
     f = rand(shape, seed=8)
-    y = rand(shape[:-3] + (2, h * w, shape[-1]), seed=9)
+    y = rand(shape[:-3] + (2, 1, h * w, shape[-1]), seed=9)
     lhs = np.sum(cross_scan(Tensor(f)).data * y)
     rhs = np.sum(f * cross_merge(Tensor(y), h, w).data)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
