@@ -87,9 +87,13 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
 
 
 def resolution(text: str) -> tuple[int, int]:
-    """``HxW`` flag value; argparse names this type in its error message."""
+    """``HxW`` flag value such as ``64x64``."""
     h, _, w = text.partition("x")
-    return (int(h), int(w))
+    try:
+        return (int(h), int(w))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected HxW, such as 64x64, got {text!r}") from None
 
 
 def positive_int(text: str) -> int:
@@ -183,20 +187,18 @@ def cmd_eval(args) -> int:
     if not pairs:
         raise ConfigError(f"no complete samples found in {args.data}")
 
+    # Generators: each prediction is scored before the next is made.
     ids = [p.id for p in pairs]
     if model.cfg.task == "saliency":
-        preds = [predict_prob(model, p, use_xmod=not args.rgb_only)
-                 for p in pairs]
-        rep = evaluate_saliency(
-            [SaliencyPair(pred, p.mask) for pred, p in zip(preds, pairs)],
-            ids=ids)
+        scored = (SaliencyPair(predict_prob(model, p, not args.rgb_only),
+                               p.mask) for p in pairs)
+        rep = evaluate_saliency(scored, ids=ids)
     else:
-        maps = []
-        for p in pairs:
-            logits = predict_logits(model, p.rgb,
-                                    None if args.rgb_only else p.xmod)
-            maps.append(np.argmax(logits.data, axis=-3))
-        rep = evaluate_semantic(maps, [p.mask.astype(np.int64) for p in pairs],
+        logits = (predict_logits(model, p.rgb,
+                                 None if args.rgb_only else p.xmod)
+                  for p in pairs)
+        rep = evaluate_semantic((np.argmax(lg.data, axis=-3) for lg in logits),
+                                (p.mask.astype(np.int64) for p in pairs),
                                 num_classes=model.cfg.num_classes, ids=ids)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -306,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=resolution, default="64x64")
+    p.add_argument("--resolution", type=resolution, default="64x64",
+                   metavar="HxW",
+                   help="image height and width in pixels (default 64x64)")
     p.add_argument("--xmod-strength", type=float, default=0.4)
     p.add_argument("--occluder-density", type=float, default=0.3)
     p.add_argument("--noise", type=float, default=0.02)

@@ -33,10 +33,13 @@ class NumericalError(ScansegError, RuntimeError):
 
 
 class NetpbmError(ScansegError, ValueError):
-    """Malformed PPM/PGM stream; carries the offending byte offset."""
+    """Malformed PPM/PGM stream; carries the offending byte offset and,
+    from a reader, the file's path."""
 
-    def __init__(self, message: str, byte_offset: int):
-        super().__init__(f"{message} (byte offset {byte_offset})")
+    def __init__(self, message: str, byte_offset: int, path: str | None = None):
+        where = f"byte offset {byte_offset}" + (f" in {path}" if path else "")
+        super().__init__(f"{message} ({where})")
+        self.message = message
         self.byte_offset = byte_offset
 
 

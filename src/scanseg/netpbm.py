@@ -3,9 +3,11 @@
 Writers emit the canonical header exactly — ``P6\\n<w> <h>\\n<maxval>\\n``
 followed by the binary payload; 16-bit graymaps store big-endian sample
 pairs as the format requires.  Readers accept standard header whitespace
-and ``#`` comments and report malformed input with the offending byte
-offset.  Values are float arrays in [0, 1]; read(write(x)) is bitwise exact
-on the quantized grid.
+and ``#`` comments and report malformed input with the file's path and the
+offending byte offset.  ``read_samples`` returns a file's samples as it
+stores them, and ``decode`` turns samples into float arrays in [0, 1], the
+values ``read_ppm`` and ``read_pgm`` return; read(write(x)) is bitwise
+exact on the quantized grid.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, NetpbmError
 
-__all__ = ["write_ppm", "read_ppm", "write_pgm", "read_pgm"]
+__all__ = ["write_ppm", "read_ppm", "write_pgm", "read_pgm", "read_samples",
+           "decode"]
 
 _WS = b" \t\r\n\v\f"
 
@@ -78,10 +81,10 @@ def _header_int(buf: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(token), new_pos
 
 
-def _parse(buf: bytes, magic: bytes, path: str):
+def _parse(buf: bytes, magic: bytes):
     got = buf[:2]
     if got != magic:
-        raise NetpbmError(f"{path}: expected magic {magic!r}, got {got!r}", 0)
+        raise NetpbmError(f"expected magic {magic!r}, got {got!r}", 0)
     w, pos = _header_int(buf, 2, "width")
     h, pos = _header_int(buf, pos, "height")
     maxval, pos = _header_int(buf, pos, "maxval")
@@ -100,25 +103,42 @@ def _payload(buf: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
         raise NetpbmError(
             f"payload truncated: need {need} bytes, have {len(buf) - pos}",
             len(buf))
-    raw = buf[pos:pos + need]
     if len(buf) - pos > need:
         raise NetpbmError(f"{len(buf) - pos - need} trailing bytes", pos + need)
     dtype = ">u2" if width == 2 else np.uint8
-    return np.frombuffer(raw, dtype=dtype).astype(np.float64) / maxval
+    return np.frombuffer(buf[pos:pos + need], dtype=dtype)
+
+
+def read_samples(path: str, magic: bytes) -> tuple[np.ndarray, int]:
+    """The samples of a P6 (``magic`` b"P6") or P5 (b"P5") file exactly as
+    it stores them, uint8 or, above maxval 255, big-endian uint16, laid out
+    channel-first: (3, H, W) or (1, H, W), C-contiguous.  Returns them with
+    the file's maxval.  A malformed file raises ``NetpbmError`` naming
+    ``path``."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    try:
+        w, h, maxval, pos = _parse(buf, magic)
+        flat = _payload(buf, pos, w * h * (3 if magic == b"P6" else 1), maxval)
+    except NetpbmError as exc:
+        raise NetpbmError(exc.message, exc.byte_offset, path) from None
+    if magic == b"P5":
+        return flat.reshape(1, h, w), maxval
+    rgb = flat.reshape(h, w, 3).transpose(2, 0, 1)  # stored row-major, interleaved
+    return np.ascontiguousarray(rgb), maxval
+
+
+def decode(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """Float64 values in [0, 1] of ``samples``, in a new array of their
+    shape."""
+    return samples.astype(np.float64) / maxval
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Returns (3, H, W) floats in [0, 1]."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, maxval, pos = _parse(buf, b"P6", path)
-    flat = _payload(buf, pos, w * h * 3, maxval)
-    return np.transpose(flat.reshape(h, w, 3), (2, 0, 1)).copy()
+    return decode(*read_samples(path, b"P6"))
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Returns (H, W) floats in [0, 1]."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    w, h, maxval, pos = _parse(buf, b"P5", path)
-    return _payload(buf, pos, w * h, maxval).reshape(h, w)
+    return decode(*read_samples(path, b"P5"))[0]

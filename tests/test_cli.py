@@ -129,6 +129,26 @@ def test_infer_16bit_xmod_exit_0_truncated_exit_2(workspace, tmp_path,
     assert err.startswith("i/o error: payload truncated")
 
 
+@pytest.mark.parametrize("name, spoil", [
+    ("rgb/00001.ppm", lambda blob: blob[:-10]),
+    ("x/00000.pgm", lambda blob: blob + b"\x00\x00"),
+    ("mask/00001.pgm", lambda blob: b"P6" + blob[2:]),
+], ids=["truncated-ppm", "trailing-pgm", "wrong-magic"])
+def test_eval_corrupt_dataset_image_exit_2_naming_it(workspace, tmp_path,
+                                                     capsys, name, spoil):
+    ds = tmp_path / "ds"
+    assert run(["synth", "--out", ds, "--count", 2,
+                "--resolution", "32x32"]) == 0
+    capsys.readouterr()
+    bad = ds / name
+    bad.write_bytes(spoil(bad.read_bytes()))
+    assert run(["eval", "--ckpt", workspace["ckpt"], "--data", ds,
+                "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("i/o error: ") and f" in {bad})" in err
+
+
 def test_missing_model_config_exit_2_naming_it(workspace, tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     shutil.copy(workspace["ckpt"], ckpt)
@@ -192,6 +212,16 @@ def test_malformed_list_flags_exit_1_with_one_line(args, tmp_path, capsys,
     assert err.count("\n") == 1
     assert err.startswith("usage error") and args[-2] in err
     assert os.listdir(tmp_path) == []
+
+
+def test_resolution_flag_names_its_form(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["synth", "--out", "d", "--count", 1, "--resolution", "32"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "HxW" in err and "64x64" in err
+    with pytest.raises(SystemExit):
+        run(["synth", "--help"])
+    assert "--resolution HxW" in capsys.readouterr().out
 
 
 def test_train_mixed_resolution_dataset_exit_1(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,23 @@ def test_pgm_trailing_bytes_rejected(tmp_path):
     open(path, "wb").write(b"P5\n1 1\n255\n\x00\x00")
     with pytest.raises(NetpbmError, match="trailing"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("blob", [
+    b"P5\n1 1\n255\n\x00\x00",       # trailing byte
+    b"P5\n2 2\n255\n\x00",            # truncated payload
+    b"P5\n2 x\n255\n\x00" * 2,        # bad height
+    b"P5\n2 2\n70000\n\x00",          # maxval out of range
+    b"P5\n2 2",                        # header ends early
+    b"P6\n1 1\n255\n\x00",            # wrong magic
+], ids=["trailing", "truncated", "height", "maxval", "header", "magic"])
+def test_reader_errors_name_the_file(blob, tmp_path):
+    path = str(tmp_path / "bad.pgm")
+    open(path, "wb").write(blob)
+    with pytest.raises(NetpbmError) as e:
+        read_pgm(path)
+    assert str(e.value).endswith(f" in {path})")
+    assert str(e.value).count(path) == 1
 
 
 # ---------------------------------------------------------------- scenes
@@ -184,3 +204,46 @@ def test_dataset_16bit_depth_modality(tmp_path):
     pairs, report = load_dataset(root)
     assert report.ok() and len(pairs) == 1
     assert pairs[0].xmod.shape == (1, 32, 32)
+
+
+@pytest.mark.parametrize("depth_16bit", [False, True], ids=["8bit", "16bit"])
+def test_loaded_images_decode_to_the_readers_arrays(depth_16bit, tmp_path):
+    root = str(tmp_path / "ds")
+    cfg = SceneConfig(resolution=(24, 16), seed=12)
+    for i in range(3):
+        save_pair(root, generate_scene(cfg, i), depth_16bit=depth_16bit)
+    pairs, report = load_dataset(root)
+    assert report.ok() and len(pairs) == 3
+    for p in pairs:
+        want = {"rgb": read_ppm(os.path.join(root, "rgb", f"{p.id}.ppm")),
+                "xmod": read_pgm(os.path.join(root, "x", f"{p.id}.pgm"))[None]}
+        for name, ref in want.items():
+            got = getattr(p, name)
+            assert got.shape == ref.shape == ((3,) if name == "rgb" else (1,)) + (24, 16)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes()
+            # Each access is a new array: writing into one leaves the next.
+            got[...] = -1.0
+            again = getattr(p, name)
+            assert again is not got and again.tobytes() == ref.tobytes()
+        mask = read_pgm(os.path.join(root, "mask", f"{p.id}.pgm")) > 0.5
+        assert p.mask.dtype == bool and np.array_equal(p.mask, mask)
+        assert p.objects is None and p.occluders is None
+
+
+def test_loaded_dataset_holds_samples_not_floats(tmp_path):
+    root = str(tmp_path / "ds")
+    cfg = SceneConfig(resolution=(64, 64), seed=13)
+    for i in range(8):
+        save_pair(root, generate_scene(cfg, i))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs, _ = load_dataset(root)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 1 byte per RGB or X sample and 1 per mask pixel is 5 bytes a pixel;
+    # float64 images and a bool mask would be 33.
+    assert len(pairs) == 8
+    assert retained < 8 * 64 * 64 * len(pairs), retained / (64 * 64 * 8)

@@ -473,3 +473,26 @@ def test_empty_gt_flagged_in_report():
     pairs = [SaliencyPair(np.zeros((4, 4)), np.zeros((4, 4)))]
     rep = evaluate_saliency(pairs, ids=["im0"])
     assert rep.empty_gt_images == ["im0"]
+
+
+def test_evaluators_score_a_one_pass_iterable_as_a_list():
+    # scanseg eval hands both evaluators generators, one prediction at a time.
+    ids = [f"im{i}" for i in range(4)]
+    pairs = [SaliencyPair(rand((8, 8), seed=120 + i),
+                          random_blob_gt(8, 8, seed=125 + i)) for i in range(3)]
+    pairs.append(SaliencyPair(rand((8, 8), seed=124), np.zeros((8, 8))))
+    listed = evaluate_saliency(pairs, ids=ids)
+    once = evaluate_saliency((p for p in pairs), ids=ids)
+    assert repr(once) == repr(listed)  # repr spells every float bitwise
+    assert once.empty_gt_images == ["im3"]
+
+    r = SplitMix64(130)
+    preds = [np.floor(3 * r.uniform_array((8, 8))).astype(np.int64)
+             for _ in ids]
+    gts = [np.floor(3 * r.uniform_array((8, 8))).astype(np.int64)
+           for _ in ids]
+    listed = evaluate_semantic(preds, gts, num_classes=3, ids=ids)
+    once = evaluate_semantic(iter(preds), (g for g in gts), num_classes=3,
+                             ids=ids)
+    assert repr(once) == repr(listed)
+    assert [row["id"] for row in once.per_image] == ids
