@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .netpbm import decode, read_samples, write_pgm, write_ppm
+# perfbench times image reads at scanseg.data.read_ppm and read_pgm, so
+# read_ppm stays importable here though loading reads samples instead.
+from .netpbm import (decode, read_pgm, read_ppm,  # noqa: F401
+                     read_samples, write_pgm, write_ppm)
 from .synth import ModalityPair
 
 __all__ = ["LoadReport", "LoadedPair", "load_dataset", "save_pair"]
@@ -91,8 +94,7 @@ def load_dataset(root: str) -> tuple[list[LoadedPair], LoadReport]:
     for stem in sorted(rgb_stems & x_stems & mask_stems):
         rgb = read_samples(os.path.join(rgb_dir, f"{stem}.ppm"), b"P6")
         xmod = read_samples(os.path.join(x_dir, f"{stem}.pgm"), b"P5")
-        mask = decode(*read_samples(os.path.join(mask_dir, f"{stem}.pgm"),
-                                    b"P5"))[0] > 0.5
+        mask = read_pgm(os.path.join(mask_dir, f"{stem}.pgm")) > 0.5
         pairs.append(LoadedPair(stem, rgb, xmod, mask))
     _check_resolutions(pairs)
     return pairs, report

@@ -115,17 +115,17 @@ def read_samples(path: str, magic: bytes) -> tuple[np.ndarray, int]:
     channel-first: (3, H, W) or (1, H, W), C-contiguous.  Returns them with
     the file's maxval.  A malformed file raises ``NetpbmError`` naming
     ``path``."""
+    channels = 3 if magic == b"P6" else 1
     with open(path, "rb") as fh:
         buf = fh.read()
     try:
         w, h, maxval, pos = _parse(buf, magic)
-        flat = _payload(buf, pos, w * h * (3 if magic == b"P6" else 1), maxval)
+        flat = _payload(buf, pos, w * h * channels, maxval)
     except NetpbmError as exc:
         raise NetpbmError(exc.message, exc.byte_offset, path) from None
-    if magic == b"P5":
-        return flat.reshape(1, h, w), maxval
-    rgb = flat.reshape(h, w, 3).transpose(2, 0, 1)  # stored row-major, interleaved
-    return np.ascontiguousarray(rgb), maxval
+    # Stored row-major with the channels interleaved.
+    planes = flat.reshape(h, w, channels).transpose(2, 0, 1)
+    return np.ascontiguousarray(planes), maxval
 
 
 def decode(samples: np.ndarray, maxval: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_pgm_trailing_bytes_rejected(tmp_path):
 @pytest.mark.parametrize("blob", [
     b"P5\n1 1\n255\n\x00\x00",       # trailing byte
     b"P5\n2 2\n255\n\x00",            # truncated payload
-    b"P5\n2 x\n255\n\x00" * 2,        # bad height
+    b"P5\n2 x\n255\n\x00",            # bad height
     b"P5\n2 2\n70000\n\x00",          # maxval out of range
     b"P5\n2 2",                        # header ends early
     b"P6\n1 1\n255\n\x00",            # wrong magic
@@ -206,6 +206,16 @@ def test_dataset_16bit_depth_modality(tmp_path):
     assert pairs[0].xmod.shape == (1, 32, 32)
 
 
+def _decoded_from_bytes(path, channels):
+    """A canonical-header file's values by the formula the readers have
+    always used: samples as float64, divided by maxval."""
+    _, dims, maxval, payload = open(path, "rb").read().split(b"\n", 3)
+    w, h = map(int, dims.split())
+    dtype = ">u2" if int(maxval) > 255 else np.uint8
+    flat = np.frombuffer(payload, dtype).astype(np.float64) / int(maxval)
+    return np.transpose(flat.reshape(h, w, channels), (2, 0, 1)).copy()
+
+
 @pytest.mark.parametrize("depth_16bit", [False, True], ids=["8bit", "16bit"])
 def test_loaded_images_decode_to_the_readers_arrays(depth_16bit, tmp_path):
     root = str(tmp_path / "ds")
@@ -215,11 +225,14 @@ def test_loaded_images_decode_to_the_readers_arrays(depth_16bit, tmp_path):
     pairs, report = load_dataset(root)
     assert report.ok() and len(pairs) == 3
     for p in pairs:
-        want = {"rgb": read_ppm(os.path.join(root, "rgb", f"{p.id}.ppm")),
-                "xmod": read_pgm(os.path.join(root, "x", f"{p.id}.pgm"))[None]}
+        rgb_path = os.path.join(root, "rgb", f"{p.id}.ppm")
+        x_path = os.path.join(root, "x", f"{p.id}.pgm")
+        want = {"rgb": read_ppm(rgb_path), "xmod": read_pgm(x_path)[None]}
+        assert want["rgb"].tobytes() == _decoded_from_bytes(rgb_path, 3).tobytes()
+        assert want["xmod"].tobytes() == _decoded_from_bytes(x_path, 1).tobytes()
         for name, ref in want.items():
             got = getattr(p, name)
-            assert got.shape == ref.shape == ((3,) if name == "rgb" else (1,)) + (24, 16)
+            assert got.shape == ref.shape and got.shape[1:] == (24, 16)
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.tobytes() == ref.tobytes()
             # Each access is a new array: writing into one leaves the next.
